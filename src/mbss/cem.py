@@ -49,7 +49,13 @@ class CemConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Converged model plus its fitting trace and unlabeled posteriors."""
+    """Converged model plus its fitting trace and unlabeled posteriors.
+
+    ``complete_loglik`` (unlabeled rows under ``hard_labels``) and
+    ``observed_loglik`` are evaluated under the final model; they equal
+    ``gmm.complete_log_likelihood(model, dataset, hard_labels)`` and
+    ``gmm.observed_log_likelihood(model, dataset)`` exactly.
+    """
 
     model: MixtureModel
     iterations: int
@@ -57,22 +63,33 @@ class FitResult:
     converged: bool
     posteriors: np.ndarray
     hard_labels: np.ndarray
+    complete_loglik: float
+    observed_loglik: float
 
 
-def _class_stats(X: np.ndarray, y: np.ndarray, K: int):
-    """Counts, sums and centered scatter matrices per class, rows ascending."""
+def _class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str):
+    """Counts, means and centered scatters per class, rows ascending.
+
+    Scatters are d x d for the full families and per-dimension sums of
+    squares (K x d) for the spherical and diagonal ones, the shapes
+    ``gmm.estimate_family_covariances`` takes.
+    """
     d = X.shape[1]
+    diagonal = family in gmm.DIAGONAL_FAMILIES
     counts = np.bincount(y, minlength=K + 1)[1:].astype(np.int64)
     means = np.full((K, d), np.nan)
-    scatters = np.zeros((K, d, d))
+    scatters = np.zeros((K, d) if diagonal else (K, d, d))
     for k in range(K):
         rows = X[y == k + 1]
         if rows.shape[0] == 0:
             continue
         means[k] = rows.mean(axis=0)
         diff = rows - means[k]
-        s = diff.T @ diff
-        scatters[k] = 0.5 * (s + s.T)
+        if diagonal:
+            scatters[k] = np.einsum("ij,ij->j", diff, diff)
+        else:
+            s = diff.T @ diff
+            scatters[k] = 0.5 * (s + s.T)
     return counts, means, scatters
 
 
@@ -85,7 +102,7 @@ def initialize(dataset: Dataset, config: CemConfig) -> MixtureModel:
     """
     dataset.require_class_members(min_count=2)
     counts, means, scatters = _class_stats(
-        dataset.labeled_features, dataset.labels, dataset.K
+        dataset.labeled_features, dataset.labels, dataset.K, config.family
     )
     weights = counts / dataset.n
     covs = gmm.estimate_family_covariances(config.family, scatters, counts, dataset.n)
@@ -98,7 +115,12 @@ def initialize(dataset: Dataset, config: CemConfig) -> MixtureModel:
 
 def e_step(model: MixtureModel, unlabeled: np.ndarray) -> np.ndarray:
     """Posterior class membership of each unlabeled row under the model."""
-    return np.exp(gmm.log_responsibilities(model, unlabeled))
+    return _posteriors(gmm.log_joint(model, unlabeled))
+
+
+def _posteriors(joint: np.ndarray) -> np.ndarray:
+    """Posterior membership from a ``log_joint`` matrix."""
+    return np.exp(gmm.normalize_log_joint(joint))
 
 
 def hard_assign(posteriors: np.ndarray) -> np.ndarray:
@@ -137,7 +159,7 @@ def cm_step(
     X = np.vstack([dataset.labeled_features, dataset.unlabeled_features])
     y = np.concatenate([dataset.labels, hard])
     total = dataset.n + dataset.m
-    counts, means, scatters = _class_stats(X, y, K)
+    counts, means, scatters = _class_stats(X, y, K, family)
     empty = counts == 0
     if np.any(empty) and prev_model is None:
         raise ValueError(
@@ -192,9 +214,15 @@ def fit(dataset: Dataset, config: CemConfig, trace_path=None) -> FitResult:
     reproduces them exactly. When ``trace_path`` is given, per-iteration
     diagnostics (complete and observed log-likelihood, number of unlabeled
     rows that changed class) are streamed there as CSV.
+
+    The unlabeled block's ``log_joint`` is evaluated once per model: the
+    matrix behind each iteration's complete log-likelihood also gives the
+    next E-step, the trace's observed log-likelihood and, after the last
+    iteration, the returned posteriors and final log-likelihoods.
     """
     model = initialize(dataset, config)
     X_u = dataset.unlabeled_features
+    joint = gmm.log_joint(model, X_u)
     trace: list[float] = []
     converged = False
     prev_hard: np.ndarray | None = None
@@ -208,7 +236,7 @@ def fit(dataset: Dataset, config: CemConfig, trace_path=None) -> FitResult:
                 ["iteration", "complete_loglik", "observed_loglik", "n_changed_labels"]
             )
         for _ in range(config.max_iterations):
-            posteriors = e_step(model, X_u)
+            posteriors = _posteriors(joint)
             hard = hard_assign(posteriors)
             model = cm_step(
                 dataset,
@@ -217,7 +245,9 @@ def fit(dataset: Dataset, config: CemConfig, trace_path=None) -> FitResult:
                 regularization=config.regularization,
                 prev_model=model,
             )
-            loglik = gmm.complete_log_likelihood(model, dataset, hard)
+            labeled = gmm.labeled_log_likelihood(model, dataset)
+            joint = gmm.log_joint(model, X_u)
+            loglik = labeled + gmm.assigned_log_likelihood(joint, hard)
             trace.append(loglik)
             if writer is not None:
                 n_changed = (
@@ -227,7 +257,7 @@ def fit(dataset: Dataset, config: CemConfig, trace_path=None) -> FitResult:
                     [
                         len(trace),
                         repr(loglik),
-                        repr(gmm.observed_log_likelihood(model, dataset)),
+                        repr(labeled + gmm.marginal_log_likelihood(joint)),
                         n_changed,
                     ]
                 )
@@ -238,14 +268,17 @@ def fit(dataset: Dataset, config: CemConfig, trace_path=None) -> FitResult:
     finally:
         if trace_fh is not None:
             trace_fh.close()
-    posteriors = e_step(model, X_u)
+    posteriors = _posteriors(joint)
+    hard = hard_assign(posteriors)
     return FitResult(
         model=model,
         iterations=len(trace),
         loglik_trace=tuple(trace),
         converged=converged,
         posteriors=posteriors,
-        hard_labels=hard_assign(posteriors),
+        hard_labels=hard,
+        complete_loglik=labeled + gmm.assigned_log_likelihood(joint, hard),
+        observed_loglik=labeled + gmm.marginal_log_likelihood(joint),
     )
 
 

@@ -302,7 +302,9 @@ def roc_auc(scores: np.ndarray, truth: np.ndarray):
     pts = np.array(points, dtype=np.float64)
     if P == 0 or Ng == 0:
         return pts, None
-    auc = float(np.trapezoid(pts[:, 2], pts[:, 1]))
+    # Trapezoidal rule written out (np.trapezoid needs numpy >= 2.0).
+    fpr, tpr = pts[:, 1], pts[:, 2]
+    auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
     return pts, auc
 
 

@@ -1,8 +1,8 @@
 """Finite Gaussian mixtures under constrained covariance families.
 
-All density math happens in log space through Cholesky factors; explicit
-inverses and determinants are never formed. Six covariance families are
-supported, named by the volume/shape/orientation convention:
+All density math happens in log space; determinants and inverses of full
+covariances are never formed. Six covariance families are supported,
+named by the volume/shape/orientation convention:
 
     EII  lambda * I                 spherical, shared volume
     VII  lambda_k * I               spherical, per-component volume
@@ -10,6 +10,13 @@ supported, named by the volume/shape/orientation convention:
     VVI  diag(a_k)                  diagonal, per component
     EEE  full, shared across components
     VVV  full, per component
+
+``log_joint`` evaluates each family with the kernel for its structure. The
+spherical and diagonal families scale squared deviations by the inverse
+variances, O(N d) per component. EEE solves the shared Cholesky factor
+against X once and subtracts each component's whitened mean. VVV solves
+each component's own factor, O(N d^2) per component, as the generic
+single-component ``log_density`` does.
 """
 
 from __future__ import annotations
@@ -192,6 +199,15 @@ class MixtureModel:
         return cls(np.asarray(weights, dtype=np.float64), comps, family)
 
 
+# Families whose covariances are diagonal (spherical ones included).
+DIAGONAL_FAMILIES = ("EII", "VII", "EEI", "VVI")
+
+
+def _gaussian_log(quad: np.ndarray, component: ComponentParams) -> np.ndarray:
+    """-0.5 (quad + d log 2 pi + log det Sigma) for squared Mahalanobis distances."""
+    return -0.5 * (quad + component.d * _LOG_2PI + component.log_det)
+
+
 def log_density(component: ComponentParams, x: np.ndarray) -> float | np.ndarray:
     """Log of the Gaussian density at ``x`` (a vector, or a matrix of rows).
 
@@ -205,13 +221,23 @@ def log_density(component: ComponentParams, x: np.ndarray) -> float | np.ndarray
         raise ValueError(f"expected dimension {component.d}, got {X.shape[1]}")
     diff = X - component.mean
     z = solve_triangular(component.cholesky, diff.T, lower=True)
-    quad = np.sum(z * z, axis=0)
-    out = -0.5 * (quad + component.d * _LOG_2PI + component.log_det)
+    out = _gaussian_log(np.sum(z * z, axis=0), component)
     return float(out[0]) if single else out
 
 
+def _is_diagonal(cov: np.ndarray) -> bool:
+    return np.count_nonzero(cov) == np.count_nonzero(np.diagonal(cov))
+
+
 def log_joint(model: MixtureModel, X: np.ndarray) -> np.ndarray:
-    """Matrix of log(pi_k) + log f_k(x_j), rows = samples, cols = components."""
+    """Matrix of log(pi_k) + log f_k(x_j), rows = samples, cols = components.
+
+    The kernel follows the model's family (see the module docstring). A
+    hand-built model whose covariances only approximate its family's
+    structure (diagonal, or one factor shared by every component) falls
+    back to the per-component Cholesky solve; fitted and loaded models are
+    always exact.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
         return np.empty((0, model.K))
@@ -219,10 +245,33 @@ def log_joint(model: MixtureModel, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected dimension {model.d}, got {X.shape[1]}")
     with np.errstate(divide="ignore"):
         logw = np.log(model.weights)
+    comps = model.components
     out = np.empty((X.shape[0], model.K))
-    for k, comp in enumerate(model.components):
-        out[:, k] = logw[k] + log_density(comp, X)
+    if model.family in DIAGONAL_FAMILIES and all(_is_diagonal(c.covariance) for c in comps):
+        sq = np.empty_like(X)
+        for k, comp in enumerate(comps):
+            np.subtract(X, comp.mean, out=sq)
+            np.multiply(sq, sq, out=sq)
+            out[:, k] = logw[k] + _gaussian_log(sq @ (1.0 / np.diagonal(comp.covariance)), comp)
+    elif model.family == "EEE" and all(
+        np.array_equal(c.cholesky, comps[0].cholesky) for c in comps[1:]
+    ):
+        L = comps[0].cholesky
+        Z = solve_triangular(L, X.T, lower=True)
+        for k, comp in enumerate(comps):
+            diff = Z - solve_triangular(L, comp.mean, lower=True)[:, None]
+            out[:, k] = logw[k] + _gaussian_log(np.sum(diff * diff, axis=0), comp)
+    else:
+        for k, comp in enumerate(comps):
+            out[:, k] = logw[k] + log_density(comp, X)
     return out
+
+
+def normalize_log_joint(joint: np.ndarray) -> np.ndarray:
+    """Log responsibilities from a ``log_joint`` matrix (rows log-sum to 0)."""
+    if joint.shape[0] == 0:
+        return joint
+    return joint - _logsumexp(joint, axis=1)[:, None]
 
 
 def log_responsibilities(model: MixtureModel, X: np.ndarray) -> np.ndarray:
@@ -231,10 +280,29 @@ def log_responsibilities(model: MixtureModel, X: np.ndarray) -> np.ndarray:
     Each row exponentiates to a probability vector; normalization uses the
     log-sum-exp shift so widely separated components stay finite.
     """
-    lj = log_joint(model, X)
-    if lj.shape[0] == 0:
-        return lj
-    return lj - _logsumexp(lj, axis=1)[:, None]
+    return normalize_log_joint(log_joint(model, X))
+
+
+def labeled_log_likelihood(model, dataset) -> float:
+    """Sum of the labeled rows' joint terms under their true classes."""
+    if not dataset.n:
+        return 0.0
+    lj = log_joint(model, dataset.labeled_features)
+    return float(lj[np.arange(dataset.n), dataset.labels - 1].sum())
+
+
+def assigned_log_likelihood(joint: np.ndarray, hard_labels: np.ndarray) -> float:
+    """Sum of each row's ``log_joint`` term under its hard label (1..K)."""
+    if joint.shape[0] == 0:
+        return 0.0
+    return float(joint[np.arange(joint.shape[0]), hard_labels - 1].sum())
+
+
+def marginal_log_likelihood(joint: np.ndarray) -> float:
+    """Sum over rows of the log mixture density, from a ``log_joint`` matrix."""
+    if joint.shape[0] == 0:
+        return 0.0
+    return float(_logsumexp(joint, axis=1).sum())
 
 
 def complete_log_likelihood(model, dataset, hard_labels) -> float:
@@ -250,25 +318,17 @@ def complete_log_likelihood(model, dataset, hard_labels) -> float:
         )
     if hard.size and (hard.min() < 1 or hard.max() > model.K):
         raise ValueError("hard labels must lie in 1..K")
-    total = 0.0
-    if dataset.n:
-        lj = log_joint(model, dataset.labeled_features)
-        total += float(lj[np.arange(dataset.n), dataset.labels - 1].sum())
+    total = labeled_log_likelihood(model, dataset)
     if dataset.m:
-        lj = log_joint(model, dataset.unlabeled_features)
-        total += float(lj[np.arange(dataset.m), hard - 1].sum())
+        total += assigned_log_likelihood(log_joint(model, dataset.unlabeled_features), hard)
     return total
 
 
 def observed_log_likelihood(model, dataset) -> float:
     """Training log-likelihood: labeled joints plus marginalized unlabeled terms."""
-    total = 0.0
-    if dataset.n:
-        lj = log_joint(model, dataset.labeled_features)
-        total += float(lj[np.arange(dataset.n), dataset.labels - 1].sum())
+    total = labeled_log_likelihood(model, dataset)
     if dataset.m:
-        lj = log_joint(model, dataset.unlabeled_features)
-        total += float(_logsumexp(lj, axis=1).sum())
+        total += marginal_log_likelihood(log_joint(model, dataset.unlabeled_features))
     return total
 
 
@@ -295,26 +355,32 @@ def estimate_family_covariances(
     counts: np.ndarray,
     total: int,
 ) -> np.ndarray:
-    """Closed-form covariance estimates from per-component scatter matrices.
+    """Closed-form covariance estimates from per-component scatters.
 
-    ``scatters[k]`` is the sum of outer products of centered rows assigned
-    to component k and ``counts[k]`` the number of those rows. Components
-    with ``counts[k] == 0`` get a NaN matrix in per-component families and
-    must be patched by the caller; shared families pool over all components
-    and are unaffected.
+    For EEE and VVV, ``scatters[k]`` is the d x d sum of outer products of
+    the centered rows assigned to component k. The spherical and diagonal
+    families need only its diagonal, so for them ``scatters`` is K x d:
+    per-dimension sums of squares. ``counts[k]`` is the number of rows of
+    component k. The result is always a K x d x d covariance stack.
+    Components with ``counts[k] == 0`` get a NaN matrix in per-component
+    families and must be patched by the caller; shared families pool over
+    all components and are unaffected.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown covariance family {family!r}")
     scatters = np.asarray(scatters, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.float64)
-    K, d, _ = scatters.shape
+    K, d = scatters.shape[:2]
+    expected = (K, d) if family in DIAGONAL_FAMILIES else (K, d, d)
+    if scatters.shape != expected:
+        raise ValueError(f"{family} needs scatters of shape {expected}, got {scatters.shape}")
     eye = np.eye(d)
     pooled = scatters.sum(axis=0)
     if family == "EII":
-        lam = float(np.trace(pooled)) / (d * total)
+        lam = float(pooled.sum()) / (d * total)
         return np.broadcast_to(lam * eye, (K, d, d)).copy()
     if family == "EEI":
-        return np.broadcast_to(np.diag(np.diag(pooled) / total), (K, d, d)).copy()
+        return np.broadcast_to(np.diag(pooled / total), (K, d, d)).copy()
     if family == "EEE":
         return np.broadcast_to(pooled / total, (K, d, d)).copy()
     out = np.full((K, d, d), np.nan)
@@ -322,9 +388,9 @@ def estimate_family_covariances(
         if counts[k] == 0:
             continue
         if family == "VII":
-            out[k] = (float(np.trace(scatters[k])) / (d * counts[k])) * eye
+            out[k] = (float(scatters[k].sum()) / (d * counts[k])) * eye
         elif family == "VVI":
-            out[k] = np.diag(np.diag(scatters[k]) / counts[k])
+            out[k] = np.diag(scatters[k] / counts[k])
         else:
             out[k] = scatters[k] / counts[k]
     return out

@@ -63,10 +63,6 @@ def select_model(dataset: Dataset, families, config: cem.CemConfig):
     for family in families:
         try:
             result = cem.fit(dataset, replace(config, family=family))
-            loglik = gmm.complete_log_likelihood(
-                result.model, dataset, result.hard_labels
-            )
-            observed = gmm.observed_log_likelihood(result.model, dataset)
         except (MbssError, ValueError, np.linalg.LinAlgError) as exc:
             failures.append((family, exc))
             continue
@@ -74,12 +70,12 @@ def select_model(dataset: Dataset, families, config: cem.CemConfig):
         scores.append(
             ModelScore(
                 family=family,
-                bic=bic(loglik, n_obs, params),
-                loglik=loglik,
+                bic=bic(result.complete_loglik, n_obs, params),
+                loglik=result.complete_loglik,
                 param_count=params,
                 fit=result,
-                observed_loglik=observed,
-                observed_bic=bic(observed, n_obs, params),
+                observed_loglik=result.observed_loglik,
+                observed_bic=bic(result.observed_loglik, n_obs, params),
             )
         )
     if not scores:

@@ -91,12 +91,27 @@ def random_spd(rng, d, scale=1.0):
     return scale * (A @ A.T + d * np.eye(d))
 
 
-def random_model_arrays(rng, K, d, spread=2.0):
-    """Weights, means and SPD covariances for a random mixture instance."""
+def random_family_covariances(rng, family, K, d):
+    """K covariances shaped to a family: spherical, diagonal or full, shared or not."""
+    if family == "EII":
+        return np.stack([rng.uniform(0.5, 2.0) * d * np.eye(d)] * K)
+    if family == "VII":
+        return np.stack([rng.uniform(0.5, 2.0) * d * np.eye(d) for _ in range(K)])
+    if family == "EEI":
+        return np.stack([np.diag(rng.uniform(0.5, 2.0, d) * d)] * K)
+    if family == "VVI":
+        return np.stack([np.diag(rng.uniform(0.5, 2.0, d) * d) for _ in range(K)])
+    if family == "EEE":
+        return np.stack([random_spd(rng, d)] * K)
+    return np.stack([random_spd(rng, d) for _ in range(K)])
+
+
+def random_model_arrays(rng, K, d, spread=2.0, family="VVV"):
+    """Weights, means and family-shaped covariances for a random mixture instance."""
     w = rng.dirichlet(np.full(K, 5.0))
     w = w / w.sum()
     means = spread * rng.standard_normal((K, d))
-    covs = np.stack([random_spd(rng, d) for _ in range(K)])
+    covs = random_family_covariances(rng, family, K, d)
     return w, means, covs
 
 

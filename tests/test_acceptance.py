@@ -153,14 +153,17 @@ def test_criterion_4_bic_family_recovery():
 
 
 def test_criterion_5_oracle_equivalence():
-    """Core numerics match independent brute-force oracles within 1e-9."""
+    """Core numerics match independent brute-force oracles within 1e-9.
+
+    The mixture checks run for every covariance family, with covariances
+    shaped to it, so each of the family-specific density kernels is held
+    to the oracles.
+    """
     rng = np.random.default_rng(5150)
-    checks = {k: 0 for k in ("density", "resp", "complete", "observed", "bic", "auc")}
+    checks = {k: 0 for k in ("density", "joint", "resp", "complete", "observed", "bic", "auc")}
     for _ in range(50):
         d = int(rng.integers(1, 5))
         K = int(rng.integers(1, 4))
-        w, means, covs = random_model_arrays(rng, K, d)
-        model = gmm.MixtureModel.from_arrays(w, means, covs, "VVV")
 
         mean = rng.standard_normal(d)
         cov = random_spd(rng, d)
@@ -169,25 +172,37 @@ def test_criterion_5_oracle_equivalence():
         assert got == pytest.approx(direct_log_density(mean, cov, x), abs=1e-9)
         checks["density"] += 1
 
-        X = means[rng.integers(0, K, 4)] + 0.5 * rng.standard_normal((4, d))
-        W = np.exp(gmm.log_responsibilities(model, X))
-        assert np.allclose(W, direct_responsibilities(w, means, covs, X), atol=1e-9)
-        checks["resp"] += 1
+        for family in gmm.FAMILIES:
+            w, means, covs = random_model_arrays(rng, K, d, family=family)
+            model = gmm.MixtureModel.from_arrays(w, means, covs, family)
 
-        Xl = rng.standard_normal((3, d))
-        yl = rng.integers(1, K + 1, 3)
-        yl[0] = 1  # keep label range valid for any K
-        Xu = rng.standard_normal((2, d))
-        yu = rng.integers(1, K + 1, 2)
-        ds = make_dataset(Xl, yl, Xu, K=K)
-        assert gmm.complete_log_likelihood(model, ds, yu) == pytest.approx(
-            direct_complete_ll(w, means, covs, Xl, yl, Xu, yu), abs=1e-9
-        )
-        checks["complete"] += 1
-        assert gmm.observed_log_likelihood(model, ds) == pytest.approx(
-            direct_observed_ll(w, means, covs, Xl, yl, Xu), abs=1e-9
-        )
-        checks["observed"] += 1
+            X = means[rng.integers(0, K, 4)] + 0.5 * rng.standard_normal((4, d))
+            expected = np.array(
+                [
+                    [np.log(w[k]) + direct_log_density(means[k], covs[k], row) for k in range(K)]
+                    for row in X
+                ]
+            )
+            assert np.allclose(gmm.log_joint(model, X), expected, rtol=0.0, atol=1e-9), family
+            checks["joint"] += 1
+            W = np.exp(gmm.log_responsibilities(model, X))
+            assert np.allclose(W, direct_responsibilities(w, means, covs, X), atol=1e-9), family
+            checks["resp"] += 1
+
+            Xl = rng.standard_normal((3, d))
+            yl = rng.integers(1, K + 1, 3)
+            yl[0] = 1  # keep label range valid for any K
+            Xu = rng.standard_normal((2, d))
+            yu = rng.integers(1, K + 1, 2)
+            ds = make_dataset(Xl, yl, Xu, K=K)
+            assert gmm.complete_log_likelihood(model, ds, yu) == pytest.approx(
+                direct_complete_ll(w, means, covs, Xl, yl, Xu, yu), abs=1e-9
+            ), family
+            checks["complete"] += 1
+            assert gmm.observed_log_likelihood(model, ds) == pytest.approx(
+                direct_observed_ll(w, means, covs, Xl, yl, Xu), abs=1e-9
+            ), family
+            checks["observed"] += 1
 
         ll = float(-200.0 * rng.random())
         n_obs = int(rng.integers(1, 5000))
@@ -206,7 +221,12 @@ def test_criterion_5_oracle_equivalence():
         assert auc == pytest.approx(pairwise_auc(scores, truth), abs=1e-9)
         checks["auc"] += 1
     assert all(v >= 50 for v in checks.values())
-    _report(5, f"{sum(checks.values())} oracle comparisons within 1e-9")
+    assert checks["joint"] == 50 * len(gmm.FAMILIES)
+    _report(
+        5,
+        f"{sum(checks.values())} oracle comparisons within 1e-9 "
+        f"({len(gmm.FAMILIES)} covariance families)",
+    )
 
 
 def test_criterion_6_lda_equals_shared_covariance_initialization():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from mbss import cem, gmm, synth
+from mbss import cem, gmm, model_select, synth
 from oracles import pooled_class_scatter
 
 
@@ -226,6 +226,18 @@ class TestFit:
         first = lines[1].split(",")
         assert int(first[0]) == 1
         assert float(first[1]) == result.loglik_trace[0]
+        # the last row's observed column comes from the reused log-joint
+        last = lines[-1].split(",")
+        assert float(last[2]) == gmm.observed_log_likelihood(result.model, ds)
+
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_final_logliks_equal_the_gmm_functions_exactly(self, family):
+        (ds, _), _ = two_blob_dataset(seed=9, separation=2.5, d=3)
+        result = cem.fit(ds, cem.CemConfig(family=family))
+        assert result.complete_loglik == gmm.complete_log_likelihood(
+            result.model, ds, result.hard_labels
+        )
+        assert result.observed_loglik == gmm.observed_log_likelihood(result.model, ds)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -244,6 +256,39 @@ class TestFit:
         labels, posteriors = cem.predict(model, np.empty((0, 2)))
         assert labels.shape == (0,)
         assert posteriors.shape == (0, 2)
+
+
+def _count_unlabeled_log_joints(monkeypatch, ds):
+    """Patch gmm.log_joint to count the calls that evaluate ds's unlabeled block."""
+    calls = []
+    real = gmm.log_joint
+
+    def counting(model, X):
+        if X is ds.unlabeled_features:
+            calls.append(model)
+        return real(model, X)
+
+    monkeypatch.setattr(gmm, "log_joint", counting)
+    return calls
+
+
+class TestLogJointReuse:
+    """The unlabeled block is scored once per model: iterations + 1 times per fit."""
+
+    @pytest.mark.parametrize("family", ["EII", "VVI", "EEE", "VVV"])
+    def test_fit_scores_unlabeled_block_once_per_model(self, monkeypatch, tmp_path, family):
+        (ds, _), _ = two_blob_dataset(seed=11, separation=2.0, label_fraction=0.3)
+        calls = _count_unlabeled_log_joints(monkeypatch, ds)
+        result = cem.fit(ds, cem.CemConfig(family=family), trace_path=tmp_path / "t.csv")
+        assert result.iterations >= 2
+        assert len(calls) == result.iterations + 1
+        assert len({id(model) for model in calls}) == len(calls)
+
+    def test_selection_does_not_rescore(self, monkeypatch):
+        (ds, _), _ = two_blob_dataset(seed=12, separation=2.0, label_fraction=0.3)
+        calls = _count_unlabeled_log_joints(monkeypatch, ds)
+        best, _ = model_select.select_model(ds, ["VVI"], cem.CemConfig())
+        assert len(calls) == best.fit.iterations + 1
 
 
 class TestAitkenStopping:

@@ -193,6 +193,16 @@ class TestRocAuc:
         with pytest.raises(ValueError):
             roc_auc([np.nan, 0.5], [1, 0])
 
+    def test_works_without_np_trapezoid(self, monkeypatch):
+        # numpy 1.x (the declared floor is 1.24) has no np.trapezoid.
+        rng = np.random.default_rng(33)
+        scores = np.round(rng.standard_normal(60), 1)
+        truth = rng.integers(0, 2, 60)
+        expected = pairwise_auc(scores, truth)
+        monkeypatch.delattr(np, "trapezoid", raising=False)
+        _, auc = roc_auc(scores, truth)
+        assert auc == pytest.approx(expected, abs=1e-12)
+
 
 class TestPca:
     def test_axis_aligned_variances_set_component_order(self):

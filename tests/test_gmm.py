@@ -129,6 +129,63 @@ class TestLogDensity:
             assert rotated == pytest.approx(base, abs=1e-9)
 
 
+def binary_model(rng, family, K=3, d=160):
+    """Model shaped like a fit on 0/1 API vectors: some dimensions sit at the ridge."""
+    means = (rng.random((K, d)) < 0.3) * rng.uniform(0.0, 1.0, (K, d))
+    ridge = 1e-7
+    if family in gmm.DIAGONAL_FAMILIES:
+        var = means * (1.0 - means) + ridge  # constant dimensions keep only the ridge
+        if family == "EII":
+            covs = [np.mean(var) * np.eye(d)] * K
+        elif family == "VII":
+            covs = [np.mean(v) * np.eye(d) for v in var]
+        elif family == "EEI":
+            covs = [np.diag(var.mean(axis=0))] * K
+        else:
+            covs = [np.diag(v) for v in var]
+    else:
+        def rank_deficient():
+            B = (rng.random((d, 40)) < 0.3).astype(float)
+            B -= B.mean(axis=1, keepdims=True)
+            return B @ B.T / 40.0 + ridge * np.eye(d)
+
+        covs = [rank_deficient()] * K if family == "EEE" else [rank_deficient() for _ in range(K)]
+    w = rng.dirichlet(np.full(K, 5.0))
+    return gmm.MixtureModel.from_arrays(w / w.sum(), means, np.stack(covs), family)
+
+
+class TestLogJointKernels:
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_kernel_matches_generic_density_on_binary_rows(self, family):
+        rng = np.random.default_rng(160)
+        model = binary_model(rng, family)
+        X = (rng.random((300, 160)) < 0.3).astype(float)
+        got = gmm.log_joint(model, X)
+        for k, comp in enumerate(model.components):
+            expected = np.log(model.weights[k]) + gmm.log_density(comp, X)
+            np.testing.assert_allclose(got[:, k], expected, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("family", ["EII", "VVI", "EEE"])
+    def test_inexact_structure_takes_the_generic_path(self, family):
+        rng = np.random.default_rng(161)
+        base = binary_model(rng, family, K=2, d=6)
+        covs = np.stack([c.covariance for c in base.components])
+        nudge = 1e-10 * covs[1, 0, 0]  # within the family tolerance
+        covs[1, 0, 1] += nudge
+        covs[1, 1, 0] += nudge
+        model = gmm.MixtureModel.from_arrays(
+            base.weights, np.stack([c.mean for c in base.components]), covs, family
+        )
+        X = (rng.random((20, 6)) < 0.3).astype(float)
+        got = gmm.log_joint(model, X)
+        for k, comp in enumerate(model.components):
+            assert np.array_equal(got[:, k], np.log(model.weights[k]) + gmm.log_density(comp, X))
+
+    def test_no_rows(self):
+        model = binary_model(np.random.default_rng(162), "VVI", K=2, d=4)
+        assert gmm.log_joint(model, np.empty((0, 4))).shape == (0, 2)
+
+
 class TestLogResponsibilities:
     def test_identical_components_give_uniform(self):
         model = gmm.MixtureModel.from_arrays(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,10 +91,10 @@ class TestSelectModel:
         real_fit = cem.fit
         fixed = {}
 
-        def pinned_loglik(model, dataset, hard):
-            return -100.0
+        def pinned_fit(dataset, config, trace_path=None):
+            return replace(real_fit(dataset, config, trace_path), complete_loglik=-100.0)
 
-        monkeypatch.setattr(model_select.gmm, "complete_log_likelihood", pinned_loglik)
+        monkeypatch.setattr(model_select.cem, "fit", pinned_fit)
         monkeypatch.setattr(
             model_select.gmm, "parameter_count", lambda family, K, d: fixed[family]
         )
