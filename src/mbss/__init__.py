@@ -13,10 +13,8 @@ from .baselines import (
     AmbiguousTie,
     KnnModel,
     LdaModel,
-    knn_predict,
     knn_predict_all,
     lda_fit,
-    lda_predict,
     lda_predict_all,
 )
 from .cem import CemConfig, FitResult, cm_step, e_step, fit, initialize, predict
@@ -26,7 +24,6 @@ from .dataset import (
     Dataset,
     ParseResult,
     build_vocabulary,
-    deduplicate,
     parse_log,
     stratified_folds,
 )
@@ -35,9 +32,6 @@ from .evaluation import (
     ConfusionCounts,
     DrRow,
     EvalReport,
-    KnnCv,
-    LdaCv,
-    MbssCv,
     cross_validate,
     detection_rate,
     pca_project,
@@ -72,11 +66,8 @@ __all__ = [
     "EvalReport",
     "FAMILIES",
     "FitResult",
-    "KnnCv",
     "KnnModel",
-    "LdaCv",
     "LdaModel",
-    "MbssCv",
     "MbssError",
     "MixtureModel",
     "ModelScore",
@@ -89,15 +80,12 @@ __all__ = [
     "cm_step",
     "complete_log_likelihood",
     "cross_validate",
-    "deduplicate",
     "detection_rate",
     "e_step",
     "fit",
     "initialize",
-    "knn_predict",
     "knn_predict_all",
     "lda_fit",
-    "lda_predict",
     "lda_predict_all",
     "load_model",
     "log_density",

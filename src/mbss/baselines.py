@@ -37,16 +37,13 @@ class KnnModel:
             raise ValueError(f"k must be in 1..{self.features.shape[0]}")
 
 
-def knn_predict(model: KnnModel, x: np.ndarray):
-    """Majority label among the k nearest training points, or AmbiguousTie.
+def knn_predict_all(model: KnnModel, X: np.ndarray) -> list:
+    """Per row, the majority label among the k nearest training points, or
+    AmbiguousTie.
 
     Distance ties at the k-th neighbor include every equidistant point in
     the vote.
     """
-    return knn_predict_all(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))[0]
-
-
-def knn_predict_all(model: KnnModel, X: np.ndarray) -> list:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
         return []
@@ -133,7 +130,3 @@ def lda_predict_all(model: LdaModel, X: np.ndarray):
     scores = X @ model._coef + model._intercept
     return np.argmax(scores, axis=1).astype(np.int64) + 1, scores
 
-
-def lda_predict(model: LdaModel, x: np.ndarray):
-    labels, scores = lda_predict_all(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    return int(labels[0]), scores[0]

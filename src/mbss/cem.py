@@ -12,7 +12,7 @@ is nondecreasing up to the covariance regularization ridge.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class CemConfig:
     tolerance: float = 1e-5
     max_iterations: int = 1000
     regularization: float = 1e-6
-    seed: int = 0
     stopping: str = "aitken"
 
     def __post_init__(self) -> None:
@@ -289,12 +288,3 @@ def predict(model: MixtureModel, X: np.ndarray):
         return np.zeros(0, dtype=np.int64), np.empty((0, model.K))
     posteriors = e_step(model, X)
     return hard_assign(posteriors), posteriors
-
-
-def fit_with(dataset: Dataset, family: str, **kwargs) -> FitResult:
-    """Shorthand for ``fit(dataset, CemConfig(family=family, ...))``."""
-    return fit(dataset, CemConfig(family=family, **kwargs))
-
-
-def config_for_family(config: CemConfig, family: str) -> CemConfig:
-    return replace(config, family=family)

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, baselines, cem, evaluation, gmm, model_select
+from . import __version__, cem, evaluation, gmm, model_select
+# Bound by name for perfbench/spans.py, which patches all three here.
 from .dataset import Dataset, build_vocabulary, parse_log, stratified_folds
 from .errors import DataFormatError, MbssError
 from .synth import binarize, sample_mixture, two_class_spec
@@ -98,14 +99,16 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok != ""]
 
 
-def _family_list(text: str) -> list[str]:
-    fams = [tok.strip().upper() for tok in text.split(",") if tok.strip()]
-    unknown = [f for f in fams if f not in gmm.FAMILIES]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown families {unknown}; choose from {', '.join(gmm.FAMILIES)}"
-        )
-    return fams
+def _name_list(choices, case):
+    """argparse type: a non-empty comma-separated subset of ``choices``."""
+
+    def parse(text: str) -> list[str]:
+        names = [case(tok.strip()) for tok in text.split(",") if tok.strip()]
+        if not names or set(names) - set(choices):
+            raise argparse.ArgumentTypeError(f"{text!r}: choose from {', '.join(choices)}")
+        return names
+
+    return parse
 
 
 def _cem_config(args) -> cem.CemConfig:
@@ -115,7 +118,6 @@ def _cem_config(args) -> cem.CemConfig:
             tolerance=args.tolerance,
             max_iterations=args.max_iterations,
             regularization=args.regularization,
-            seed=getattr(args, "seed", 0) or 0,
             stopping=args.stopping,
         )
     except ValueError as exc:
@@ -163,7 +165,8 @@ def build_parser():
 
     p = add_command("fit", help="fit candidate covariance families and keep the BIC winner")
     p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--families", type=_family_list, default=list(gmm.FAMILIES),
+    p.add_argument("--families", type=_name_list(gmm.FAMILIES, str.upper),
+                   default=list(gmm.FAMILIES),
                    help="comma-separated candidates (default: all six)")
     _add_fit_flags(p)
     p.add_argument("--seed", type=int, default=0, help="recorded in the manifest")
@@ -182,8 +185,9 @@ def build_parser():
     p.add_argument("--data", required=True, help="dataset CSV (labeled block drives evaluation)")
     p.add_argument("--protocol", choices=("cv", "cv10", "oos"), required=True,
                    help="cv10 is cv with folds forced to 10")
-    p.add_argument("--classifiers", default="mbss",
-                   help="comma-separated subset of mbss,knn,lda (default mbss)")
+    p.add_argument("--classifiers", type=_name_list(evaluation.CLASSIFIERS, str.lower),
+                   default="mbss", help="comma-separated subset of "
+                   f"{','.join(evaluation.CLASSIFIERS)} (default mbss)")
     p.add_argument("--family", default="EII", choices=gmm.FAMILIES,
                    help="covariance family for the mixture classifier (default EII)")
     _add_fit_flags(p)
@@ -334,7 +338,11 @@ def cmd_classify(args, argv) -> int:
 
 
 def _load_external_predictions(path, expected: int):
-    """sample_id,predicted_label[,score] keyed by 0-based sample id."""
+    """sample_id,predicted_label[,score] keyed by 0-based sample id.
+
+    Scores are None when no row gives one. A score on only some rows, or a
+    non-finite one, is a data error.
+    """
     preds = np.full(expected, evaluation.TIE_LABEL, dtype=np.int64)
     scores = np.full(expected, np.nan)
     seen = np.zeros(expected, dtype=bool)
@@ -349,83 +357,26 @@ def _load_external_predictions(path, expected: int):
             try:
                 idx = int(parts[0])
                 label = int(parts[1])
+                score = float(parts[2]) if len(parts) == 3 and parts[2] != "" else np.nan
             except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad id or label") from exc
+                raise DataFormatError(f"{path}:{lineno}: bad id, label or score") from exc
             if not 0 <= idx < expected:
                 raise DataFormatError(
                     f"{path}:{lineno}: sample_id {idx} outside 0..{expected - 1}"
                 )
             preds[idx] = label
             seen[idx] = True
-            if len(parts) == 3 and parts[2] != "":
-                scores[idx] = float(parts[2])
+            scores[idx] = score
     if not seen.all():
         missing = int((~seen).sum())
         raise DataFormatError(f"{path}: predictions missing for {missing} sample ids")
-    return preds, scores
-
-
-class _ExternalCv:
-    """Wraps a fixed prediction vector so it can ride the CV fold loop."""
-
-    def __init__(self, name, preds, scores):
-        self.name = name
-        self._preds = preds
-        self._scores = scores
-
-    def fold_predictions(self, test_idx):
-        scores = self._scores[test_idx]
-        if np.all(np.isnan(scores)):
-            return self._preds[test_idx], None
-        return self._preds[test_idx], scores
-
-
-def _cv_external_report(dataset, ext, folds, seed, positive_label):
-    accs, fprs, ties = [], [], []
-    pooled_scores, pooled_truth = [], []
-    for _, test_idx in stratified_folds(dataset, folds, seed):
-        preds, scores = ext.fold_predictions(test_idx)
-        counts, n_ties = evaluation.confusion(dataset.labels[test_idx], preds, positive_label)
-        accs.append(counts.accuracy)
-        fprs.append(counts.fpr)
-        ties.append(n_ties)
-        if scores is not None:
-            pooled_scores.append(scores)
-            pooled_truth.append((dataset.labels[test_idx] == positive_label).astype(np.int64))
-    accs, fprs = np.array(accs), np.array(fprs)
-    roc_points, auc = (None, None)
-    if pooled_scores:
-        roc_points, auc = evaluation.roc_auc(
-            np.concatenate(pooled_scores), np.concatenate(pooled_truth)
+    given = ~np.isnan(scores)
+    if given.any() and not np.isfinite(scores).all():
+        raise DataFormatError(
+            f"{path}: {int(np.isfinite(scores).sum())} of {expected} rows have a finite "
+            "score; give one for every row or for none"
         )
-    return evaluation.EvalReport(
-        classifier=ext.name,
-        fold_accuracy=accs,
-        fold_fpr=fprs,
-        fold_ties=np.array(ties, dtype=np.int64),
-        acc_mean=float(accs.mean()),
-        acc_sd=float(np.std(accs, ddof=1)) if accs.size > 1 else float("nan"),
-        fpr_mean=float(fprs.mean()),
-        fpr_sd=float(np.std(fprs, ddof=1)) if fprs.size > 1 else float("nan"),
-        roc_points=roc_points,
-        auc=auc,
-    )
-
-
-def _build_cv_classifiers(args, config):
-    specs = []
-    for name in [t.strip().lower() for t in args.classifiers.split(",") if t.strip()]:
-        if name == "mbss":
-            specs.append(evaluation.MbssCv(config))
-        elif name == "knn":
-            specs.append(evaluation.KnnCv(k=args.knn_k))
-        elif name == "lda":
-            specs.append(evaluation.LdaCv(regularization=args.regularization))
-        else:
-            raise UsageError(f"unknown classifier {name!r} (choose from mbss,knn,lda)")
-    if not specs:
-        raise UsageError("at least one classifier required")
-    return specs
+    return preds, scores if given.any() else None
 
 
 def cmd_evaluate(args, argv) -> int:
@@ -436,31 +387,8 @@ def cmd_evaluate(args, argv) -> int:
     positive = args.positive_label
     extra_outputs = []
     inputs = ([args.config] if args.config else []) + [args.data]
-    folds = 10 if args.protocol == "cv10" else args.folds
-    if args.protocol in ("cv", "cv10"):
-        if folds < 2:
-            raise UsageError("--folds must be at least 2")
-        reports = [
-            evaluation.cross_validate(dataset, spec, folds, args.seed, positive)
-            for spec in _build_cv_classifiers(args, config)
-        ]
-        if args.external_predictions:
-            preds, scores = _load_external_predictions(args.external_predictions, dataset.n)
-            ext = _ExternalCv(Path(args.external_predictions).stem, preds, scores)
-            reports.append(
-                _cv_external_report(dataset, ext, folds, args.seed, positive)
-            )
-            inputs.append(args.external_predictions)
-        evaluation.write_cv_csv(out, reports)
-        if args.roc_out:
-            roc_report = next((r for r in reports if r.roc_points is not None), None)
-            if roc_report is None:
-                raise UsageError("--roc-out requires a score-producing classifier")
-            _prepare_out(args.roc_out)
-            evaluation.write_roc_csv(args.roc_out, roc_report.roc_points)
-            extra_outputs.append(args.roc_out)
-        print(evaluation.format_cv_table(reports))
-    else:
+    train_X, train_y = dataset.labeled_features, dataset.labels
+    if args.protocol == "oos":
         if not args.oos_data:
             raise UsageError("--protocol oos requires --oos-data")
         if len(args.fractions) != len(args.replicates):
@@ -471,28 +399,42 @@ def cmd_evaluate(args, argv) -> int:
                 f"dimension mismatch: training data has d={dataset.d}, "
                 f"out-of-sample data has d={oos_ds.d}"
             )
-        oos_X = np.vstack([oos_ds.labeled_features, oos_ds.unlabeled_features])
+        pool = np.vstack([oos_ds.labeled_features, oos_ds.unlabeled_features])
         inputs.append(args.oos_data)
-        train_X, train_y = dataset.labeled_features, dataset.labels
-        rows_by_classifier = {}
-        for name in [t.strip().lower() for t in args.classifiers.split(",") if t.strip()]:
-            fn = _oos_predictor(name, dataset, config, args)
-            rows_by_classifier[name] = evaluation.detection_rate(
-                fn, oos_X, args.fractions, args.replicates, args.seed, positive
+        train_rows = dataset.n
+    else:
+        folds = 10 if args.protocol == "cv10" else args.folds
+        if folds < 2:
+            raise UsageError("--folds must be at least 2")
+        smallest = int(dataset.class_counts().min())
+        if smallest < folds:
+            raise UsageError(f"--folds {folds} exceeds the smallest labeled class ({smallest})")
+        pool = train_X
+        # Fold sizes differ by at most one, so each training fold has at
+        # least n - ceil(n / folds) rows.
+        train_rows = dataset.n - -(-dataset.n // folds)
+    if "knn" in args.classifiers and args.knn_k > train_rows:
+        raise UsageError(f"--knn-k {args.knn_k} exceeds the {train_rows} training rows")
+    classifiers = [
+        evaluation.CLASSIFIERS[name](config, args.knn_k, positive) for name in args.classifiers
+    ]
+    if args.external_predictions:
+        preds, scores = _load_external_predictions(args.external_predictions, len(pool))
+        classifiers.append(
+            (Path(args.external_predictions).stem, evaluation.external(preds, scores))
+        )
+        inputs.append(args.external_predictions)
+    if args.protocol == "oos":
+        rows_by_classifier = {
+            name: evaluation.detection_rate(
+                clf, train_X, train_y, pool, args.fractions, args.replicates, args.seed, positive
             )
-        if args.external_predictions:
-            preds, _ = _load_external_predictions(args.external_predictions, oos_X.shape[0])
-            fn = _external_oos_predictor(preds, oos_X)
-            rows_by_classifier[Path(args.external_predictions).stem] = (
-                evaluation.detection_rate(
-                    fn, oos_X, args.fractions, args.replicates, args.seed, positive
-                )
-            )
-            inputs.append(args.external_predictions)
+            for name, clf in classifiers
+        }
         evaluation.write_dr_csv(out, rows_by_classifier)
         if args.pca_out:
             projection = evaluation.pca_project(
-                train_X, train_y, oos_X, n_components=min(4, min(train_X.shape)),
+                train_X, train_y, pool, n_components=min(4, min(train_X.shape)),
                 positive_label=positive,
             )
             _prepare_out(args.pca_out)
@@ -501,35 +443,22 @@ def cmd_evaluate(args, argv) -> int:
         for name, rows in rows_by_classifier.items():
             summary = ", ".join(f"{r.fraction_pct:g}%={r.dr_mean:.3f}" for r in rows)
             print(f"{name}: DR {summary}")
+    else:
+        reports = [
+            evaluation.cross_validate(dataset, name, clf, folds, args.seed, positive)
+            for name, clf in classifiers
+        ]
+        evaluation.write_cv_csv(out, reports)
+        if args.roc_out:
+            roc_report = next((r for r in reports if r.roc_points is not None), None)
+            if roc_report is None:
+                raise UsageError("--roc-out requires a score-producing classifier")
+            _prepare_out(args.roc_out)
+            evaluation.write_roc_csv(args.roc_out, roc_report.roc_points)
+            extra_outputs.append(args.roc_out)
+        print(evaluation.format_cv_table(reports))
     _write_manifest(out, "evaluate", argv, inputs, [out] + extra_outputs, seed=args.seed)
     return EXIT_OK
-
-
-def _oos_predictor(name, dataset, config, args):
-    """Per-classifier detection strategy for out-of-sample subsamples."""
-    train_X, train_y = dataset.labeled_features, dataset.labels
-    if name == "mbss":
-        def fn(sub_X):
-            ds = Dataset(train_X, train_y, sub_X, dataset.vocabulary, dataset.K)
-            return cem.fit(ds, config).hard_labels
-        return fn
-    if name == "lda":
-        model = baselines.lda_fit(train_X, train_y, args.regularization)
-        return lambda sub_X: baselines.lda_predict_all(model, sub_X)[0]
-    if name == "knn":
-        model = baselines.KnnModel(train_X, train_y, k=args.knn_k)
-        return lambda sub_X: baselines.knn_predict_all(model, sub_X)
-    raise UsageError(f"unknown classifier {name!r} (choose from mbss,knn,lda)")
-
-
-def _external_oos_predictor(preds, oos_X):
-    """Looks fixed predictions back up by row identity within the full set."""
-    index = {oos_X[i].tobytes(): i for i in range(oos_X.shape[0])}
-
-    def fn(sub_X):
-        return np.array([preds[index[row.tobytes()]] for row in sub_X], dtype=np.int64)
-
-    return fn
 
 
 def cmd_synth(args, argv) -> int:

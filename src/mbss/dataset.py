@@ -203,13 +203,6 @@ class Dataset:
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.K + 1)[1:]
 
-    def label_indicator(self) -> np.ndarray:
-        """One-hot matrix l with l[i, k-1] = 1 iff labels[i] = k."""
-        out = np.zeros((self.n, self.K))
-        if self.n:
-            out[np.arange(self.n), self.labels - 1] = 1.0
-        return out
-
     def require_class_members(self, min_count: int = 1) -> None:
         counts = self.class_counts()
         lacking = [k + 1 for k, c in enumerate(counts) if c < min_count]
@@ -334,22 +327,3 @@ def stratified_folds(dataset: Dataset, folds: int, seed: int):
         out.append((train, test))
     return out
 
-
-def deduplicate(features: np.ndarray):
-    """Unique rows in first-occurrence order with multiplicity counts."""
-    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if X.shape[0] == 0 or X.size == 0:
-        return X.reshape(0, X.shape[1] if X.ndim == 2 else 0), np.zeros(0, dtype=np.int64)
-    first: dict[bytes, int] = {}
-    order: list[int] = []
-    counts: list[int] = []
-    for i in range(X.shape[0]):
-        key = X[i].tobytes()
-        slot = first.get(key)
-        if slot is None:
-            first[key] = len(order)
-            order.append(i)
-            counts.append(1)
-        else:
-            counts[slot] += 1
-    return X[np.array(order)], np.array(counts, dtype=np.int64)

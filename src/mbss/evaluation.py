@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, cem
+# ``stratified_folds`` stays bound here by name: perfbench/spans.py patches it.
 from .dataset import Dataset, stratified_folds
+from .synth import feature_names
 
 TIE_LABEL = 0
 
@@ -98,7 +100,7 @@ class DrRow:
 
 @dataclass
 class EvalReport:
-    """Per-fold metrics with aggregates, plus optional ROC/AUC and DR table."""
+    """Per-fold metrics with aggregates, plus optional ROC/AUC."""
 
     classifier: str
     fold_accuracy: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -110,72 +112,102 @@ class EvalReport:
     fpr_sd: float = float("nan")
     roc_points: np.ndarray | None = None
     auc: float | None = None
-    dr_rows: list[DrRow] = field(default_factory=list)
 
 
 def _sample_sd(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1)) if values.size > 1 else float("nan")
 
 
-class MbssCv:
-    """Transductive mixture classifier for cross-validation folds."""
-
-    def __init__(self, config: cem.CemConfig, name: str = "mbss"):
-        self.config = config
-        self.name = name
-
-    def predict_fold(self, train_X, train_y, test_X, dataset, positive_label):
-        fold_ds = Dataset(train_X, train_y, test_X, dataset.vocabulary, dataset.K)
-        result = cem.fit(fold_ds, self.config)
-        scores = result.posteriors[:, positive_label - 1]
-        return result.hard_labels, scores
+# A classifier is ``train(train_X, train_y, test_pool) -> predict`` with
+# ``predict(test_idx) -> (labels, scores | None)`` for ``test_pool[test_idx]``;
+# scores grow with confidence in the positive class.
 
 
-class KnnCv:
-    def __init__(self, k: int = 3, name: str | None = None):
-        self.k = k
-        self.name = name or f"{k}nn"
+def mbss(config: cem.CemConfig, positive_label: int = 2):
+    """CEM refit per prediction, the requested rows as its unlabeled block.
 
-    def predict_fold(self, train_X, train_y, test_X, dataset, positive_label):
-        model = baselines.KnnModel(train_X, train_y, k=self.k)
-        return baselines.knn_predict_all(model, test_X), None
+    K is the largest training label; scores are positive-class posteriors.
+    """
+
+    def train(train_X, train_y, test_pool):
+        names, K = feature_names(train_X.shape[1]), int(train_y.max())
+
+        def predict(test_idx):
+            result = cem.fit(Dataset(train_X, train_y, test_pool[test_idx], names, K), config)
+            return result.hard_labels, result.posteriors[:, positive_label - 1]
+
+        return predict
+
+    return train
 
 
-class LdaCv:
-    def __init__(self, regularization: float = 1e-6, name: str = "lda"):
-        self.regularization = regularization
-        self.name = name
+def knn(k: int = 3):
+    """Nearest-neighbor vote on the training rows; no scores."""
 
-    def predict_fold(self, train_X, train_y, test_X, dataset, positive_label):
-        model = baselines.lda_fit(train_X, train_y, self.regularization)
-        labels, scores = baselines.lda_predict_all(model, test_X)
-        others = np.delete(scores, positive_label - 1, axis=1)
-        margin = scores[:, positive_label - 1] - others.max(axis=1)
-        return labels, margin
+    def train(train_X, train_y, test_pool):
+        model = baselines.KnnModel(train_X, train_y, k=k)
+        return lambda idx: (baselines.knn_predict_all(model, test_pool[idx]), None)
+
+    return train
+
+
+def lda(regularization: float = 1e-6, positive_label: int = 2):
+    """Scores are the positive class's margin over the best other class."""
+
+    def train(train_X, train_y, test_pool):
+        model = baselines.lda_fit(train_X, train_y, regularization)
+
+        def predict(test_idx):
+            labels, scores = baselines.lda_predict_all(model, test_pool[test_idx])
+            others = np.delete(scores, positive_label - 1, axis=1)
+            return labels, scores[:, positive_label - 1] - others.max(axis=1)
+
+        return predict
+
+    return train
+
+
+def external(preds, scores=None):
+    """Predictions made elsewhere, one per test-pool row."""
+
+    def train(train_X, train_y, test_pool):
+        if len(preds) != len(test_pool):
+            raise ValueError(f"{len(preds)} predictions for {len(test_pool)} test rows")
+        return lambda idx: (preds[idx], None if scores is None else scores[idx])
+
+    return train
+
+
+# The only list of classifier names: (name in reports, classifier) from the
+# CEM settings, the kNN k and the positive label.
+CLASSIFIERS = {
+    "mbss": lambda config, k, positive: ("mbss", mbss(config, positive)),
+    "knn": lambda config, k, positive: (f"{k}nn", knn(k)),
+    "lda": lambda config, k, positive: ("lda", lda(config.regularization, positive)),
+}
 
 
 def cross_validate(
     dataset: Dataset,
+    name: str,
     classifier,
     folds: int = 10,
     seed: int = 0,
     positive_label: int = 2,
 ) -> EvalReport:
-    """Stratified k-fold evaluation of one classifier spec.
+    """Stratified k-fold evaluation of one classifier, trained once per fold.
 
-    Accuracy is correct/test-size per fold; FPR is FP/(FP+TN). Aggregates
-    are the mean and sample standard deviation over folds. When the
-    classifier produces scores, a pooled out-of-fold ROC and AUC are
-    attached.
+    The test pool is the labeled block. Accuracy is correct/test-size per
+    fold; FPR is FP/(FP+TN). Aggregates are the mean and sample standard
+    deviation over folds. When the classifier produces scores, a pooled
+    out-of-fold ROC and AUC are attached.
     """
     X = dataset.labeled_features
     y = dataset.labels
     accs, fprs, ties = [], [], []
     pooled_scores, pooled_truth = [], []
     for train_idx, test_idx in stratified_folds(dataset, folds, seed):
-        preds, scores = classifier.predict_fold(
-            X[train_idx], y[train_idx], X[test_idx], dataset, positive_label
-        )
+        preds, scores = classifier(X[train_idx], y[train_idx], X)(test_idx)
         counts, n_ties = confusion(y[test_idx], preds, positive_label)
         accs.append(counts.accuracy)
         fprs.append(counts.fpr)
@@ -191,7 +223,7 @@ def cross_validate(
             np.concatenate(pooled_scores), np.concatenate(pooled_truth)
         )
     return EvalReport(
-        classifier=classifier.name,
+        classifier=name,
         fold_accuracy=accs,
         fold_fpr=fprs,
         fold_ties=np.array(ties, dtype=np.int64),
@@ -205,8 +237,10 @@ def cross_validate(
 
 
 def detection_rate(
-    predict_fn,
-    test_features: np.ndarray,
+    classifier,
+    train_X: np.ndarray,
+    train_y: np.ndarray,
+    oos_X: np.ndarray,
     fractions=DEFAULT_FRACTIONS,
     replicates=DEFAULT_REPLICATES,
     seed: int = 0,
@@ -214,19 +248,20 @@ def detection_rate(
 ) -> list[DrRow]:
     """Detection rate over subsampled fractions of an all-malicious set.
 
-    ``predict_fn`` maps a feature matrix to predicted labels; ties count as
-    not detected. Fractions are percentages; each is paired with its Monte
-    Carlo replicate count. Subsampling is without replacement and fully
-    determined by the seed. A fraction that yields zero samples is skipped
-    with a warning.
+    The classifier is trained once, with ``oos_X`` as its test pool, and
+    predicts each subsample; ties count as not detected. Fractions are
+    percentages; each is paired with its Monte Carlo replicate count.
+    Subsampling is without replacement and fully determined by the seed. A
+    fraction that yields zero samples is skipped with a warning.
     """
-    X = np.atleast_2d(np.asarray(test_features, dtype=np.float64))
+    X = np.atleast_2d(np.asarray(oos_X, dtype=np.float64))
     if X.shape[0] == 0:
         raise ValueError("test set must be non-empty")
     fractions = list(fractions)
     replicates = list(replicates)
     if len(fractions) != len(replicates):
         raise ValueError("fractions and replicates must have equal length")
+    predict = classifier(train_X, train_y, X)
     rng = np.random.default_rng(seed)
     rows: list[DrRow] = []
     N = X.shape[0]
@@ -243,7 +278,7 @@ def detection_rate(
         drs = []
         for _ in range(reps):
             idx = rng.choice(N, size=size, replace=False)
-            preds = predictions_to_array(predict_fn(X[idx]))
+            preds = predictions_to_array(predict(idx)[0])
             drs.append(float(np.mean(preds == positive_label)))
         drs = np.array(drs)
         rows.append(

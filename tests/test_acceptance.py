@@ -15,7 +15,7 @@ import pytest
 from conftest import make_dataset
 from mbss import baselines, cem, cli, gmm, model_select, synth
 from mbss.dataset import Dataset
-from mbss.evaluation import detection_rate, roc_auc, write_dr_csv
+from mbss.evaluation import CLASSIFIERS, detection_rate, roc_auc, write_dr_csv
 from oracles import (
     direct_complete_ll,
     direct_log_density,
@@ -270,22 +270,14 @@ def test_criterion_7_detection_rate_protocol(tmp_path):
     oos_X = (train_spec.means[1] + shift) + oos_rng.standard_normal((2000, 5))
 
     config = cem.CemConfig(family="EII")
-
-    def mbss_fn(sub):
-        ds = Dataset(
-            train_ds.labeled_features, train_ds.labels, sub, train_ds.vocabulary, 2
-        )
-        return cem.fit(ds, config).hard_labels
-
-    lda_model = baselines.lda_fit(train_ds.labeled_features, train_ds.labels)
-
+    train = (train_ds.labeled_features, train_ds.labels)
     fractions = (0.1, 1.0, 20.0, 50.0, 90.0, 100.0)
     replicates = (50, 30, 20, 10, 5, 1)
-    mbss_rows = detection_rate(mbss_fn, oos_X, fractions, replicates, seed=1)
-    lda_rows = detection_rate(
-        lambda sub: baselines.lda_predict_all(lda_model, sub)[0],
-        oos_X, fractions, replicates, seed=1,
-    )
+    rows = {}
+    for key in ("mbss", "lda"):
+        name, classifier = CLASSIFIERS[key](config, 3, 2)
+        rows[name] = detection_rate(classifier, *train, oos_X, fractions, replicates, seed=1)
+    mbss_rows, lda_rows = rows["mbss"], rows["lda"]
     assert [r.fraction_pct for r in mbss_rows] == list(fractions)
     assert [r.replicates for r in mbss_rows] == list(replicates)
 

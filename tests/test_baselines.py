@@ -3,43 +3,48 @@ import pytest
 
 from conftest import make_dataset
 from mbss import baselines, cem
-from mbss.baselines import AmbiguousTie, KnnModel, knn_predict, knn_predict_all
+from mbss.baselines import AmbiguousTie, KnnModel, knn_predict_all
 from oracles import direct_log_density
+
+
+def knn_one(model, x):
+    """The vote for one query row."""
+    return knn_predict_all(model, x)[0]
 
 
 class TestKnn:
     def test_k1_returns_exact_match_label(self):
         model = KnnModel(np.array([[0.0, 0.0], [1.0, 1.0]]), [1, 2], k=1)
-        assert knn_predict(model, np.array([1.0, 1.0])) == 2
+        assert knn_one(model, np.array([1.0, 1.0])) == 2
 
     def test_majority_vote(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
         model = KnnModel(X, [1, 1, 2], k=3)
-        assert knn_predict(model, np.array([0.0, 0.2])) == 1
+        assert knn_one(model, np.array([0.0, 0.2])) == 1
 
     def test_balanced_equidistant_neighbors_tie(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         model = KnnModel(X, [1, 1, 2, 2], k=3)
         # all four are equidistant from the origin; distance tie at the k-th
         # neighbor pulls in every point and the vote is 2-2
-        assert isinstance(knn_predict(model, np.zeros(2)), AmbiguousTie)
+        assert isinstance(knn_one(model, np.zeros(2)), AmbiguousTie)
 
     def test_distance_tie_includes_all_equidistant(self):
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [3.0, 0.0]])
         model = KnnModel(X, [2, 2, 2, 1], k=3)
-        assert knn_predict(model, np.zeros(2)) == 2
+        assert knn_one(model, np.zeros(2)) == 2
 
     def test_k_equals_n_is_global_majority(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((9, 3))
         y = np.array([1] * 5 + [2] * 4)
         model = KnnModel(X, y, k=9)
-        assert knn_predict(model, rng.standard_normal(3)) == 1
+        assert knn_one(model, rng.standard_normal(3)) == 1
 
     def test_k_equals_n_balanced_labels_tie(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         model = KnnModel(X, [1, 1, 2, 2], k=4)
-        assert isinstance(knn_predict(model, np.array([1.5, 0.0])), AmbiguousTie)
+        assert isinstance(knn_one(model, np.array([1.5, 0.0])), AmbiguousTie)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(1)
@@ -49,7 +54,7 @@ class TestKnn:
         Q = rng.integers(0, 2, (7, 5)).astype(float)
         batch = knn_predict_all(model, Q)
         for i in range(7):
-            single = knn_predict(model, Q[i])
+            single = knn_one(model, Q[i])
             assert type(single) is type(batch[i])
             if not isinstance(single, AmbiguousTie):
                 assert single == batch[i]
@@ -68,10 +73,9 @@ class TestLda:
             pooled_covariance=np.eye(2),
             log_priors=np.log([0.5, 0.5]),
         )
-        label, _ = baselines.lda_predict(model, np.array([0.9, 5.0]))
-        assert label == 1
-        label, _ = baselines.lda_predict(model, np.array([1.1, -7.0]))
-        assert label == 2
+        labels, _ = baselines.lda_predict_all(model, np.array([[0.9, 5.0], [1.1, -7.0]]))
+        assert labels[0] == 1
+        assert labels[1] == 2
 
     def test_equal_means_prior_dominates(self):
         model = baselines.LdaModel(

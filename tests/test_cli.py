@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mbss import cem, cli, gmm
+from mbss import cem, cli, gmm, synth
 from mbss.dataset import Dataset
 from mbss.evaluation import detection_rate
 
@@ -249,8 +249,10 @@ class TestEvaluate:
         oos_X = np.vstack([oos_ds.labeled_features, oos_ds.unlabeled_features])
         model = baselines.lda_fit(train_ds.labeled_features, train_ds.labels)
         rows = detection_rate(
-            lambda sub: baselines.lda_predict_all(model, sub)[0],
-            oos_X, (50.0, 100.0), (4, 1), seed=5,
+            lambda train_X, train_y, pool: lambda idx: (
+                baselines.lda_predict_all(model, pool[idx])[0], None
+            ),
+            train_ds.labeled_features, train_ds.labels, oos_X, (50.0, 100.0), (4, 1), seed=5,
         )
         lines = out.read_text().strip().splitlines()[1:]
         assert len(lines) == 2
@@ -278,6 +280,88 @@ class TestEvaluate:
         assert rc == 0
         text = out.read_text()
         assert "external,mean,1.0," in text  # perfect oracle accuracy
+
+    def test_knn_is_named_by_k_in_the_dr_table(self, tmp_path):
+        train = synth_csv(tmp_path, "train.csv", n=200, seed=18)
+        oos = synth_csv(tmp_path, "oos.csv", n=100, seed=19)
+        out = tmp_path / "dr.csv"
+        rc = cli.main(
+            [
+                "evaluate", "--data", str(train), "--protocol", "oos",
+                "--oos-data", str(oos), "--classifiers", "knn", "--knn-k", "5",
+                "--fractions", "100", "--replicates", "1", "--seed", "5", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        assert out.read_text().splitlines()[1].startswith("5nn,100.0,1,100,")
+
+    def test_folds_above_smallest_class_is_usage_error(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, n=40, seed=23)
+        smallest = int(Dataset.load_csv(data).class_counts().min())
+        rc = cli.main(
+            [
+                "evaluate", "--data", str(data), "--protocol", "cv", "--classifiers", "lda",
+                "--folds", str(smallest + 1), "--seed", "1", "--out", str(tmp_path / "o.csv"),
+            ]
+        )
+        assert rc == 64
+        assert "--folds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol", ["cv", "oos"])
+    def test_knn_k_above_training_rows_is_usage_error(self, tmp_path, capsys, protocol):
+        data = synth_csv(tmp_path, n=40, seed=24)
+        n = Dataset.load_csv(data).n
+        assert n == 20
+        # each of the 4 training folds of the 20 labeled rows has 15
+        k = 16 if protocol == "cv" else n + 1
+        rc = cli.main(
+            [
+                "evaluate", "--data", str(data), "--protocol", protocol, "--folds", "4",
+                "--oos-data", str(data), "--classifiers", "lda,knn", "--knn-k", str(k),
+                "--seed", "1", "--out", str(tmp_path / "o.csv"),
+            ]
+        )
+        assert rc == 64
+        assert "--knn-k" in capsys.readouterr().err
+
+    def test_largest_knn_k_runs(self, tmp_path):
+        data = synth_csv(tmp_path, n=40, seed=24)
+        rc = cli.main(
+            [
+                "evaluate", "--data", str(data), "--protocol", "cv", "--folds", "4",
+                "--classifiers", "knn", "--knn-k", "15",
+                "--seed", "1", "--out", str(tmp_path / "o.csv"),
+            ]
+        )
+        assert rc == 0
+
+    @pytest.mark.parametrize("command, flag", [("evaluate", "--classifiers"), ("fit", "--families")])
+    def test_empty_name_list_is_usage_error(self, tmp_path, capsys, command, flag):
+        data = synth_csv(tmp_path, seed=25)
+        extra = ["--protocol", "oos", "--oos-data", str(data), "--seed", "1"]
+        rc = cli.main(
+            [command, "--data", str(data), flag, ",", *(extra if command == "evaluate" else []),
+             "--out", str(tmp_path / "o.csv")]
+        )
+        assert rc == 64
+        assert flag in capsys.readouterr().err
+
+    def test_unknown_classifier_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        data = synth_csv(tmp_path, seed=26)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before the classifier list was checked")
+
+        monkeypatch.setattr(cem, "fit", no_fit)
+        rc = cli.main(
+            [
+                "evaluate", "--data", str(data), "--protocol", "oos", "--oos-data", str(data),
+                "--classifiers", "mbss,svm", "--seed", "1", "--out", str(tmp_path / "o.csv"),
+            ]
+        )
+        assert rc == 64
+        err = capsys.readouterr().err
+        assert "--classifiers" in err and "svm" in err
 
     def test_missing_seed_is_usage_error(self, tmp_path):
         data = synth_csv(tmp_path, seed=21)
@@ -434,3 +518,40 @@ class TestOosExternalPredictions:
         pca_lines = (tmp_path / "pca.csv").read_text().strip().splitlines()
         assert pca_lines[0].endswith("cohort")
         assert sum(l.endswith("oos") for l in pca_lines) == total
+
+    def test_duplicate_rows_keep_their_own_predictions(self, tmp_path):
+        train = synth_csv(tmp_path, "train.csv", n=200, seed=36)
+        oos = tmp_path / "oos.csv"
+        row = np.array([[0.5, 0.5, 0.5]])
+        Dataset(np.empty((0, 3)), [], np.vstack([row, row]), synth.feature_names(3), 2).save_csv(oos)
+        ext = tmp_path / "external.csv"
+        ext.write_text("sample_id,predicted_label\n0,2\n1,1\n")
+        out = tmp_path / "dr.csv"
+        rc = cli.main(
+            [
+                "evaluate", "--data", str(train), "--protocol", "oos",
+                "--oos-data", str(oos), "--classifiers", "lda",
+                "--external-predictions", str(ext),
+                "--fractions", "100", "--replicates", "1", "--seed", "6", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        ext_rows = [l for l in out.read_text().splitlines() if l.startswith("external,")]
+        assert float(ext_rows[0].split(",")[4]) == 0.5
+
+    @pytest.mark.parametrize("scores", [("0.9", ""), ("0.9", "nan"), ("0.9", "inf")])
+    def test_scores_on_some_rows_only_is_data_error(self, tmp_path, capsys, scores):
+        data = synth_csv(tmp_path, n=120, seed=20)
+        n = Dataset.load_csv(data).n
+        ext = tmp_path / "external.csv"
+        cells = [scores[0]] * (n - 1) + [scores[1]]
+        ext.write_text("".join(f"{i},1,{c}\n" for i, c in enumerate(cells)))
+        rc = cli.main(
+            [
+                "evaluate", "--data", str(data), "--protocol", "cv", "--classifiers", "lda",
+                "--external-predictions", str(ext), "--seed", "2",
+                "--out", str(tmp_path / "cv.csv"),
+            ]
+        )
+        assert rc == 65
+        assert "score" in capsys.readouterr().err

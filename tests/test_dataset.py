@@ -11,7 +11,6 @@ from mbss.dataset import (
     ApiVocabulary,
     Dataset,
     build_vocabulary,
-    deduplicate,
     parse_log,
     stratified_folds,
 )
@@ -160,33 +159,6 @@ class TestStratifiedFolds:
                 assert abs(got - share * len(test)) <= 1.0
 
 
-class TestDeduplicate:
-    def test_counts_and_order(self):
-        uniques, counts = deduplicate([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert uniques.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-        assert counts.tolist() == [2, 1]
-
-    def test_all_distinct_is_identity(self):
-        X = np.arange(12, dtype=np.float64).reshape(4, 3)
-        uniques, counts = deduplicate(X)
-        assert np.array_equal(uniques, X)
-        assert counts.tolist() == [1, 1, 1, 1]
-
-    def test_empty_input(self):
-        uniques, counts = deduplicate(np.empty((0, 4)))
-        assert uniques.shape[0] == 0
-        assert counts.size == 0
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10**6))
-    def test_counts_conserve_rows(self, seed):
-        rng = np.random.default_rng(seed)
-        X = rng.integers(0, 2, size=(rng.integers(1, 30), 3)).astype(np.float64)
-        uniques, counts = deduplicate(X)
-        assert int(counts.sum()) == X.shape[0]
-        assert len({row.tobytes() for row in uniques}) == uniques.shape[0]
-
-
 class TestDatasetCsv:
     def test_binary_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -265,7 +237,3 @@ class TestDatasetValidation:
         ds = make_dataset([[0.0, 1.0], [1.0, 0.0]], [1, 1], np.empty((0, 2)), K=2)
         with pytest.raises(ValueError):
             ds.require_class_members(1)
-
-    def test_label_indicator_is_one_hot(self):
-        ds = make_dataset(np.zeros((3, 2)), [1, 2, 1], np.empty((0, 2)))
-        assert ds.label_indicator().tolist() == [[1, 0], [0, 1], [1, 0]]

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from mbss import cem, evaluation, synth
+from mbss import baselines, cem, evaluation, synth
 from mbss.baselines import AmbiguousTie
+from mbss.dataset import stratified_folds
 from mbss.evaluation import (
     DEFAULT_FRACTIONS,
     DEFAULT_REPLICATES,
-    MbssCv,
     confusion,
     cross_validate,
     detection_rate,
+    external,
+    mbss,
     pca_project,
     roc_auc,
 )
@@ -27,16 +29,21 @@ def labeled_synthetic(seed=0, n=300, separation=8.0, d=3):
     return ds
 
 
-class _ConstantClassifier:
+def constant(label):
     """Always predicts one class; used for the chance-accuracy checks."""
+    return lambda train_X, train_y, pool: lambda idx: (
+        np.full(len(idx), label, dtype=np.int64), None
+    )
 
-    name = "constant"
 
-    def __init__(self, label):
-        self.label = label
+def rule(fn):
+    """Labels each requested test-pool row with ``fn`` of its features."""
+    return lambda train_X, train_y, pool: lambda idx: (fn(pool[idx]), None)
 
-    def predict_fold(self, train_X, train_y, test_X, dataset, positive_label):
-        return np.full(test_X.shape[0], self.label, dtype=np.int64), None
+
+def sweep(classifier, X, *args, **kwargs):
+    """Detection rate of a classifier that ignores its training rows."""
+    return detection_rate(classifier, X[:0], np.zeros(0, dtype=np.int64), X, *args, **kwargs)
 
 
 class TestConfusion:
@@ -60,7 +67,7 @@ class TestConfusion:
 class TestCrossValidate:
     def test_perfect_classifier_on_separable_data(self):
         ds = labeled_synthetic(seed=1)
-        report = cross_validate(ds, MbssCv(cem.CemConfig(family="EII")), folds=10, seed=0)
+        report = cross_validate(ds, "mbss", mbss(cem.CemConfig(family="EII")), folds=10, seed=0)
         assert report.acc_mean == 1.0
         assert report.acc_sd == 0.0
         assert report.fpr_mean == 0.0
@@ -71,13 +78,15 @@ class TestCrossValidate:
         X = rng.standard_normal((100, 3))
         labels = rng.permutation(np.array([2] * 57 + [1] * 43))
         ds = make_dataset(X, labels, np.empty((0, 3)))
-        report = cross_validate(ds, _ConstantClassifier(2), folds=10, seed=0)
+        report = cross_validate(ds, "constant", constant(2), folds=10, seed=0)
         assert report.acc_mean == pytest.approx(0.57, abs=1e-12)
         assert report.fpr_mean == 1.0
 
     def test_accuracy_plus_error_is_one_per_fold(self):
         ds = labeled_synthetic(seed=3, separation=1.0)
-        report = cross_validate(ds, MbssCv(cem.CemConfig(family="VVI")), folds=5, seed=1)
+        report = cross_validate(
+            ds, "mbss", mbss(cem.CemConfig(family="VVI")), folds=5, seed=1
+        )
         for acc in report.fold_accuracy:
             assert 0.0 <= acc <= 1.0
         assert report.fold_accuracy.shape == (5,)
@@ -85,7 +94,7 @@ class TestCrossValidate:
 
     def test_mean_sd_recomputable(self):
         ds = labeled_synthetic(seed=4, separation=2.0)
-        report = cross_validate(ds, MbssCv(cem.CemConfig(family="EII")), folds=4, seed=2)
+        report = cross_validate(ds, "mbss", mbss(cem.CemConfig(family="EII")), folds=4, seed=2)
         assert report.acc_mean == pytest.approx(report.fold_accuracy.mean(), abs=1e-12)
         assert report.acc_sd == pytest.approx(np.std(report.fold_accuracy, ddof=1), abs=1e-12)
 
@@ -93,9 +102,7 @@ class TestCrossValidate:
 class TestDetectionRate:
     def test_flag_everything_gives_unit_rate(self):
         X = np.random.default_rng(0).standard_normal((2000, 2))
-        rows = detection_rate(
-            lambda sub: np.full(sub.shape[0], 2), X, DEFAULT_FRACTIONS, DEFAULT_REPLICATES, seed=0
-        )
+        rows = sweep(constant(2), X, DEFAULT_FRACTIONS, DEFAULT_REPLICATES, seed=0)
         assert all(r.dr_mean == 1.0 for r in rows)
         assert [r.fraction_pct for r in rows] == list(DEFAULT_FRACTIONS)
         assert [r.replicates for r in rows] == list(DEFAULT_REPLICATES)
@@ -104,37 +111,61 @@ class TestDetectionRate:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((40, 2))
         fixed = rng.integers(1, 3, 40)
-        lookup = {X[i].tobytes(): fixed[i] for i in range(40)}
-        fn = lambda sub: np.array([lookup[row.tobytes()] for row in sub])
-        rows = detection_rate(fn, X, (100.0,), (1,), seed=9)
+        rows = sweep(external(fixed), X, (100.0,), (1,), seed=9)
         assert rows[0].dr_mean == pytest.approx(np.mean(fixed == 2), abs=1e-15)
         assert np.isnan(rows[0].dr_sd)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((200, 2))
-        fn = lambda sub: np.where(sub[:, 0] > 0, 2, 1)
-        a = detection_rate(fn, X, (10.0, 50.0), (5, 3), seed=7)
-        b = detection_rate(fn, X, (10.0, 50.0), (5, 3), seed=7)
+        fn = rule(lambda sub: np.where(sub[:, 0] > 0, 2, 1))
+        a = sweep(fn, X, (10.0, 50.0), (5, 3), seed=7)
+        b = sweep(fn, X, (10.0, 50.0), (5, 3), seed=7)
         assert [(r.dr_mean, r.replicates) for r in a] == [(r.dr_mean, r.replicates) for r in b]
 
     def test_zero_sample_fraction_skipped_with_warning(self):
         X = np.zeros((50, 2))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows = detection_rate(lambda s: np.full(s.shape[0], 2), X, (0.1, 100.0), (3, 1), seed=0)
+            rows = sweep(constant(2), X, (0.1, 100.0), (3, 1), seed=0)
         assert len(rows) == 1
         assert any("zero rows" in str(w.message) for w in caught)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            detection_rate(lambda s: s, np.zeros((10, 1)), (1.0, 2.0), (1,), seed=0)
+            sweep(constant(2), np.zeros((10, 1)), (1.0, 2.0), (1,), seed=0)
 
     def test_ties_count_as_not_detected(self):
         X = np.zeros((10, 2))
-        fn = lambda sub: [AmbiguousTie()] * sub.shape[0]
-        rows = detection_rate(fn, X, (100.0,), (1,), seed=0)
+        fn = rule(lambda sub: [AmbiguousTie()] * sub.shape[0])
+        rows = sweep(fn, X, (100.0,), (1,), seed=0)
         assert rows[0].dr_mean == 0.0
+
+
+class TestClassifierProtocol:
+    def test_one_classifier_drives_both_protocols(self):
+        ds = labeled_synthetic(seed=5, n=200, separation=2.0)
+        X, y = ds.labeled_features, ds.labels
+        oos = X[y == 2] + 0.25
+        lda = evaluation.lda()
+        pools = []
+
+        def counted(train_X, train_y, pool):
+            pools.append(len(pool))
+            return lda(train_X, train_y, pool)
+
+        report = cross_validate(ds, "lda", counted, folds=5, seed=3)
+        rows = detection_rate(counted, X, y, oos, (50.0, 100.0), (4, 1), seed=4)
+        assert pools == [len(X)] * 5 + [len(oos)]  # once per fold, once per sweep
+        for acc, (train, test) in zip(report.fold_accuracy, stratified_folds(ds, 5, 3)):
+            model = baselines.lda_fit(X[train], y[train])
+            assert acc == np.mean(baselines.lda_predict_all(model, X[test])[0] == y[test])
+        model = baselines.lda_fit(X, y)
+        assert rows[-1].dr_mean == np.mean(baselines.lda_predict_all(model, oos)[0] == 2)
+
+    def test_external_predictions_must_cover_the_pool(self):
+        with pytest.raises(ValueError, match="3 predictions for 4 test rows"):
+            sweep(external(np.array([2, 2, 2])), np.zeros((4, 2)), (100.0,), (1,))
 
 
 class TestRocAuc:
@@ -283,7 +314,7 @@ class TestWriters:
 
     def test_cv_table_formatting(self):
         ds = labeled_synthetic(seed=11, n=100)
-        report = cross_validate(ds, _ConstantClassifier(2), folds=5, seed=0)
+        report = cross_validate(ds, "constant", constant(2), folds=5, seed=0)
         table = evaluation.format_cv_table([report])
         assert "constant" in table
         assert "mean ACC" in table
