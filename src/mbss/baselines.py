@@ -102,19 +102,12 @@ def lda_fit(features: np.ndarray, labels: np.ndarray, regularization: float = 1e
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if X.shape[0] != y.shape[0]:
         raise ValueError("one label per row required")
-    K = int(y.max()) if y.size else 0
     if y.size == 0 or y.min() < 1:
         raise ValueError("labels must be positive integers")
-    counts = np.bincount(y, minlength=K + 1)[1:]
+    n = X.shape[0]
+    counts, means, scatters = gmm.class_stats(X, y, int(y.max()), "EEE")
     if counts.min() < 2:
         raise ValueError("every class needs at least 2 samples")
-    n, d = X.shape
-    means = np.stack([X[y == k + 1].mean(axis=0) for k in range(K)])
-    scatters = np.zeros((K, d, d))
-    for k in range(K):
-        diff = X[y == k + 1] - means[k]
-        s = diff.T @ diff
-        scatters[k] = 0.5 * (s + s.T)
     pooled = gmm.estimate_family_covariances("EEE", scatters, counts, n)[0]
     regularized = gmm.make_component(means[0], pooled, regularization).covariance
     return LdaModel(means, regularized, np.log(counts / n))

@@ -66,32 +66,6 @@ class FitResult:
     observed_loglik: float
 
 
-def _class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str):
-    """Counts, means and centered scatters per class, rows ascending.
-
-    Scatters are d x d for the full families and per-dimension sums of
-    squares (K x d) for the spherical and diagonal ones, the shapes
-    ``gmm.estimate_family_covariances`` takes.
-    """
-    d = X.shape[1]
-    diagonal = family in gmm.DIAGONAL_FAMILIES
-    counts = np.bincount(y, minlength=K + 1)[1:].astype(np.int64)
-    means = np.full((K, d), np.nan)
-    scatters = np.zeros((K, d) if diagonal else (K, d, d))
-    for k in range(K):
-        rows = X[y == k + 1]
-        if rows.shape[0] == 0:
-            continue
-        means[k] = rows.mean(axis=0)
-        diff = rows - means[k]
-        if diagonal:
-            scatters[k] = np.einsum("ij,ij->j", diff, diff)
-        else:
-            s = diff.T @ diff
-            scatters[k] = 0.5 * (s + s.T)
-    return counts, means, scatters
-
-
 def initialize(dataset: Dataset, config: CemConfig) -> MixtureModel:
     """Discriminant-analysis starting model from the labeled block only.
 
@@ -100,7 +74,7 @@ def initialize(dataset: Dataset, config: CemConfig) -> MixtureModel:
     within-class scatter (the same estimators the CM-step uses).
     """
     dataset.require_class_members(min_count=2)
-    counts, means, scatters = _class_stats(
+    counts, means, scatters = gmm.class_stats(
         dataset.labeled_features, dataset.labels, dataset.K, config.family
     )
     weights = counts / dataset.n
@@ -158,7 +132,7 @@ def cm_step(
     X = np.vstack([dataset.labeled_features, dataset.unlabeled_features])
     y = np.concatenate([dataset.labels, hard])
     total = dataset.n + dataset.m
-    counts, means, scatters = _class_stats(X, y, K, family)
+    counts, means, scatters = gmm.class_stats(X, y, K, family)
     empty = counts == 0
     if np.any(empty) and prev_model is None:
         raise ValueError(

@@ -100,12 +100,15 @@ def _int_list(text: str) -> list[int]:
 
 
 def _name_list(choices, case):
-    """argparse type: a non-empty comma-separated subset of ``choices``."""
+    """argparse type: a non-empty comma-separated subset of ``choices``, each named once."""
 
     def parse(text: str) -> list[str]:
         names = [case(tok.strip()) for tok in text.split(",") if tok.strip()]
         if not names or set(names) - set(choices):
             raise argparse.ArgumentTypeError(f"{text!r}: choose from {', '.join(choices)}")
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise argparse.ArgumentTypeError(f"{text!r}: {', '.join(repeated)} named more than once")
         return names
 
     return parse
@@ -340,8 +343,8 @@ def cmd_classify(args, argv) -> int:
 def _load_external_predictions(path, expected: int):
     """sample_id,predicted_label[,score] keyed by 0-based sample id.
 
-    Scores are None when no row gives one. A score on only some rows, or a
-    non-finite one, is a data error.
+    Every id must appear exactly once. Scores are None when no row gives
+    one. A score on only some rows, or a non-finite one, is a data error.
     """
     preds = np.full(expected, evaluation.TIE_LABEL, dtype=np.int64)
     scores = np.full(expected, np.nan)
@@ -364,6 +367,8 @@ def _load_external_predictions(path, expected: int):
                 raise DataFormatError(
                     f"{path}:{lineno}: sample_id {idx} outside 0..{expected - 1}"
                 )
+            if seen[idx]:
+                raise DataFormatError(f"{path}:{lineno}: sample_id {idx} given twice")
             preds[idx] = label
             seen[idx] = True
             scores[idx] = score
@@ -538,7 +543,11 @@ def _apply_config_defaults(argv, subparsers) -> None:
     unknown = sorted(set(values) - known)
     if unknown:
         raise UsageError(f"config keys {unknown} are not flags of '{command}'")
-    sub.set_defaults(**values)
+    # argparse runs a flag's type only on string defaults: a list goes in as
+    # the comma-separated text the flag takes, so its parser checks it.
+    sub.set_defaults(
+        **{k: ",".join(map(str, v)) if isinstance(v, list) else v for k, v in values.items()}
+    )
 
 
 def main(argv=None) -> int:

@@ -11,12 +11,13 @@ named by the volume/shape/orientation convention:
     EEE  full, shared across components
     VVV  full, per component
 
-``log_joint`` evaluates each family with the kernel for its structure. The
-spherical and diagonal families scale squared deviations by the inverse
-variances, O(N d) per component. EEE solves the shared Cholesky factor
-against X once and subtracts each component's whitened mean. VVV solves
-each component's own factor, O(N d^2) per component, as the generic
-single-component ``log_density`` does.
+Each component stores its covariance in its family's shape: a vector of d
+variances for the spherical and diagonal families, a d x d matrix with its
+Cholesky factor for EEE and VVV. ``log_density`` scales squared deviations
+by the inverse variances, O(N d), or solves the Cholesky factor, O(N d^2).
+``log_joint`` calls it per component, except for EEE, which solves the
+shared factor against X once and subtracts each component's whitened mean.
+The closed-form estimators follow Celeux & Govaert (1995).
 """
 
 from __future__ import annotations
@@ -47,40 +48,42 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 @dataclass
 class ComponentParams:
-    """One Gaussian component: mean vector and SPD covariance.
+    """One Gaussian component: mean vector and positive definite covariance.
 
-    The Cholesky factor and log-determinant are computed once at
-    construction and cached; they are what every density evaluation uses.
+    ``covariance`` is either a vector of d variances (the spherical and
+    diagonal families; ``cholesky`` is None) or a symmetric d x d matrix
+    whose Cholesky factor is cached. ``log_det`` is computed once either way.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
-    cholesky: np.ndarray = field(init=False, repr=False)
+    cholesky: np.ndarray | None = field(init=False, repr=False)
     log_det: float = field(init=False)
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
         cov = np.asarray(self.covariance, dtype=np.float64)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ValueError(f"covariance must be square, got shape {cov.shape}")
-        if cov.shape[0] != mean.shape[0]:
-            raise ValueError(
-                f"mean has dimension {mean.shape[0]} but covariance is {cov.shape[0]}x{cov.shape[1]}"
-            )
-        scale = float(np.max(np.abs(cov))) if cov.size else 0.0
-        if not np.allclose(cov, cov.T, atol=1e-8 * (1.0 + scale), rtol=0.0):
-            raise ValueError("covariance must be symmetric")
-        cov = 0.5 * (cov + cov.T)
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovarianceError(
-                "covariance is not positive definite"
-            ) from exc
+        d = mean.shape[0]
+        if cov.shape not in ((d,), (d, d)):
+            raise ValueError(f"mean has dimension {d} but covariance has shape {cov.shape}")
+        if cov.ndim == 1:
+            chol = None
+            if not np.all(cov > 0.0):
+                raise SingularCovarianceError("covariance is not positive definite")
+        else:
+            scale = float(np.max(np.abs(cov))) if cov.size else 0.0
+            if not np.allclose(cov, cov.T, atol=1e-8 * (1.0 + scale), rtol=0.0):
+                raise ValueError("covariance must be symmetric")
+            cov = 0.5 * (cov + cov.T)
+            try:
+                chol = np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError as exc:
+                raise SingularCovarianceError("covariance is not positive definite") from exc
+        # sqrt(v) is what cholesky(diag(v)) puts on its diagonal, bit for bit.
+        self.log_det = 2.0 * float(np.sum(np.log(np.sqrt(cov) if chol is None else np.diag(chol))))
         self.mean = mean
         self.covariance = cov
         self.cholesky = chol
-        self.log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
 
     @property
     def d(self) -> int:
@@ -92,21 +95,24 @@ def make_component(
 ) -> ComponentParams:
     """Build a component from an estimated covariance, regularizing it.
 
-    Adds ``eps * t`` to the diagonal where ``t = trace(cov)/d``; if the
-    Cholesky factorization still fails, eps escalates by factors of 10 up
-    to ``MAX_REGULARIZATION`` before giving up.
+    ``covariance`` is a variance vector or a d x d matrix. Adds ``eps * t``
+    to the variances where ``t`` is their mean; if the component is still
+    not positive definite, eps escalates by factors of 10 up to
+    ``MAX_REGULARIZATION`` before giving up.
     """
     cov = np.asarray(covariance, dtype=np.float64)
-    d = cov.shape[0]
-    t = float(np.trace(cov)) / d
+    t = float(np.mean(cov if cov.ndim == 1 else np.diagonal(cov)))
     if not t > 0.0:
         # Zero or degenerate scatter (e.g. identical rows); fall back to an
         # absolute scale so the ridge is nonzero.
         t = 1.0
     eps = float(regularization)
     while True:
+        ridge = eps * t
         try:
-            return ComponentParams(mean, cov + (eps * t) * np.eye(d))
+            return ComponentParams(
+                mean, cov + ridge if cov.ndim == 1 else cov + ridge * np.eye(cov.shape[0])
+            )
         except SingularCovarianceError:
             if eps >= MAX_REGULARIZATION:
                 raise SingularCovarianceError(
@@ -115,41 +121,15 @@ def make_component(
             eps *= 10.0
 
 
-def family_deviation(family: str, covariances: np.ndarray) -> float:
-    """Largest absolute deviation of a covariance stack from a family's shape.
-
-    Returned value is relative to the overall covariance scale, so a model
-    conforms to its declared family when this is ~0.
-    """
-    covs = np.asarray(covariances, dtype=np.float64)
-    K, d, _ = covs.shape
-    scale = float(np.max(np.abs(covs)))
-    if scale == 0.0:
-        scale = 1.0
-    eye = np.eye(d)
-    if family == "EII":
-        lam = float(np.trace(covs.sum(axis=0))) / (K * d)
-        dev = np.max(np.abs(covs - lam * eye))
-    elif family == "VII":
-        lams = np.trace(covs, axis1=1, axis2=2) / d
-        dev = np.max(np.abs(covs - lams[:, None, None] * eye))
-    elif family == "EEI":
-        diag = np.mean([np.diag(c) for c in covs], axis=0)
-        dev = np.max(np.abs(covs - np.diag(diag)))
-    elif family == "VVI":
-        dev = max(np.max(np.abs(c - np.diag(np.diag(c)))) for c in covs)
-    elif family == "EEE":
-        dev = np.max(np.abs(covs - covs[0]))
-    elif family == "VVV":
-        dev = max(np.max(np.abs(c - c.T)) for c in covs)
-    else:
-        raise ValueError(f"unknown covariance family {family!r}")
-    return float(dev) / scale
+# Families whose covariances are diagonal (spherical ones included), and
+# families whose components all share one covariance.
+DIAGONAL_FAMILIES = ("EII", "VII", "EEI", "VVI")
+SHARED_FAMILIES = ("EII", "EEI", "EEE")
 
 
 @dataclass
 class MixtureModel:
-    """A K-component Gaussian mixture with a declared covariance family."""
+    """A K-component Gaussian mixture whose components have its family's shape."""
 
     weights: np.ndarray
     components: list[ComponentParams]
@@ -170,13 +150,15 @@ class MixtureModel:
         dims = {c.d for c in self.components}
         if len(dims) != 1:
             raise ValueError("components disagree on dimension")
-        dev = family_deviation(
-            self.family, np.stack([c.covariance for c in self.components])
-        )
-        if dev > 1e-8:
-            raise ValueError(
-                f"covariances deviate from family {self.family} by {dev:.3e} (relative)"
-            )
+        covs = [c.covariance for c in self.components]
+        diagonal = self.family in DIAGONAL_FAMILIES
+        if any(c.ndim != (1 if diagonal else 2) for c in covs):
+            shape = "variance vectors" if diagonal else "d x d covariances"
+            raise ValueError(f"family {self.family} needs {shape}")
+        if self.family in ("EII", "VII") and any(np.any(c != c[0]) for c in covs):
+            raise ValueError(f"family {self.family} needs equal variances")
+        if self.family in SHARED_FAMILIES and any(not np.array_equal(c, covs[0]) for c in covs):
+            raise ValueError(f"family {self.family} needs one covariance for all components")
         self.weights = w
 
     @property
@@ -195,12 +177,30 @@ class MixtureModel:
         covariances: np.ndarray,
         family: str,
     ) -> "MixtureModel":
-        comps = [ComponentParams(m, c) for m, c in zip(means, covariances)]
+        """Build a model from a K x d x d stack, keeping the parameters its family has.
+
+        Those are the diagonal, the first component's covariance and the first
+        variance; a stack they rebuild only to above 1e-8 relative is rejected.
+        """
+        means = np.atleast_2d(np.asarray(means, dtype=np.float64))
+        covs = np.asarray(covariances, dtype=np.float64)
+        K, d = means.shape
+        if covs.shape != (K, d, d):
+            raise ValueError(f"{K} means of dimension {d} need {K}x{d}x{d} covariances")
+        diagonal = family in DIAGONAL_FAMILIES
+        kept = np.diagonal(covs, axis1=1, axis2=2) if diagonal else covs
+        if family in SHARED_FAMILIES:
+            kept = kept[:1]
+        if family in ("EII", "VII"):
+            kept = kept[:, :1]
+        kept = np.broadcast_to(kept, covs.shape[:2] if diagonal else covs.shape)
+        rebuilt = kept[:, :, None] * np.eye(d) if diagonal else kept
+        dev = float(np.max(np.abs(covs - rebuilt), initial=0.0))
+        dev /= float(np.max(np.abs(covs), initial=0.0)) or 1.0
+        if not dev <= 1e-8:
+            raise ValueError(f"covariances deviate from family {family} by {dev:.3e} (relative)")
+        comps = [ComponentParams(m, np.array(c)) for m, c in zip(means, kept)]
         return cls(np.asarray(weights, dtype=np.float64), comps, family)
-
-
-# Families whose covariances are diagonal (spherical ones included).
-DIAGONAL_FAMILIES = ("EII", "VII", "EEI", "VVI")
 
 
 def _gaussian_log(quad: np.ndarray, component: ComponentParams) -> np.ndarray:
@@ -211,8 +211,8 @@ def _gaussian_log(quad: np.ndarray, component: ComponentParams) -> np.ndarray:
 def log_density(component: ComponentParams, x: np.ndarray) -> float | np.ndarray:
     """Log of the Gaussian density at ``x`` (a vector, or a matrix of rows).
 
-    Computes -0.5 (x-mu)^T Sigma^-1 (x-mu) - 0.5 log det(2 pi Sigma) using
-    the cached Cholesky factor.
+    Computes -0.5 (x-mu)^T Sigma^-1 (x-mu) - 0.5 log det(2 pi Sigma) from
+    the inverse variances or the cached Cholesky factor.
     """
     X = np.asarray(x, dtype=np.float64)
     single = X.ndim == 1
@@ -220,23 +220,20 @@ def log_density(component: ComponentParams, x: np.ndarray) -> float | np.ndarray
     if X.shape[1] != component.d:
         raise ValueError(f"expected dimension {component.d}, got {X.shape[1]}")
     diff = X - component.mean
-    z = solve_triangular(component.cholesky, diff.T, lower=True)
-    out = _gaussian_log(np.sum(z * z, axis=0), component)
+    if component.cholesky is None:
+        quad = np.multiply(diff, diff, out=diff) @ (1.0 / component.covariance)
+    else:
+        z = solve_triangular(component.cholesky, diff.T, lower=True)
+        quad = np.sum(z * z, axis=0)
+    out = _gaussian_log(quad, component)
     return float(out[0]) if single else out
-
-
-def _is_diagonal(cov: np.ndarray) -> bool:
-    return np.count_nonzero(cov) == np.count_nonzero(np.diagonal(cov))
 
 
 def log_joint(model: MixtureModel, X: np.ndarray) -> np.ndarray:
     """Matrix of log(pi_k) + log f_k(x_j), rows = samples, cols = components.
 
-    The kernel follows the model's family (see the module docstring). A
-    hand-built model whose covariances only approximate its family's
-    structure (diagonal, or one factor shared by every component) falls
-    back to the per-component Cholesky solve; fitted and loaded models are
-    always exact.
+    EEE solves the shared Cholesky factor against X once; every other
+    family scores each component with ``log_density``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
@@ -247,15 +244,7 @@ def log_joint(model: MixtureModel, X: np.ndarray) -> np.ndarray:
         logw = np.log(model.weights)
     comps = model.components
     out = np.empty((X.shape[0], model.K))
-    if model.family in DIAGONAL_FAMILIES and all(_is_diagonal(c.covariance) for c in comps):
-        sq = np.empty_like(X)
-        for k, comp in enumerate(comps):
-            np.subtract(X, comp.mean, out=sq)
-            np.multiply(sq, sq, out=sq)
-            out[:, k] = logw[k] + _gaussian_log(sq @ (1.0 / np.diagonal(comp.covariance)), comp)
-    elif model.family == "EEE" and all(
-        np.array_equal(c.cholesky, comps[0].cholesky) for c in comps[1:]
-    ):
+    if model.family == "EEE":
         L = comps[0].cholesky
         Z = solve_triangular(L, X.T, lower=True)
         for k, comp in enumerate(comps):
@@ -358,13 +347,13 @@ def estimate_family_covariances(
     """Closed-form covariance estimates from per-component scatters.
 
     For EEE and VVV, ``scatters[k]`` is the d x d sum of outer products of
-    the centered rows assigned to component k. The spherical and diagonal
-    families need only its diagonal, so for them ``scatters`` is K x d:
-    per-dimension sums of squares. ``counts[k]`` is the number of rows of
-    component k. The result is always a K x d x d covariance stack.
-    Components with ``counts[k] == 0`` get a NaN matrix in per-component
-    families and must be patched by the caller; shared families pool over
-    all components and are unaffected.
+    the centered rows assigned to component k, and the result is a K x d x d
+    covariance stack. The spherical and diagonal families need only its
+    diagonal: for them ``scatters`` is K x d (per-dimension sums of
+    squares) and the result is K x d variances. ``counts[k]`` is the number
+    of rows of component k. Components with ``counts[k] == 0`` get NaN in
+    per-component families and must be patched by the caller; shared
+    families pool over all components and are unaffected.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown covariance family {family!r}")
@@ -374,37 +363,59 @@ def estimate_family_covariances(
     expected = (K, d) if family in DIAGONAL_FAMILIES else (K, d, d)
     if scatters.shape != expected:
         raise ValueError(f"{family} needs scatters of shape {expected}, got {scatters.shape}")
-    eye = np.eye(d)
     pooled = scatters.sum(axis=0)
     if family == "EII":
-        lam = float(pooled.sum()) / (d * total)
-        return np.broadcast_to(lam * eye, (K, d, d)).copy()
-    if family == "EEI":
-        return np.broadcast_to(np.diag(pooled / total), (K, d, d)).copy()
-    if family == "EEE":
-        return np.broadcast_to(pooled / total, (K, d, d)).copy()
-    out = np.full((K, d, d), np.nan)
-    for k in range(K):
-        if counts[k] == 0:
-            continue
+        return np.full(expected, float(pooled.sum()) / (d * total))
+    if family in SHARED_FAMILIES:
+        return np.broadcast_to(pooled / total, expected).copy()
+    out = np.full(expected, np.nan)
+    for k in np.flatnonzero(counts):
         if family == "VII":
-            out[k] = (float(scatters[k].sum()) / (d * counts[k])) * eye
-        elif family == "VVI":
-            out[k] = np.diag(scatters[k] / counts[k])
+            out[k] = float(scatters[k].sum()) / (d * counts[k])
         else:
             out[k] = scatters[k] / counts[k]
     return out
 
 
+def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str):
+    """Counts, means and centered scatters per class (labels 1..K).
+
+    Scatters are d x d for the full families and per-dimension sums of
+    squares (K x d) for the spherical and diagonal ones, the shapes
+    ``estimate_family_covariances`` takes. An empty class gets a NaN mean
+    and a zero scatter.
+    """
+    d = X.shape[1]
+    diagonal = family in DIAGONAL_FAMILIES
+    counts = np.bincount(y, minlength=K + 1)[1:].astype(np.int64)
+    means = np.full((K, d), np.nan)
+    scatters = np.zeros((K, d) if diagonal else (K, d, d))
+    for k in range(K):
+        rows = X[y == k + 1]
+        if rows.shape[0] == 0:
+            continue
+        means[k] = rows.mean(axis=0)
+        diff = rows - means[k]
+        if diagonal:
+            scatters[k] = np.einsum("ij,ij->j", diff, diff)
+        else:
+            s = diff.T @ diff
+            scatters[k] = 0.5 * (s + s.T)
+    return counts, means, scatters
+
+
 def save_model(model: MixtureModel, path) -> None:
-    """Serialize a model as JSON. Floats use shortest round-trip decimals."""
+    """Serialize a model as JSON with d x d covariances and round-trip floats."""
     payload = {
         "format": "mbss-model",
         "version": 1,
         "family": model.family,
         "weights": model.weights.tolist(),
         "means": [c.mean.tolist() for c in model.components],
-        "covariances": [c.covariance.tolist() for c in model.components],
+        "covariances": [
+            (np.diag(c.covariance) if c.cholesky is None else c.covariance).tolist()
+            for c in model.components
+        ],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -412,6 +423,7 @@ def save_model(model: MixtureModel, path) -> None:
 
 
 def load_model(path) -> MixtureModel:
+    """Read a ``save_model`` file; a malformed or non-finite one is a DataFormatError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -420,11 +432,15 @@ def load_model(path) -> MixtureModel:
     if not isinstance(payload, dict) or payload.get("format") != "mbss-model":
         raise DataFormatError(f"{path}: not a serialized mixture model")
     try:
+        arrays = {
+            key: np.asarray(payload[key], dtype=np.float64)
+            for key in ("weights", "means", "covariances")
+        }
+        for key, values in arrays.items():
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{key} must be finite")
         return MixtureModel.from_arrays(
-            np.asarray(payload["weights"], dtype=np.float64),
-            np.asarray(payload["means"], dtype=np.float64),
-            np.asarray(payload["covariances"], dtype=np.float64),
-            payload["family"],
+            arrays["weights"], arrays["means"], arrays["covariances"], payload["family"]
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, SingularCovarianceError) as exc:
         raise DataFormatError(f"{path}: malformed model file: {exc}") from exc

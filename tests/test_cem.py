@@ -42,11 +42,11 @@ class TestInitialize:
         ds = make_dataset(X, y, np.empty((0, 2)))
         model = cem.initialize(ds, cem.CemConfig(family="EII"))
         lam = np.trace(pooled_class_scatter(X, y, 2)) / (2 * 6)
-        got = model.components[0].covariance[0, 0]
+        got = model.components[0].covariance[0]
         assert got == pytest.approx(lam * (1 + 1e-6), rel=1e-12)
-        # spherical and identical across components
+        # spherical and identical across components, stored as variances
         for comp in model.components:
-            assert np.allclose(comp.covariance, got * np.eye(2))
+            assert np.array_equal(comp.covariance, [got, got])
 
     def test_requires_two_labeled_per_class(self):
         ds = make_dataset([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [1, 1, 2], np.empty((0, 2)))
@@ -167,6 +167,15 @@ class TestFit:
         for ca, cb in zip(a.model.components, b.model.components):
             assert np.array_equal(ca.mean, cb.mean)
             assert np.array_equal(ca.covariance, cb.covariance)
+
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_covariances_are_stored_in_the_family_shape(self, family):
+        (ds, _), _ = two_blob_dataset(seed=9, separation=3.0, d=4)
+        result = cem.fit(ds, cem.CemConfig(family=family))
+        diagonal = family in gmm.DIAGONAL_FAMILIES
+        for comp in result.model.components:
+            assert comp.covariance.shape == ((4,) if diagonal else (4, 4))
+            assert (comp.cholesky is None) == diagonal
 
     def test_no_unlabeled_equals_discriminant_analysis_exactly(self):
         rng = np.random.default_rng(8)

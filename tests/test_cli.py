@@ -210,6 +210,44 @@ class TestClassify:
         assert "d=3" in err and "d=5" in err
 
 
+def model_payload(family, means=((0.0, 0.0, 0.0), (4.0, 4.0, 4.0)), covariance=None):
+    """A two-component d=3 model file body, as save_model writes it."""
+    cov = np.eye(3).tolist() if covariance is None else covariance
+    return {
+        "format": "mbss-model", "version": 1, "family": family,
+        "weights": [0.5, 0.5], "means": [list(m) for m in means] if means else means,
+        "covariances": [cov, cov],
+    }
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        model_payload("VVI", means=((0.0, float("nan"), 0.0), (4.0, 4.0, 4.0))),
+        model_payload("VVV", means=((0.0, float("nan"), 0.0), (4.0, 4.0, 4.0))),
+        model_payload("VVV", covariance=[[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        model_payload("VVI", covariance=[[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]),
+        model_payload("EEI", covariance=[[1.0, 0.0, 0.0], [0.0, float("inf"), 0.0], [0.0, 0.0, 1.0]]),
+        model_payload("EII", means=None),
+        dict(model_payload("EII"), weights=[float("nan"), 0.5]),
+        dict(model_payload("EII"), covariances=[np.eye(3).tolist()]),
+    ],
+    ids=["vvi-nan-mean", "vvv-nan-mean", "not-pd", "negative-variance", "inf-variance",
+         "null-means", "nan-weight", "one-covariance"],
+)
+def test_bad_model_file_is_data_error(tmp_path, capsys, payload):
+    data = synth_csv(tmp_path, seed=19)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(payload))
+    rc = cli.main(
+        ["classify", "--model", str(model_path), "--data", str(data),
+         "--out", str(tmp_path / "p.csv")]
+    )
+    assert rc == 65
+    assert "malformed model file" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
 class TestEvaluate:
     def test_cv_protocol_emits_fold_rows(self, tmp_path):
         data = synth_csv(tmp_path, n=300, seed=17)
@@ -346,6 +384,28 @@ class TestEvaluate:
         assert rc == 64
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, names",
+        [("evaluate", "--classifiers", "lda,mbss,LDA"), ("fit", "--families", "EII,VVI,eii")],
+    )
+    def test_repeated_name_is_usage_error_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, command, flag, names
+    ):
+        data = synth_csv(tmp_path, seed=27)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before the name list was checked")
+
+        monkeypatch.setattr(cem, "fit", no_fit)
+        extra = ["--protocol", "oos", "--oos-data", str(data), "--seed", "1"]
+        rc = cli.main(
+            [command, "--data", str(data), flag, names, *(extra if command == "evaluate" else []),
+             "--out", str(tmp_path / "o.csv")]
+        )
+        assert rc == 64
+        err = capsys.readouterr().err
+        assert flag in err and "more than once" in err
+
     def test_unknown_classifier_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch):
         data = synth_csv(tmp_path, seed=26)
 
@@ -454,6 +514,22 @@ class TestConfigFile:
         report = (tmp_path / "m.json.selection.csv").read_text().splitlines()
         assert report[1].startswith("EII")
 
+    @pytest.mark.parametrize(
+        "command, values",
+        [("fit", {"families": ["EII", "EII"]}), ("evaluate", {"classifiers": ["lda", "svm"]})],
+    )
+    def test_config_lists_pass_the_flag_checks(self, tmp_path, capsys, command, values):
+        data = synth_csv(tmp_path, seed=32)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        extra = ["--protocol", "cv", "--seed", "1"] if command == "evaluate" else []
+        rc = cli.main(
+            [command, "--data", str(data), "--config", str(cfg), *extra,
+             "--out", str(tmp_path / "o.csv")]
+        )
+        assert rc == 64
+        assert f"--{next(iter(values))}" in capsys.readouterr().err
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         data = synth_csv(tmp_path, seed=31)
         cfg = tmp_path / "cfg.json"
@@ -538,6 +614,21 @@ class TestOosExternalPredictions:
         assert rc == 0
         ext_rows = [l for l in out.read_text().splitlines() if l.startswith("external,")]
         assert float(ext_rows[0].split(",")[4]) == 0.5
+
+    def test_repeated_sample_id_is_data_error(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, n=120, seed=20)
+        n = Dataset.load_csv(data).n
+        ext = tmp_path / "external.csv"
+        ext.write_text("sample_id,predicted_label\n" + "".join(f"{i},1\n" for i in range(n)) + "0,2\n")
+        rc = cli.main(
+            [
+                "evaluate", "--data", str(data), "--protocol", "cv", "--classifiers", "lda",
+                "--external-predictions", str(ext), "--seed", "2",
+                "--out", str(tmp_path / "cv.csv"),
+            ]
+        )
+        assert rc == 65
+        assert f"external.csv:{n + 2}: sample_id 0 given twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scores", [("0.9", ""), ("0.9", "nan"), ("0.9", "inf")])
     def test_scores_on_some_rows_only_is_data_error(self, tmp_path, capsys, scores):

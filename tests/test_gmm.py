@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -60,6 +61,16 @@ class TestMakeComponent:
         with pytest.raises(SingularCovarianceError):
             gmm.make_component(np.zeros(2), np.diag([1.0, -0.9]))
 
+    def test_escalates_on_a_vector_with_a_negative_variance(self):
+        v = np.array([1.0, 1.0, -1e-5])
+        t = v.mean()
+        # 1e-6 t and 1e-5 t fall short of 1e-5; 1e-4 t lifts it
+        comp = gmm.make_component(np.zeros(3), v, regularization=1e-6)
+        assert comp.cholesky is None
+        np.testing.assert_allclose(comp.covariance, v + 1e-4 * t, rtol=1e-12)
+        with pytest.raises(SingularCovarianceError):
+            gmm.make_component(np.zeros(2), np.array([1.0, -0.9]))
+
     def test_zero_trace_falls_back_to_absolute_ridge(self):
         comp = gmm.make_component(np.zeros(2), np.zeros((2, 2)), regularization=1e-6)
         assert comp.covariance[0, 0] == pytest.approx(1e-6)
@@ -88,6 +99,20 @@ class TestLogDensity:
         got = gmm.log_density(comp, x)
         assert got == pytest.approx(direct_log_density(mean, cov, x), abs=1e-12)
         assert got == pytest.approx(-4.62963653563740, abs=1e-10)
+
+    def test_variance_vector_against_direct_formula(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            d = int(rng.integers(1, 8))
+            v = rng.uniform(0.1, 5.0, d)
+            mean = rng.standard_normal(d)
+            x = mean + rng.standard_normal(d)
+            comp = gmm.ComponentParams(mean, v)
+            assert gmm.log_density(comp, x) == pytest.approx(
+                direct_log_density(mean, np.diag(v), x), abs=1e-9
+            )
+            # the same bits as the Cholesky factor of diag(v)
+            assert comp.log_det == gmm.ComponentParams(mean, np.diag(v)).log_det
 
     def test_randomized_against_direct_formula(self):
         rng = np.random.default_rng(10)
@@ -166,20 +191,24 @@ class TestLogJointKernels:
             np.testing.assert_allclose(got[:, k], expected, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("family", ["EII", "VVI", "EEE"])
-    def test_inexact_structure_takes_the_generic_path(self, family):
+    def test_from_arrays_projects_a_nudged_stack_onto_the_family(self, family):
         rng = np.random.default_rng(161)
         base = binary_model(rng, family, K=2, d=6)
-        covs = np.stack([c.covariance for c in base.components])
+        covs = np.stack([np.diag(c.covariance) if c.cholesky is None else c.covariance
+                         for c in base.components])
         nudge = 1e-10 * covs[1, 0, 0]  # within the family tolerance
         covs[1, 0, 1] += nudge
         covs[1, 1, 0] += nudge
         model = gmm.MixtureModel.from_arrays(
             base.weights, np.stack([c.mean for c in base.components]), covs, family
         )
+        for got, kept in zip(model.components, base.components):
+            assert np.array_equal(got.covariance, kept.covariance)
         X = (rng.random((20, 6)) < 0.3).astype(float)
-        got = gmm.log_joint(model, X)
+        joint = gmm.log_joint(model, X)
         for k, comp in enumerate(model.components):
-            assert np.array_equal(got[:, k], np.log(model.weights[k]) + gmm.log_density(comp, X))
+            expected = np.log(model.weights[k]) + gmm.log_density(comp, X)
+            np.testing.assert_allclose(joint[:, k], expected, rtol=1e-12, atol=0.0)
 
     def test_no_rows(self):
         model = binary_model(np.random.default_rng(162), "VVI", K=2, d=4)
@@ -346,6 +375,22 @@ class TestMixtureModelValidation:
         gmm.MixtureModel.from_arrays([0.5, 0.5], np.zeros((2, 2)), covs, "VVV")
 
     @pytest.mark.parametrize(
+        "family,covariances",
+        [
+            ("VVI", [np.eye(2), np.eye(2)]),  # a matrix in a diagonal family
+            ("VVV", [np.ones(2), np.ones(2)]),  # variances in a full family
+            ("EEI", [np.array([1.0, 2.0]), np.array([1.0, 3.0])]),
+            ("EII", [np.ones(2), 2.0 * np.ones(2)]),
+            ("EEE", [np.eye(2), 2.0 * np.eye(2)]),
+            ("VII", [np.array([1.0, 2.0]), np.ones(2)]),  # not spherical
+        ],
+    )
+    def test_components_must_have_the_family_shape(self, family, covariances):
+        comps = [gmm.ComponentParams(np.zeros(2), c) for c in covariances]
+        with pytest.raises(ValueError, match=family):
+            gmm.MixtureModel(np.array([0.5, 0.5]), comps, family)
+
+    @pytest.mark.parametrize(
         "family,builder",
         [
             ("EII", lambda: np.stack([2.0 * np.eye(3)] * 2)),
@@ -362,11 +407,15 @@ class TestMixtureModelValidation:
 
 
 class TestSerialization:
-    def test_round_trip_is_lossless(self, tmp_path):
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_round_trip_is_lossless(self, tmp_path, family):
         rng = np.random.default_rng(22)
-        model, _ = model_from(rng, 3, 4, family="VVV")
+        w, means, covs = random_model_arrays(rng, 3, 4, family=family)
+        model = gmm.MixtureModel.from_arrays(w, means, covs, family)
         path = tmp_path / "model.json"
         gmm.save_model(model, path)
+        # the file keeps d x d covariances for every family
+        assert np.array_equal(json.loads(path.read_text())["covariances"], covs)
         loaded = gmm.load_model(path)
         assert loaded.family == model.family
         assert np.array_equal(loaded.weights, model.weights)
