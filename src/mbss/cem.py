@@ -7,6 +7,13 @@ family-constrained covariances are re-estimated from labeled plus
 hard-labeled rows). Labeled rows keep their true classes in every
 iteration. The complete-data log-likelihood is recorded per iteration and
 is nondecreasing up to the covariance regularization ridge.
+
+The labeled block enters a fit only through its per-class counts, means
+and centered scatters, which ``initialize`` computes once together with
+the starting model. Every iteration then touches the unlabeled rows alone:
+the CM-step merges their class statistics into the labeled ones, and the
+labeled log-likelihood is evaluated in closed form from the statistics.
+Fits that share a labeled block can share one ``initialize``.
 """
 
 from __future__ import annotations
@@ -66,24 +73,47 @@ class FitResult:
     observed_loglik: float
 
 
-def initialize(dataset: Dataset, config: CemConfig) -> MixtureModel:
-    """Discriminant-analysis starting model from the labeled block only.
+@dataclass(frozen=True)
+class Start:
+    """The labeled block as a fit needs it: its class statistics and the starting model.
+
+    ``stats`` is ``gmm.class_stats`` of the labeled rows in the family's
+    shape: counts, means and centered scatters.
+    """
+
+    stats: tuple[np.ndarray, np.ndarray, np.ndarray]
+    model: MixtureModel
+
+
+def initialize(dataset: Dataset, config: CemConfig) -> Start:
+    """Labeled class statistics and the discriminant-analysis starting model.
 
     Weights are the labeled class proportions, means the labeled class
     means, covariances the family-constrained estimate from the labeled
-    within-class scatter (the same estimators the CM-step uses).
+    within-class scatter (the same estimators the CM-step uses). The
+    unlabeled block is not read.
     """
     dataset.require_class_members(min_count=2)
-    counts, means, scatters = gmm.class_stats(
-        dataset.labeled_features, dataset.labels, dataset.K, config.family
-    )
-    weights = counts / dataset.n
+    stats = gmm.class_stats(dataset.labeled_features, dataset.labels, dataset.K, config.family)
+    counts, means, scatters = stats
     covs = gmm.estimate_family_covariances(config.family, scatters, counts, dataset.n)
-    components = [
-        gmm.make_component(means[k], covs[k], config.regularization)
-        for k in range(dataset.K)
+    components = _components(config.family, means, covs, config.regularization)
+    return Start(stats, MixtureModel(counts / dataset.n, components, config.family))
+
+
+def _components(family, means, covs, regularization, previous=None):
+    """One component per class; a shared family builds and factors its covariance once.
+
+    A class whose ``previous`` entry is not None keeps that component.
+    """
+    if family in gmm.SHARED_FAMILIES:
+        first = gmm.make_component(means[0], covs[0], regularization)
+        return [first] + [first.with_mean(mean) for mean in means[1:]]
+    previous = previous or [None] * len(means)
+    return [
+        gmm.make_component(mean, cov, regularization) if kept is None else kept
+        for mean, cov, kept in zip(means, covs, previous)
     ]
-    return MixtureModel(weights, components, config.family)
 
 
 def e_step(model: MixtureModel, unlabeled: np.ndarray) -> np.ndarray:
@@ -105,7 +135,8 @@ def hard_assign(posteriors: np.ndarray) -> np.ndarray:
 
 
 def cm_step(
-    dataset: Dataset,
+    labeled: tuple[np.ndarray, np.ndarray, np.ndarray],
+    unlabeled: np.ndarray,
     posteriors: np.ndarray,
     family: str,
     regularization: float = 1e-6,
@@ -113,26 +144,27 @@ def cm_step(
 ) -> MixtureModel:
     """Hard-assignment maximization step.
 
-    Unlabeled rows are committed to their argmax class; weights, means and
-    family covariances are then re-estimated from all rows (labeled rows
-    under their true classes). A class with zero members keeps its previous
-    mean (and, in per-component families, covariance) and has its weight
-    floored at 1/(n+m); shared-family covariances always come from the
-    pooled scatter of the populated classes.
+    Unlabeled rows are committed to their argmax class and their class
+    statistics are merged into ``labeled``, the labeled block's
+    (``Start.stats``); weights, means and family covariances are then
+    re-estimated from the merged statistics. A class with zero members
+    keeps its previous mean (and, in per-component families, covariance)
+    and has its weight floored at 1/(n+m); shared-family covariances always
+    come from the pooled scatter of the populated classes.
     """
     P = np.atleast_2d(np.asarray(posteriors, dtype=np.float64))
-    K = dataset.K
-    if P.shape[0] != dataset.m or (dataset.m and P.shape[1] != K):
+    K, m = labeled[0].shape[0], unlabeled.shape[0]
+    if P.shape[0] != m or (m and P.shape[1] != K):
         raise ValueError(
-            f"posteriors must be {dataset.m}x{K}, got {P.shape[0]}x{P.shape[1] if P.ndim > 1 else '?'}"
+            f"posteriors must be {m}x{K}, got {P.shape[0]}x{P.shape[1] if P.ndim > 1 else '?'}"
         )
-    if dataset.m and not np.allclose(P.sum(axis=1), 1.0, atol=1e-6):
+    if m and not np.allclose(P.sum(axis=1), 1.0, atol=1e-6):
         raise ValueError("posterior rows must each sum to 1")
     hard = hard_assign(P)
-    X = np.vstack([dataset.labeled_features, dataset.unlabeled_features])
-    y = np.concatenate([dataset.labels, hard])
-    total = dataset.n + dataset.m
-    counts, means, scatters = gmm.class_stats(X, y, K, family)
+    counts, means, scatters = gmm.merge_class_stats(
+        labeled, gmm.class_stats(unlabeled, hard, K, family)
+    )
+    total = int(counts.sum())
     empty = counts == 0
     if np.any(empty) and prev_model is None:
         raise ValueError(
@@ -142,12 +174,8 @@ def cm_step(
     for k in np.flatnonzero(empty):
         means[k] = prev_model.components[k].mean
     covs = gmm.estimate_family_covariances(family, scatters, counts, total)
-    components = []
-    for k in range(K):
-        if empty[k] and family in ("VII", "VVI", "VVV"):
-            components.append(prev_model.components[k])
-        else:
-            components.append(gmm.make_component(means[k], covs[k], regularization))
+    previous = [prev_model.components[k] if empty[k] else None for k in range(K)]
+    components = _components(family, means, covs, regularization, previous)
     weights = counts / total
     floor = 1.0 / total
     weights = np.where(empty, floor, weights)
@@ -179,7 +207,9 @@ def _stop_reached(trace: list[float], tolerance: float, rule: str) -> bool:
     return (l2 - l1) / (1.0 - a) < tolerance
 
 
-def fit(dataset: Dataset, config: CemConfig, trace_path=None) -> FitResult:
+def fit(
+    dataset: Dataset, config: CemConfig, trace_path=None, start: Start | None = None
+) -> FitResult:
     """Run CEM to convergence (or the iteration cap).
 
     The returned posteriors and hard labels are evaluated under the final
@@ -188,12 +218,19 @@ def fit(dataset: Dataset, config: CemConfig, trace_path=None) -> FitResult:
     diagnostics (complete and observed log-likelihood, number of unlabeled
     rows that changed class) are streamed there as CSV.
 
-    The unlabeled block's ``log_joint`` is evaluated once per model: the
-    matrix behind each iteration's complete log-likelihood also gives the
-    next E-step, the trace's observed log-likelihood and, after the last
-    iteration, the returned posteriors and final log-likelihoods.
+    ``start`` is ``initialize(dataset, config)``, computed here when not
+    given; fits that share the labeled block and config can share one.
+    The iterations read only the unlabeled block, and its ``log_joint`` is
+    evaluated once per model: the matrix behind each iteration's complete
+    log-likelihood also gives the next E-step, the trace's observed
+    log-likelihood and, after the last iteration, the returned posteriors
+    and final log-likelihoods.
     """
-    model = initialize(dataset, config)
+    if start is None:
+        start = initialize(dataset, config)
+    if start.model.family != config.family or start.stats[0].sum() != dataset.n:
+        raise ValueError("start was not initialized from this labeled block and family")
+    model = start.model
     X_u = dataset.unlabeled_features
     joint = gmm.log_joint(model, X_u)
     trace: list[float] = []
@@ -212,13 +249,14 @@ def fit(dataset: Dataset, config: CemConfig, trace_path=None) -> FitResult:
             posteriors = _posteriors(joint)
             hard = hard_assign(posteriors)
             model = cm_step(
-                dataset,
+                start.stats,
+                X_u,
                 posteriors,
                 config.family,
                 regularization=config.regularization,
                 prev_model=model,
             )
-            labeled = gmm.labeled_log_likelihood(model, dataset)
+            labeled = gmm.labeled_log_likelihood(model, start.stats)
             joint = gmm.log_joint(model, X_u)
             loglik = labeled + gmm.assigned_log_likelihood(joint, hard)
             trace.append(loglik)

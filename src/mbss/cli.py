@@ -539,15 +539,19 @@ def _apply_config_defaults(argv, subparsers) -> None:
         raise DataFormatError(f"{config_path}: not valid JSON: {exc}") from exc
     if not isinstance(values, dict):
         raise DataFormatError(f"{config_path}: config must be a JSON object")
-    known = {action.dest for action in sub._actions} - {"help", "config", "command"}
-    unknown = sorted(set(values) - known)
+    actions = {action.dest: action for action in sub._actions}
+    unknown = sorted(set(values) - (set(actions) - {"help", "config", "command"}))
     if unknown:
         raise UsageError(f"config keys {unknown} are not flags of '{command}'")
-    # argparse runs a flag's type only on string defaults: a list goes in as
-    # the comma-separated text the flag takes, so its parser checks it.
-    sub.set_defaults(
-        **{k: ",".join(map(str, v)) if isinstance(v, list) else v for k, v in values.items()}
-    )
+
+    # argparse runs a flag's type only on string defaults: a value goes in as
+    # the text the flag takes (a list comma-separated), so its parser checks it.
+    def as_text(key, value):
+        if isinstance(value, list):
+            return ",".join(map(str, value))
+        return value if value is None or actions[key].type is None else str(value)
+
+    sub.set_defaults(**{key: as_text(key, value) for key, value in values.items()})
 
 
 def main(argv=None) -> int:

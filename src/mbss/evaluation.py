@@ -126,14 +126,18 @@ def _sample_sd(values: np.ndarray) -> float:
 def mbss(config: cem.CemConfig, positive_label: int = 2):
     """CEM refit per prediction, the requested rows as its unlabeled block.
 
-    K is the largest training label; scores are positive-class posteriors.
+    The labeled summary and the starting model are computed once per
+    training set and shared by every refit. K is the largest training
+    label; scores are positive-class posteriors.
     """
 
     def train(train_X, train_y, test_pool):
         names, K = feature_names(train_X.shape[1]), int(train_y.max())
+        start = cem.initialize(Dataset(train_X, train_y, test_pool[:0], names, K), config)
 
         def predict(test_idx):
-            result = cem.fit(Dataset(train_X, train_y, test_pool[test_idx], names, K), config)
+            dataset = Dataset(train_X, train_y, test_pool[test_idx], names, K)
+            result = cem.fit(dataset, config, start=start)
             return result.hard_labels, result.posteriors[:, positive_label - 1]
 
         return predict
@@ -142,11 +146,24 @@ def mbss(config: cem.CemConfig, positive_label: int = 2):
 
 
 def knn(k: int = 3):
-    """Nearest-neighbor vote on the training rows; no scores."""
+    """Nearest-neighbor vote on the training rows; no scores.
+
+    Each test-pool row is predicted at most once and reused by later
+    requests; ties are ``TIE_LABEL``.
+    """
 
     def train(train_X, train_y, test_pool):
         model = baselines.KnnModel(train_X, train_y, k=k)
-        return lambda idx: (baselines.knn_predict_all(model, test_pool[idx]), None)
+        known = np.full(len(test_pool), -1, dtype=np.int64)
+
+        def predict(test_idx):
+            idx = np.asarray(test_idx, dtype=np.int64)
+            new = np.unique(idx[known[idx] < 0])
+            if new.size:
+                known[new] = predictions_to_array(baselines.knn_predict_all(model, test_pool[new]))
+            return known[idx], None
+
+        return predict
 
     return train
 

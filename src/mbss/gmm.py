@@ -17,11 +17,15 @@ Cholesky factor for EEE and VVV. ``log_density`` scales squared deviations
 by the inverse variances, O(N d), or solves the Cholesky factor, O(N d^2).
 ``log_joint`` calls it per component, except for EEE, which solves the
 shared factor against X once and subtracts each component's whitened mean.
-The closed-form estimators follow Celeux & Govaert (1995).
+The closed-form estimators follow Celeux & Govaert (1995). They and
+``labeled_log_likelihood`` read rows only through per-class counts, means
+and scatters (``class_stats``), which ``merge_class_stats`` combines
+across row blocks.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 
@@ -88,6 +92,15 @@ class ComponentParams:
     @property
     def d(self) -> int:
         return self.mean.shape[0]
+
+    def with_mean(self, mean: np.ndarray) -> "ComponentParams":
+        """This covariance, its factor and log-determinant around another mean."""
+        mean = np.asarray(mean, dtype=np.float64).reshape(-1)
+        if mean.shape != self.mean.shape:
+            raise ValueError(f"mean has dimension {mean.shape[0]}, expected {self.d}")
+        other = copy.copy(self)
+        other.mean = mean
+        return other
 
 
 def make_component(
@@ -272,12 +285,42 @@ def log_responsibilities(model: MixtureModel, X: np.ndarray) -> np.ndarray:
     return normalize_log_joint(log_joint(model, X))
 
 
-def labeled_log_likelihood(model, dataset) -> float:
-    """Sum of the labeled rows' joint terms under their true classes."""
-    if not dataset.n:
-        return 0.0
-    lj = log_joint(model, dataset.labeled_features)
-    return float(lj[np.arange(dataset.n), dataset.labels - 1].sum())
+def labeled_log_likelihood(model, stats) -> float:
+    """Sum of the labeled rows' joint terms under their true classes.
+
+    ``stats`` is the labeled block's ``class_stats`` in the model family's
+    shape. Class k, with n_k rows, mean M_k and centered scatter S_k,
+    contributes in closed form
+
+        n_k log w_k - 1/2 [n_k (d log 2 pi + log det Sigma_k)
+                           + tr(Sigma_k^-1 S_k) + n_k q_k],
+
+    q_k = (M_k - mu_k)^T Sigma_k^-1 (M_k - mu_k). The diagonal families need
+    only the inverse variances; EEE and VVV solve the Cholesky factor L
+    twice, once against [S_k, M_k - mu_k] and once against (L^-1 S_k)^T.
+    """
+    counts, means, scatters = stats
+    with np.errstate(divide="ignore"):
+        logw = np.log(model.weights)
+    total = 0.0
+    for k in np.flatnonzero(counts):
+        comp, n = model.components[k], counts[k]
+        delta = means[k] - comp.mean
+        if comp.cholesky is None:
+            inv = 1.0 / comp.covariance
+            quad = scatters[k] @ inv + n * ((delta * delta) @ inv)
+        else:
+            L = comp.cholesky
+            half = solve_triangular(L, np.column_stack([scatters[k], delta]), lower=True)
+            z = half[:, -1]
+            quad = np.trace(solve_triangular(L, half[:, :-1].T, lower=True)) + n * (z @ z)
+        total += n * logw[k] - 0.5 * (n * (comp.d * _LOG_2PI + comp.log_det) + quad)
+    return float(total)
+
+
+def _labeled_stats(model, dataset):
+    """The labeled block's class statistics in the model family's shape."""
+    return class_stats(dataset.labeled_features, dataset.labels, dataset.K, model.family)
 
 
 def assigned_log_likelihood(joint: np.ndarray, hard_labels: np.ndarray) -> float:
@@ -307,7 +350,7 @@ def complete_log_likelihood(model, dataset, hard_labels) -> float:
         )
     if hard.size and (hard.min() < 1 or hard.max() > model.K):
         raise ValueError("hard labels must lie in 1..K")
-    total = labeled_log_likelihood(model, dataset)
+    total = labeled_log_likelihood(model, _labeled_stats(model, dataset))
     if dataset.m:
         total += assigned_log_likelihood(log_joint(model, dataset.unlabeled_features), hard)
     return total
@@ -315,7 +358,7 @@ def complete_log_likelihood(model, dataset, hard_labels) -> float:
 
 def observed_log_likelihood(model, dataset) -> float:
     """Training log-likelihood: labeled joints plus marginalized unlabeled terms."""
-    total = labeled_log_likelihood(model, dataset)
+    total = labeled_log_likelihood(model, _labeled_stats(model, dataset))
     if dataset.m:
         total += marginal_log_likelihood(log_joint(model, dataset.unlabeled_features))
     return total
@@ -401,6 +444,28 @@ def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str):
         else:
             s = diff.T @ diff
             scatters[k] = 0.5 * (s + s.T)
+    return counts, means, scatters
+
+
+def merge_class_stats(a, b):
+    """``class_stats`` of two row blocks combined from each block's statistics.
+
+    Per class, the pairwise update of Chan, Golub and LeVeque (1979): with
+    n and m rows and delta = mean_b - mean_a, the merged mean is
+    mean_a + delta m/(n+m) and the scatter S_a + S_b + n m/(n+m) delta delta^T
+    (delta^2 per dimension for K x d scatters). A class without rows in one
+    block keeps the other block's statistics bit for bit.
+    """
+    (n, mean_a, scatter_a), (m, mean_b, scatter_b) = a, b
+    counts, means, scatters = n + m, mean_a.copy(), scatter_a.copy()
+    for k in np.flatnonzero(m):
+        if n[k] == 0:
+            means[k], scatters[k] = mean_b[k], scatter_b[k]
+            continue
+        delta = mean_b[k] - mean_a[k]
+        means[k] = mean_a[k] + delta * (m[k] / counts[k])
+        outer = delta * delta if scatters.ndim == 2 else np.outer(delta, delta)
+        scatters[k] = scatter_a[k] + scatter_b[k] + (n[k] * m[k] / counts[k]) * outer
     return counts, means, scatters
 
 

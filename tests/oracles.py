@@ -14,8 +14,10 @@ def direct_log_density(mean, cov, x):
     cov = np.asarray(cov, dtype=np.float64)
     diff = np.asarray(x, dtype=np.float64) - mean
     inv = np.linalg.inv(cov)
-    det = np.linalg.det(2.0 * np.pi * cov)
-    return float(-0.5 * diff @ inv @ diff - 0.5 * np.log(det))
+    # slogdet: at d=160 with ridge-level eigenvalues det() underflows to 0.
+    sign, logdet = np.linalg.slogdet(2.0 * np.pi * cov)
+    assert sign > 0
+    return float(-0.5 * diff @ inv @ diff - 0.5 * logdet)
 
 
 def direct_responsibilities(weights, means, covs, X):

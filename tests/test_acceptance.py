@@ -106,7 +106,7 @@ def test_criterion_3_semi_supervised_gain():
         )
         ds, truth = synth.sample_mixture(spec)
         config = cem.CemConfig(family="EII")
-        init_labels, _ = cem.predict(cem.initialize(ds, config), ds.unlabeled_features)
+        init_labels, _ = cem.predict(cem.initialize(ds, config).model, ds.unlabeled_features)
         init_acc = float(np.mean(init_labels == truth))
         cem_acc = float(np.mean(cem.fit(ds, config).hard_labels == truth))
         wins += cem_acc >= init_acc
@@ -243,7 +243,7 @@ def test_criterion_6_lda_equals_shared_covariance_initialization():
         )
         y = np.array([1] * n_per + [2] * n_per)
         ds = make_dataset(X, y, np.empty((0, d)))
-        mixture = cem.initialize(ds, cem.CemConfig(family="EEE"))
+        mixture = cem.initialize(ds, cem.CemConfig(family="EEE")).model
         lda = baselines.lda_fit(X, y)
         Q = rng.standard_normal((50, d)) + rng.uniform(0.0, 1.5)
         lda_labels, _ = baselines.lda_predict_all(lda, Q)

@@ -124,7 +124,7 @@ class TestLda:
             )
             y = np.array([1] * 40 + [2] * 40)
             ds = make_dataset(X, y, np.empty((0, 3)))
-            mixture = cem.initialize(ds, cem.CemConfig(family="EEE"))
+            mixture = cem.initialize(ds, cem.CemConfig(family="EEE")).model
             lda = baselines.lda_fit(X, y)
             Q = rng.standard_normal((60, 3)) + 0.75
             lda_labels, _ = baselines.lda_predict_all(lda, Q)

@@ -20,7 +20,7 @@ class TestInitialize:
             [1, 1, 2, 2],
             np.empty((0, 2)),
         )
-        model = cem.initialize(ds, cem.CemConfig(family="EII"))
+        model = cem.initialize(ds, cem.CemConfig(family="EII")).model
         assert np.allclose(model.weights, [0.5, 0.5])
         assert np.allclose(model.components[0].mean, [1.0, 0.0])
         assert np.allclose(model.components[1].mean, [0.0, 5.0])
@@ -29,7 +29,7 @@ class TestInitialize:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((20, 3)) + 4.0
         ds = make_dataset(X, np.ones(20, dtype=int), np.empty((0, 3)), K=1)
-        model = cem.initialize(ds, cem.CemConfig(family="VVV"))
+        model = cem.initialize(ds, cem.CemConfig(family="VVV")).model
         assert model.K == 1
         assert np.allclose(model.weights, [1.0])
         assert np.allclose(model.components[0].mean, X.mean(axis=0))
@@ -40,7 +40,7 @@ class TestInitialize:
         )
         y = np.array([1, 1, 1, 2, 2, 2])
         ds = make_dataset(X, y, np.empty((0, 2)))
-        model = cem.initialize(ds, cem.CemConfig(family="EII"))
+        model = cem.initialize(ds, cem.CemConfig(family="EII")).model
         lam = np.trace(pooled_class_scatter(X, y, 2)) / (2 * 6)
         got = model.components[0].covariance[0]
         assert got == pytest.approx(lam * (1 + 1e-6), rel=1e-12)
@@ -78,13 +78,19 @@ class TestEStep:
         assert P.shape == (0, 1)
 
 
+def cm_step(ds, posteriors, family, **kwargs):
+    """``cem.cm_step`` on a dataset: its labeled statistics and unlabeled block."""
+    labeled = gmm.class_stats(ds.labeled_features, ds.labels, ds.K, family)
+    return cem.cm_step(labeled, ds.unlabeled_features, posteriors, family, **kwargs)
+
+
 class TestCmStep:
     def test_reduces_to_labeled_estimates_without_unlabeled(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((10, 2))
         y = np.array([1] * 5 + [2] * 5)
         ds = make_dataset(X, y, np.empty((0, 2)))
-        model = cem.cm_step(ds, np.empty((0, 2)), "VVV")
+        model = cm_step(ds, np.empty((0, 2)), "VVV")
         assert np.allclose(model.weights, [0.5, 0.5])
         assert np.allclose(model.components[0].mean, X[:5].mean(axis=0))
         assert np.allclose(model.components[1].mean, X[5:].mean(axis=0))
@@ -94,7 +100,7 @@ class TestCmStep:
             [[0.0, 0.0], [4.0, 0.0]], [1, 2], [[1.0, 0.0], [3.0, 0.0]]
         )
         posteriors = np.array([[0.9, 0.1], [0.2, 0.8]])
-        model = cem.cm_step(ds, posteriors, "EII")
+        model = cm_step(ds, posteriors, "EII")
         # hard labels (1, 2); each class holds one labeled + one unlabeled point
         assert np.allclose(model.weights, [0.5, 0.5])
         assert np.allclose(model.components[0].mean, [0.5, 0.0])
@@ -107,7 +113,7 @@ class TestCmStep:
     def test_rejects_non_stochastic_posteriors(self):
         ds = make_dataset([[0.0], [1.0]], [1, 2], [[0.5]])
         with pytest.raises(ValueError):
-            cem.cm_step(ds, np.array([[0.9, 0.9]]), "EII")
+            cm_step(ds, np.array([[0.9, 0.9]]), "EII")
 
     def test_starved_class_keeps_previous_parameters(self):
         # class 2 has no labeled rows (relaxed container) and wins no posteriors
@@ -119,14 +125,14 @@ class TestCmStep:
             "VII",
         )
         posteriors = np.array([[1.0, 0.0]])
-        model = cem.cm_step(ds, posteriors, "VII", prev_model=prev)
+        model = cm_step(ds, posteriors, "VII", prev_model=prev)
         assert np.allclose(model.components[1].mean, [9.0, 9.0])
         assert np.array_equal(model.components[1].covariance, prev.components[1].covariance)
         # counts (3, 0) -> raw (1, 0), floored (1, 1/3), renormalized (3/4, 1/4)
         assert model.weights[1] == pytest.approx(0.25, abs=1e-12)
         assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError):
-            cem.cm_step(ds, posteriors, "VII")
+            cm_step(ds, posteriors, "VII")
 
     def test_label_retention_under_posterior_perturbation(self):
         rng = np.random.default_rng(7)
@@ -136,8 +142,8 @@ class TestCmStep:
         ds = make_dataset(Xl, yl, Xu)
         P1 = np.array([[0.1, 0.9]] * 4)
         P2 = np.array([[0.4, 0.6]] * 4)  # different posteriors, same argmax
-        m1 = cem.cm_step(ds, P1, "VVV")
-        m2 = cem.cm_step(ds, P2, "VVV")
+        m1 = cm_step(ds, P1, "VVV")
+        m2 = cm_step(ds, P2, "VVV")
         # class 1 statistics come from the labeled rows only
         assert np.array_equal(m1.components[0].mean, m2.components[0].mean)
         assert np.allclose(m1.components[0].mean, Xl[:4].mean(axis=0))
@@ -184,7 +190,7 @@ class TestFit:
         ds = make_dataset(X, y, np.empty((0, 3)))
         for family in gmm.FAMILIES:
             cfg = cem.CemConfig(family=family)
-            init = cem.initialize(ds, cfg)
+            init = cem.initialize(ds, cfg).model
             result = cem.fit(ds, cfg)
             assert result.converged
             assert np.array_equal(result.model.weights, init.weights)
@@ -298,6 +304,49 @@ class TestLogJointReuse:
         calls = _count_unlabeled_log_joints(monkeypatch, ds)
         best, _ = model_select.select_model(ds, ["VVI"], cem.CemConfig())
         assert len(calls) == best.fit.iterations + 1
+
+
+class TestLabeledBlockOnce:
+    """The labeled block is summarized by ``initialize``; iterations read unlabeled rows only."""
+
+    @pytest.mark.parametrize("family", ["EII", "VVI", "EEE", "VVV"])
+    def test_iterations_never_read_the_labeled_block(self, monkeypatch, family):
+        (ds, _), _ = two_blob_dataset(seed=13, separation=2.0, label_fraction=0.3)
+        config = cem.CemConfig(family=family)
+        start = cem.initialize(ds, config)
+        blocks = []
+        real_joint, real_stats = gmm.log_joint, gmm.class_stats
+        monkeypatch.setattr(gmm, "log_joint", lambda m, X: blocks.append(X) or real_joint(m, X))
+        monkeypatch.setattr(gmm, "class_stats", lambda X, *a: blocks.append(X) or real_stats(X, *a))
+        shared = cem.fit(ds, config, start=start)
+        assert shared.iterations >= 2
+        assert blocks and all(X is ds.unlabeled_features for X in blocks)
+        blocks.clear()
+        alone = cem.fit(ds, config)
+        assert sum(X is ds.labeled_features for X in blocks) == 1
+        assert shared.loglik_trace == alone.loglik_trace
+        assert np.array_equal(shared.posteriors, alone.posteriors)
+
+    def test_start_must_match_the_labeled_block_and_family(self):
+        (ds, _), _ = two_blob_dataset(seed=14, separation=2.0, label_fraction=0.3)
+        start = cem.initialize(ds, cem.CemConfig(family="EII"))
+        with pytest.raises(ValueError, match="start"):
+            cem.fit(ds, cem.CemConfig(family="VVI"), start=start)
+        fewer = make_dataset(ds.labeled_features[1:], ds.labels[1:], ds.unlabeled_features)
+        with pytest.raises(ValueError, match="start"):
+            cem.fit(fewer, cem.CemConfig(family="EII"), start=start)
+
+    @pytest.mark.parametrize("family", gmm.SHARED_FAMILIES)
+    def test_shared_families_factor_their_covariance_once_per_step(self, monkeypatch, family):
+        (ds, _), _ = two_blob_dataset(seed=15, separation=2.0, d=3)
+        made = []
+        real = gmm.make_component
+        monkeypatch.setattr(gmm, "make_component", lambda *a: made.append(a) or real(*a))
+        result = cem.fit(ds, cem.CemConfig(family=family))
+        assert len(made) == result.iterations + 1
+        covs = [c.covariance for c in result.model.components]
+        assert covs[0] is covs[1]
+        assert not np.array_equal(result.model.components[0].mean, result.model.components[1].mean)
 
 
 class TestAitkenStopping:

@@ -530,6 +530,21 @@ class TestConfigFile:
         assert rc == 64
         assert f"--{next(iter(values))}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "values, flag",
+        [({"knn_k": 0}, "--knn-k"), ({"knn_k": 2.5}, "--knn-k"), ({"folds": True}, "--folds")],
+    )
+    def test_config_scalars_pass_the_flag_type(self, tmp_path, capsys, values, flag):
+        data = synth_csv(tmp_path, seed=34)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        rc = cli.main(
+            ["evaluate", "--data", str(data), "--config", str(cfg), "--protocol", "cv",
+             "--classifiers", "knn", "--seed", "1", "--out", str(tmp_path / "o.csv")]
+        )
+        assert rc == 64
+        assert flag in capsys.readouterr().err
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         data = synth_csv(tmp_path, seed=31)
         cfg = tmp_path / "cfg.json"

@@ -163,6 +163,47 @@ class TestClassifierProtocol:
         model = baselines.lda_fit(X, y)
         assert rows[-1].dr_mean == np.mean(baselines.lda_predict_all(model, oos)[0] == 2)
 
+    def test_knn_predicts_each_pool_row_once_under_the_sweep(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(41)
+        X = (rng.random((60, 8)) < 0.4).astype(float)
+        y = np.repeat([1, 2], 30)
+        pool = (rng.random((1000, 8)) < 0.5).astype(float)
+        real = baselines.knn_predict_all
+        queries = []
+        monkeypatch.setattr(
+            baselines, "knn_predict_all", lambda model, Q: queries.append(len(Q)) or real(model, Q)
+        )
+        rows = detection_rate(evaluation.knn(3), X, y, pool, seed=6)
+        assert 0 < sum(queries) <= len(pool)
+
+        def every_subsample_anew(train_X, train_y, test_pool):
+            model = baselines.KnnModel(train_X, train_y, k=3)
+            return lambda idx: (real(model, test_pool[idx]), None)
+
+        expected = detection_rate(every_subsample_anew, X, y, pool, seed=6)
+        evaluation.write_dr_csv(tmp_path / "cached.csv", {"3nn": rows})
+        evaluation.write_dr_csv(tmp_path / "anew.csv", {"3nn": expected})
+        assert (tmp_path / "cached.csv").read_bytes() == (tmp_path / "anew.csv").read_bytes()
+
+    def test_mbss_initializes_once_per_sweep(self, monkeypatch):
+        ds = labeled_synthetic(seed=6, n=120, separation=3.0)
+        X, y = ds.labeled_features, ds.labels
+        pool = X[y == 2][:30] + 0.5
+        config = cem.CemConfig(family="VVI")
+        starts, fits = [], []
+        real_initialize, real_fit = cem.initialize, cem.fit
+        monkeypatch.setattr(cem, "initialize", lambda *a: starts.append(a) or real_initialize(*a))
+        monkeypatch.setattr(cem, "fit", lambda *a, **kw: fits.append(a) or real_fit(*a, **kw))
+        detection_rate(evaluation.mbss(config), X, y, pool, (20.0, 100.0), (3, 1), seed=2)
+        assert len(starts) == 1 and len(fits) == 4
+        # a refit from the shared start is the fit from scratch, bit for bit
+        predict = evaluation.mbss(config)(X, y, pool)
+        idx = np.array([0, 3, 7, 8, 20])
+        labels, scores = predict(idx)
+        alone = real_fit(make_dataset(X, y, pool[idx]), config)
+        assert np.array_equal(labels, alone.hard_labels)
+        assert np.array_equal(scores, alone.posteriors[:, 1])
+
     def test_external_predictions_must_cover_the_pool(self):
         with pytest.raises(ValueError, match="3 predictions for 4 test rows"):
             sweep(external(np.array([2, 2, 2])), np.zeros((4, 2)), (100.0,), (1,))

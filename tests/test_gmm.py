@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from mbss import gmm
+from mbss import cem, gmm
 from mbss.errors import DataFormatError, SingularCovarianceError
 from oracles import (
     direct_complete_ll,
@@ -326,6 +326,84 @@ class TestLikelihoods:
         ds = make_dataset([[0.0, 0.0], [1.0, 1.0]], [1, 2], [[0.5, 0.5]])
         with pytest.raises(ValueError):
             gmm.complete_log_likelihood(model, ds, [1, 2])
+
+
+def binary_fit(family, seed=160, d=160):
+    """Two CEM iterations on 0/1 rows with 15 labeled rows per class (n_k < d).
+
+    Some columns are constant, so every family's class scatter is rank
+    deficient and the fitted covariances carry ridge-level eigenvalues.
+    """
+    rng = np.random.default_rng(seed)
+    p = np.where(rng.random(d) < 0.5, 0.05, 0.4)
+    p[:10] = 0.0
+    Xl = (rng.random((30, d)) < np.concatenate([[p] * 15, [p[::-1]] * 15])).astype(float)
+    Xl[:, :5] = 0.0
+    Xu = (rng.random((20, d)) < p).astype(float)
+    ds = make_dataset(Xl, np.repeat([1, 2], 15), Xu)
+    return ds, cem.fit(ds, cem.CemConfig(family=family, max_iterations=2))
+
+
+def dense(model):
+    """Weights, means and d x d covariances of a model, for the oracles."""
+    covs = [np.diag(c.covariance) if c.cholesky is None else c.covariance for c in model.components]
+    return model.weights, [c.mean for c in model.components], covs
+
+
+class TestLabeledStatistics:
+    """The labeled log-likelihood and the CM-step read class statistics, not rows."""
+
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_closed_form_matches_term_by_term_oracle_on_binary_rows(self, family):
+        ds, result = binary_fit(family)
+        model = result.model
+        if family in ("VVI", "EEE", "VVV"):
+            assert min(np.min(np.linalg.eigvalsh(c)) for c in dense(model)[2]) < 1e-6
+        stats = gmm.class_stats(ds.labeled_features, ds.labels, ds.K, family)
+        empty = np.empty((0, ds.d))
+        expected = direct_complete_ll(*dense(model), ds.labeled_features, ds.labels, empty, [])
+        assert gmm.labeled_log_likelihood(model, stats) == pytest.approx(expected, rel=1e-9)
+        # the row-wise scoring the closed form replaces
+        rows = gmm.log_joint(model, ds.labeled_features)[np.arange(ds.n), ds.labels - 1].sum()
+        assert gmm.labeled_log_likelihood(model, stats) == pytest.approx(rows, rel=1e-9)
+
+    def test_zero_weight_class_with_rows_is_minus_infinity(self):
+        model = gmm.MixtureModel.from_arrays(
+            [1.0, 0.0], np.zeros((2, 2)), np.stack([np.eye(2)] * 2), "VVV"
+        )
+        stats = gmm.class_stats(np.eye(2), np.array([1, 2]), 2, "VVV")
+        assert gmm.labeled_log_likelihood(model, stats) == -np.inf
+        stats = gmm.class_stats(np.eye(2), np.array([1, 1]), 2, "VVV")
+        assert np.isfinite(gmm.labeled_log_likelihood(model, stats))
+
+    @pytest.mark.parametrize("family", ["EII", "VVI", "EEE", "VVV"])
+    def test_merge_equals_stats_of_the_stacked_rows(self, family):
+        rng = np.random.default_rng(170)
+        d = 20
+        # class 1 in both blocks, class 2 labeled only, class 3 unlabeled only
+        Xa = (rng.random((25, d)) < 0.3) + rng.standard_normal((25, d))
+        Xb = (rng.random((15, d)) < 0.6) + 3.0 + rng.standard_normal((15, d))
+        ya = np.array([1] * 12 + [2] * 13)
+        yb = np.array([1] * 9 + [3] * 6)
+        a = gmm.class_stats(Xa, ya, 3, family)
+        b = gmm.class_stats(Xb, yb, 3, family)
+        counts, means, scatters = gmm.merge_class_stats(a, b)
+        want_counts, want_means, want_scatters = gmm.class_stats(
+            np.vstack([Xa, Xb]), np.concatenate([ya, yb]), 3, family
+        )
+        assert np.array_equal(counts, want_counts)
+        for got, want in ((means, want_means), (scatters, want_scatters)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(means[1], a[1][1]) and np.array_equal(scatters[1], a[2][1])
+        assert np.array_equal(means[2], b[1][2]) and np.array_equal(scatters[2], b[2][2])
+
+    def test_merge_with_an_empty_block_changes_nothing(self):
+        rng = np.random.default_rng(171)
+        X = rng.standard_normal((10, 3))
+        a = gmm.class_stats(X, np.array([1] * 5 + [2] * 5), 3, "VVV")
+        none = gmm.class_stats(np.empty((0, 3)), np.zeros(0, dtype=np.int64), 3, "VVV")
+        for got, want in zip(gmm.merge_class_stats(a, none), a):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestParameterCount:
