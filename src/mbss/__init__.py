@@ -19,7 +19,6 @@ from .baselines import (
 )
 from .cem import CemConfig, FitResult, cm_step, e_step, fit, initialize, predict
 from .dataset import (
-    ApiEvent,
     ApiVocabulary,
     Dataset,
     ParseResult,
@@ -55,7 +54,6 @@ from .synth import SynthSpec, binarize, sample_mixture, two_class_spec
 __all__ = [
     "__version__",
     "AmbiguousTie",
-    "ApiEvent",
     "ApiVocabulary",
     "CemConfig",
     "ComponentParams",

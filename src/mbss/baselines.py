@@ -76,8 +76,10 @@ class LdaModel:
         self.log_priors = np.asarray(self.log_priors, dtype=np.float64).reshape(-1)
         comp = gmm.ComponentParams(self.means[0], self.pooled_covariance)
         self.pooled_covariance = comp.covariance
-        # score_k(x) = x^T Sigma^-1 mu_k - mu_k^T Sigma^-1 mu_k / 2 + log pi_k
-        coef = np.linalg.solve(self.pooled_covariance, self.means.T)
+        # score_k(x) = x^T Sigma^-1 mu_k - mu_k^T Sigma^-1 mu_k / 2 + log pi_k,
+        # with Sigma^-1 = W^T W from the component's inverse Cholesky factor
+        W = comp.inv_cholesky
+        coef = W.T @ (W @ self.means.T)
         self._coef = coef
         self._intercept = -0.5 * np.sum(self.means.T * coef, axis=0) + self.log_priors
 

@@ -19,37 +19,6 @@ from .errors import DataFormatError
 
 
 @dataclass(frozen=True)
-class ApiEvent:
-    """A single monitored API invocation."""
-
-    class_name: str
-    method_name: str
-
-    def __post_init__(self) -> None:
-        if not self.class_name or not self.method_name:
-            raise ValueError("class_name and method_name must be non-empty")
-
-    @property
-    def identity(self) -> str:
-        return f"{self.class_name}.{self.method_name}"
-
-    @classmethod
-    def from_line(cls, line: str) -> "ApiEvent | None":
-        """Parse one log line; returns None for malformed records.
-
-        The record is the first whitespace-delimited token; it must contain
-        a dot separating a non-empty class path from a non-empty method name.
-        """
-        token = line.split(None, 1)[0] if line.split() else ""
-        if "." not in token:
-            return None
-        class_name, method_name = token.rsplit(".", 1)
-        if not class_name or not method_name:
-            return None
-        return cls(class_name, method_name)
-
-
-@dataclass(frozen=True)
 class ApiVocabulary:
     """Ordered, deduplicated list of canonical API identities."""
 
@@ -125,14 +94,17 @@ def parse_log(lines, vocabulary: ApiVocabulary) -> ParseResult:
     n_parsed = 0
     n_skipped = 0
     for raw in lines:
-        if not raw.strip():
+        fields = raw.split(None, 1)
+        if not fields:
             continue
-        event = ApiEvent.from_line(raw)
-        if event is None:
+        # The record is the first token: a non-empty class path, a dot and a
+        # non-empty method name; the token itself is the API identity.
+        class_name, _, method_name = fields[0].rpartition(".")
+        if not class_name or not method_name:
             n_skipped += 1
             continue
         n_parsed += 1
-        pos = vocabulary.index.get(event.identity)
+        pos = vocabulary.index.get(fields[0])
         if pos is not None:
             bits[pos] = 1.0
     if n_parsed == 0:

@@ -169,17 +169,17 @@ def knn(k: int = 3):
 
 
 def lda(regularization: float = 1e-6, positive_label: int = 2):
-    """Scores are the positive class's margin over the best other class."""
+    """Scores are the positive class's margin over the best other class.
+
+    The whole test pool is predicted once, at training time.
+    """
 
     def train(train_X, train_y, test_pool):
         model = baselines.lda_fit(train_X, train_y, regularization)
-
-        def predict(test_idx):
-            labels, scores = baselines.lda_predict_all(model, test_pool[test_idx])
-            others = np.delete(scores, positive_label - 1, axis=1)
-            return labels, scores[:, positive_label - 1] - others.max(axis=1)
-
-        return predict
+        labels, scores = baselines.lda_predict_all(model, test_pool)
+        others = np.delete(scores, positive_label - 1, axis=1)
+        margin = scores[:, positive_label - 1] - others.max(axis=1)
+        return lambda idx: (labels[idx], margin[idx])
 
     return train
 

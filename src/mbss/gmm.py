@@ -1,8 +1,7 @@
 """Finite Gaussian mixtures under constrained covariance families.
 
-All density math happens in log space; determinants and inverses of full
-covariances are never formed. Six covariance families are supported,
-named by the volume/shape/orientation convention:
+All density math happens in log space. Six covariance families are
+supported, named by the volume/shape/orientation convention:
 
     EII  lambda * I                 spherical, shared volume
     VII  lambda_k * I               spherical, per-component volume
@@ -12,11 +11,12 @@ named by the volume/shape/orientation convention:
     VVV  full, per component
 
 Each component stores its covariance in its family's shape: a vector of d
-variances for the spherical and diagonal families, a d x d matrix with its
-Cholesky factor for EEE and VVV. ``log_density`` scales squared deviations
-by the inverse variances, O(N d), or solves the Cholesky factor, O(N d^2).
-``log_joint`` calls it per component, except for EEE, which solves the
-shared factor against X once and subtracts each component's whitened mean.
+variances for the spherical and diagonal families, a d x d matrix for EEE
+and VVV, factored once as W = L^-1, the inverse of its lower Cholesky
+factor (Sigma^-1 = W^T W). ``log_density`` scales squared deviations by
+the inverse variances, O(N d), or multiplies them by W, O(N d^2).
+``log_joint`` calls it per component, except for EEE, which whitens X with
+the shared W once and subtracts each component's whitened mean.
 The closed-form estimators follow Celeux & Govaert (1995). They and
 ``labeled_log_likelihood`` read rows only through per-class counts, means
 and scatters (``class_stats``), which ``merge_class_stats`` combines
@@ -30,7 +30,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DataFormatError, SingularCovarianceError
 
@@ -55,13 +54,15 @@ class ComponentParams:
     """One Gaussian component: mean vector and positive definite covariance.
 
     ``covariance`` is either a vector of d variances (the spherical and
-    diagonal families; ``cholesky`` is None) or a symmetric d x d matrix
-    whose Cholesky factor is cached. ``log_det`` is computed once either way.
+    diagonal families; ``inv_cholesky`` is None) or a symmetric d x d matrix
+    whose lower Cholesky factor L is cached as its inverse W = L^-1, so that
+    Sigma^-1 = W^T W. ``log_det`` is computed once either way, from the
+    variances or from diag(L).
     """
 
     mean: np.ndarray
     covariance: np.ndarray
-    cholesky: np.ndarray | None = field(init=False, repr=False)
+    inv_cholesky: np.ndarray | None = field(init=False, repr=False)
     log_det: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -87,7 +88,7 @@ class ComponentParams:
         self.log_det = 2.0 * float(np.sum(np.log(np.sqrt(cov) if chol is None else np.diag(chol))))
         self.mean = mean
         self.covariance = cov
-        self.cholesky = chol
+        self.inv_cholesky = None if chol is None else np.linalg.inv(chol)
 
     @property
     def d(self) -> int:
@@ -225,7 +226,7 @@ def log_density(component: ComponentParams, x: np.ndarray) -> float | np.ndarray
     """Log of the Gaussian density at ``x`` (a vector, or a matrix of rows).
 
     Computes -0.5 (x-mu)^T Sigma^-1 (x-mu) - 0.5 log det(2 pi Sigma) from
-    the inverse variances or the cached Cholesky factor.
+    the inverse variances or the cached inverse Cholesky factor.
     """
     X = np.asarray(x, dtype=np.float64)
     single = X.ndim == 1
@@ -233,11 +234,11 @@ def log_density(component: ComponentParams, x: np.ndarray) -> float | np.ndarray
     if X.shape[1] != component.d:
         raise ValueError(f"expected dimension {component.d}, got {X.shape[1]}")
     diff = X - component.mean
-    if component.cholesky is None:
+    if component.inv_cholesky is None:
         quad = np.multiply(diff, diff, out=diff) @ (1.0 / component.covariance)
     else:
-        z = solve_triangular(component.cholesky, diff.T, lower=True)
-        quad = np.sum(z * z, axis=0)
+        z = diff @ component.inv_cholesky.T
+        quad = np.sum(z * z, axis=1)
     out = _gaussian_log(quad, component)
     return float(out[0]) if single else out
 
@@ -245,7 +246,7 @@ def log_density(component: ComponentParams, x: np.ndarray) -> float | np.ndarray
 def log_joint(model: MixtureModel, X: np.ndarray) -> np.ndarray:
     """Matrix of log(pi_k) + log f_k(x_j), rows = samples, cols = components.
 
-    EEE solves the shared Cholesky factor against X once; every other
+    EEE whitens X with the shared inverse Cholesky factor once; every other
     family scores each component with ``log_density``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -258,11 +259,11 @@ def log_joint(model: MixtureModel, X: np.ndarray) -> np.ndarray:
     comps = model.components
     out = np.empty((X.shape[0], model.K))
     if model.family == "EEE":
-        L = comps[0].cholesky
-        Z = solve_triangular(L, X.T, lower=True)
+        W = comps[0].inv_cholesky
+        Z = X @ W.T
         for k, comp in enumerate(comps):
-            diff = Z - solve_triangular(L, comp.mean, lower=True)[:, None]
-            out[:, k] = logw[k] + _gaussian_log(np.sum(diff * diff, axis=0), comp)
+            diff = Z - W @ comp.mean
+            out[:, k] = logw[k] + _gaussian_log(np.sum(diff * diff, axis=1), comp)
     else:
         for k, comp in enumerate(comps):
             out[:, k] = logw[k] + log_density(comp, X)
@@ -296,8 +297,9 @@ def labeled_log_likelihood(model, stats) -> float:
                            + tr(Sigma_k^-1 S_k) + n_k q_k],
 
     q_k = (M_k - mu_k)^T Sigma_k^-1 (M_k - mu_k). The diagonal families need
-    only the inverse variances; EEE and VVV solve the Cholesky factor L
-    twice, once against [S_k, M_k - mu_k] and once against (L^-1 S_k)^T.
+    only the inverse variances; EEE and VVV take one product each with the
+    inverse Cholesky factor W: tr(Sigma_k^-1 S_k) = sum((W S_k) * W) and
+    q_k = |W (M_k - mu_k)|^2.
     """
     counts, means, scatters = stats
     with np.errstate(divide="ignore"):
@@ -306,14 +308,13 @@ def labeled_log_likelihood(model, stats) -> float:
     for k in np.flatnonzero(counts):
         comp, n = model.components[k], counts[k]
         delta = means[k] - comp.mean
-        if comp.cholesky is None:
+        W = comp.inv_cholesky
+        if W is None:
             inv = 1.0 / comp.covariance
             quad = scatters[k] @ inv + n * ((delta * delta) @ inv)
         else:
-            L = comp.cholesky
-            half = solve_triangular(L, np.column_stack([scatters[k], delta]), lower=True)
-            z = half[:, -1]
-            quad = np.trace(solve_triangular(L, half[:, :-1].T, lower=True)) + n * (z @ z)
+            z = W @ delta
+            quad = np.sum((W @ scatters[k]) * W) + n * (z @ z)
         total += n * logw[k] - 0.5 * (n * (comp.d * _LOG_2PI + comp.log_det) + quad)
     return float(total)
 
@@ -478,7 +479,7 @@ def save_model(model: MixtureModel, path) -> None:
         "weights": model.weights.tolist(),
         "means": [c.mean.tolist() for c in model.components],
         "covariances": [
-            (np.diag(c.covariance) if c.cholesky is None else c.covariance).tolist()
+            (np.diag(c.covariance) if c.covariance.ndim == 1 else c.covariance).tolist()
             for c in model.components
         ],
     }

@@ -181,7 +181,7 @@ class TestFit:
         diagonal = family in gmm.DIAGONAL_FAMILIES
         for comp in result.model.components:
             assert comp.covariance.shape == ((4,) if diagonal else (4, 4))
-            assert (comp.cholesky is None) == diagonal
+            assert (comp.inv_cholesky is None) == diagonal
 
     def test_no_unlabeled_equals_discriminant_analysis_exactly(self):
         rng = np.random.default_rng(8)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset
 from mbss.dataset import (
-    ApiEvent,
     ApiVocabulary,
     Dataset,
     build_vocabulary,
@@ -27,22 +26,24 @@ TWO_API_VOCAB = ApiVocabulary(
 
 
 class TestApiEvent:
+    """One API event record: the first token of a log line."""
+
     def test_identity_joins_class_and_method(self):
-        ev = ApiEvent("android.telephony.TelephonyManager", "getDeviceId")
-        assert ev.identity == "android.telephony.TelephonyManager.getDeviceId"
+        vocab = ApiVocabulary(
+            (
+                "android.telephony.TelephonyManager",
+                "getDeviceId",
+                "android.telephony.TelephonyManager.getDeviceId",
+            )
+        )
+        result = parse_log(["android.telephony.TelephonyManager.getDeviceId 5"], vocab)
+        assert result.bits.tolist() == [0.0, 0.0, 1.0]
 
     def test_from_line_splits_on_last_dot(self):
-        ev = ApiEvent.from_line("android.os.PowerManager$WakeLock.acquire 1622000001\n")
-        assert ev.class_name == "android.os.PowerManager$WakeLock"
-        assert ev.method_name == "acquire"
-
-    @pytest.mark.parametrize("line", ["", "   ", "nodotstring", ".leading", "trailing."])
-    def test_malformed_lines(self, line):
-        assert ApiEvent.from_line(line) is None
-
-    def test_empty_parts_rejected(self):
-        with pytest.raises(ValueError):
-            ApiEvent("", "getDeviceId")
+        vocab = ApiVocabulary(("android.os.PowerManager$WakeLock.acquire", "a.b"))
+        result = parse_log(["android.os.PowerManager$WakeLock.acquire 1622000001\n"], vocab)
+        assert result.bits.tolist() == [1.0, 0.0]
+        assert (result.n_parsed, result.n_skipped) == (1, 0)
 
 
 class TestParseLog:
@@ -81,6 +82,17 @@ class TestParseLog:
         assert result.bits.tolist() == [0.0, 1.0]
         assert result.n_parsed == 2
         assert result.n_skipped == 1
+
+    @pytest.mark.parametrize("line", ["", "   "])
+    def test_blank_lines_are_neither_parsed_nor_skipped(self, line):
+        result = parse_log([line, "a.b"], ApiVocabulary(("a.b",)))
+        assert (result.n_parsed, result.n_skipped) == (1, 0)
+
+    @pytest.mark.parametrize("line", ["nodotstring", ".leading", "trailing."])
+    def test_malformed_lines(self, line):
+        result = parse_log([line, "a.b"], ApiVocabulary(("a.b", line)))
+        assert result.bits.tolist() == [1.0, 0.0]
+        assert (result.n_parsed, result.n_skipped) == (1, 1)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6))

@@ -185,6 +185,28 @@ class TestClassifierProtocol:
         evaluation.write_dr_csv(tmp_path / "anew.csv", {"3nn": expected})
         assert (tmp_path / "cached.csv").read_bytes() == (tmp_path / "anew.csv").read_bytes()
 
+    def test_lda_predicts_the_pool_once_per_sweep(self, monkeypatch, tmp_path):
+        ds = labeled_synthetic(seed=7, n=120, separation=1.0)
+        X, y = ds.labeled_features, ds.labels
+        pool = X[y == 2] + 0.4
+        real = baselines.lda_predict_all
+        calls = []
+        monkeypatch.setattr(
+            baselines, "lda_predict_all", lambda model, Q: calls.append(len(Q)) or real(model, Q)
+        )
+        ladder = (2.0, 10.0, 50.0, 100.0), (20, 10, 5, 1)
+        rows = detection_rate(evaluation.lda(), X, y, pool, *ladder, seed=6)
+        assert calls == [len(pool)]
+
+        def every_subsample_anew(train_X, train_y, test_pool):
+            model = baselines.lda_fit(train_X, train_y)
+            return lambda idx: (real(model, test_pool[idx])[0], None)
+
+        expected = detection_rate(every_subsample_anew, X, y, pool, *ladder, seed=6)
+        evaluation.write_dr_csv(tmp_path / "once.csv", {"lda": rows})
+        evaluation.write_dr_csv(tmp_path / "anew.csv", {"lda": expected})
+        assert (tmp_path / "once.csv").read_bytes() == (tmp_path / "anew.csv").read_bytes()
+
     def test_mbss_initializes_once_per_sweep(self, monkeypatch):
         ds = labeled_synthetic(seed=6, n=120, separation=3.0)
         X, y = ds.labeled_features, ds.labels

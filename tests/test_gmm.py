@@ -66,7 +66,7 @@ class TestMakeComponent:
         t = v.mean()
         # 1e-6 t and 1e-5 t fall short of 1e-5; 1e-4 t lifts it
         comp = gmm.make_component(np.zeros(3), v, regularization=1e-6)
-        assert comp.cholesky is None
+        assert comp.inv_cholesky is None
         np.testing.assert_allclose(comp.covariance, v + 1e-4 * t, rtol=1e-12)
         with pytest.raises(SingularCovarianceError):
             gmm.make_component(np.zeros(2), np.array([1.0, -0.9]))
@@ -194,7 +194,7 @@ class TestLogJointKernels:
     def test_from_arrays_projects_a_nudged_stack_onto_the_family(self, family):
         rng = np.random.default_rng(161)
         base = binary_model(rng, family, K=2, d=6)
-        covs = np.stack([np.diag(c.covariance) if c.cholesky is None else c.covariance
+        covs = np.stack([np.diag(c.covariance) if c.covariance.ndim == 1 else c.covariance
                          for c in base.components])
         nudge = 1e-10 * covs[1, 0, 0]  # within the family tolerance
         covs[1, 0, 1] += nudge
@@ -346,7 +346,7 @@ def binary_fit(family, seed=160, d=160):
 
 def dense(model):
     """Weights, means and d x d covariances of a model, for the oracles."""
-    covs = [np.diag(c.covariance) if c.cholesky is None else c.covariance for c in model.components]
+    covs = [np.diag(c.covariance) if c.covariance.ndim == 1 else c.covariance for c in model.components]
     return model.weights, [c.mean for c in model.components], covs
 
 
