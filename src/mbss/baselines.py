@@ -63,42 +63,41 @@ def knn_predict_all(model: KnnModel, X: np.ndarray) -> list:
 
 @dataclass
 class LdaModel:
-    """Linear discriminant classifier with a pooled within-class covariance."""
+    """Linear discriminant classifier read off an EEE mixture.
 
-    means: np.ndarray
-    pooled_covariance: np.ndarray
-    log_priors: np.ndarray
+    score_k(x) = x^T Sigma^-1 mu_k - mu_k^T Sigma^-1 mu_k / 2 + log w_k, with
+    Sigma^-1 = W^T W from the shared inverse Cholesky factor of the mixture.
+    """
+
+    mixture: gmm.MixtureModel
     _coef: np.ndarray = field(init=False, repr=False)
     _intercept: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        self.log_priors = np.asarray(self.log_priors, dtype=np.float64).reshape(-1)
-        comp = gmm.ComponentParams(self.means[0], self.pooled_covariance)
-        self.pooled_covariance = comp.covariance
-        # score_k(x) = x^T Sigma^-1 mu_k - mu_k^T Sigma^-1 mu_k / 2 + log pi_k,
-        # with Sigma^-1 = W^T W from the component's inverse Cholesky factor
-        W = comp.inv_cholesky
-        coef = W.T @ (W @ self.means.T)
-        self._coef = coef
-        self._intercept = -0.5 * np.sum(self.means.T * coef, axis=0) + self.log_priors
+        if self.mixture.family != "EEE":
+            raise ValueError(f"LDA needs an EEE mixture, got {self.mixture.family}")
+        means = np.array([c.mean for c in self.mixture.components])
+        W = self.mixture.components[0].inv_cholesky
+        self._coef = W.T @ (W @ means.T)
+        log_priors = np.log(self.mixture.weights)
+        self._intercept = -0.5 * np.sum(means.T * self._coef, axis=0) + log_priors
 
     @property
     def K(self) -> int:
-        return self.means.shape[0]
+        return self.mixture.K
 
     @property
     def d(self) -> int:
-        return self.means.shape[1]
+        return self.mixture.d
 
 
 def lda_fit(features: np.ndarray, labels: np.ndarray, regularization: float = 1e-6) -> LdaModel:
     """Fit class means, priors and the pooled within-class covariance.
 
-    The pooled estimate is the shared-full-covariance mixture estimator
-    (summed class scatters over n) followed by the same trace-scaled ridge
-    the mixture module applies, so its decisions coincide with a
-    discriminant-analysis mixture initialization.
+    The model is ``gmm.estimate`` of the class statistics under EEE, the
+    shared-full-covariance mixture estimator with its trace-scaled ridge,
+    so its decisions coincide with a discriminant-analysis mixture
+    initialization.
     """
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -106,13 +105,10 @@ def lda_fit(features: np.ndarray, labels: np.ndarray, regularization: float = 1e
         raise ValueError("one label per row required")
     if y.size == 0 or y.min() < 1:
         raise ValueError("labels must be positive integers")
-    n = X.shape[0]
-    counts, means, scatters = gmm.class_stats(X, y, int(y.max()), "EEE")
-    if counts.min() < 2:
+    stats = gmm.class_stats(X, y, int(y.max()), "EEE")
+    if stats[0].min() < 2:
         raise ValueError("every class needs at least 2 samples")
-    pooled = gmm.estimate_family_covariances("EEE", scatters, counts, n)[0]
-    regularized = gmm.make_component(means[0], pooled, regularization).covariance
-    return LdaModel(means, regularized, np.log(counts / n))
+    return LdaModel(gmm.estimate(stats, "EEE", regularization))
 
 
 def lda_predict_all(model: LdaModel, X: np.ndarray):

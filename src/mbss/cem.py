@@ -10,10 +10,11 @@ is nondecreasing up to the covariance regularization ridge.
 
 The labeled block enters a fit only through its per-class counts, means
 and centered scatters, which ``initialize`` computes once together with
-the starting model. Every iteration then touches the unlabeled rows alone:
-the CM-step merges their class statistics into the labeled ones, and the
-labeled log-likelihood is evaluated in closed form from the statistics.
-Fits that share a labeled block can share one ``initialize``.
+the starting model; ``fit`` takes that ``Start`` and the unlabeled rows.
+Every iteration touches the unlabeled rows alone: the CM-step merges their
+class statistics into the labeled ones, and the labeled log-likelihood is
+evaluated in closed form from the statistics. The starting model and
+every CM-step's model come from one estimator, ``gmm.estimate``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmm
-from .dataset import Dataset
 from .gmm import MixtureModel
 
 STOPPING_RULES = ("aitken", "delta")
@@ -60,7 +60,8 @@ class FitResult:
     ``complete_loglik`` (unlabeled rows under ``hard_labels``) and
     ``observed_loglik`` are evaluated under the final model; they equal
     ``gmm.complete_log_likelihood(model, dataset, hard_labels)`` and
-    ``gmm.observed_log_likelihood(model, dataset)`` exactly.
+    ``gmm.observed_log_likelihood(model, dataset)`` exactly for the
+    dataset of the fit's labeled and unlabeled rows.
     """
 
     model: MixtureModel
@@ -75,7 +76,7 @@ class FitResult:
 
 @dataclass(frozen=True)
 class Start:
-    """The labeled block as a fit needs it: its class statistics and the starting model.
+    """The labeled block as a fit needs it: class statistics, starting model, settings.
 
     ``stats`` is ``gmm.class_stats`` of the labeled rows in the family's
     shape: counts, means and centered scatters.
@@ -83,37 +84,24 @@ class Start:
 
     stats: tuple[np.ndarray, np.ndarray, np.ndarray]
     model: MixtureModel
+    config: CemConfig
 
 
-def initialize(dataset: Dataset, config: CemConfig) -> Start:
+def initialize(X: np.ndarray, y: np.ndarray, K: int, config: CemConfig) -> Start:
     """Labeled class statistics and the discriminant-analysis starting model.
 
-    Weights are the labeled class proportions, means the labeled class
-    means, covariances the family-constrained estimate from the labeled
-    within-class scatter (the same estimators the CM-step uses). The
-    unlabeled block is not read.
+    ``X`` holds the labeled rows and ``y`` their classes in 1..K, each class
+    with at least 2 rows. The starting model is ``gmm.estimate`` of their
+    statistics, the estimator every CM-step uses.
     """
-    dataset.require_class_members(min_count=2)
-    stats = gmm.class_stats(dataset.labeled_features, dataset.labels, dataset.K, config.family)
-    counts, means, scatters = stats
-    covs = gmm.estimate_family_covariances(config.family, scatters, counts, dataset.n)
-    components = _components(config.family, means, covs, config.regularization)
-    return Start(stats, MixtureModel(counts / dataset.n, components, config.family))
-
-
-def _components(family, means, covs, regularization, previous=None):
-    """One component per class; a shared family builds and factors its covariance once.
-
-    A class whose ``previous`` entry is not None keeps that component.
-    """
-    if family in gmm.SHARED_FAMILIES:
-        first = gmm.make_component(means[0], covs[0], regularization)
-        return [first] + [first.with_mean(mean) for mean in means[1:]]
-    previous = previous or [None] * len(means)
-    return [
-        gmm.make_component(mean, cov, regularization) if kept is None else kept
-        for mean, cov, kept in zip(means, covs, previous)
-    ]
+    y = np.asarray(y, dtype=np.int64).reshape(-1)
+    if y.size and (y.min() < 1 or y.max() > K):
+        raise ValueError(f"labels must lie in 1..{K}")
+    stats = gmm.class_stats(X, y, K, config.family)
+    lacking = (np.flatnonzero(stats[0] < 2) + 1).tolist()
+    if lacking:
+        raise ValueError(f"classes {lacking} have fewer than 2 labeled samples")
+    return Start(stats, gmm.estimate(stats, config.family, config.regularization), config)
 
 
 def e_step(model: MixtureModel, unlabeled: np.ndarray) -> np.ndarray:
@@ -135,52 +123,32 @@ def hard_assign(posteriors: np.ndarray) -> np.ndarray:
 
 
 def cm_step(
-    labeled: tuple[np.ndarray, np.ndarray, np.ndarray],
+    start: Start,
     unlabeled: np.ndarray,
     posteriors: np.ndarray,
-    family: str,
-    regularization: float = 1e-6,
     prev_model: MixtureModel | None = None,
 ) -> MixtureModel:
     """Hard-assignment maximization step.
 
     Unlabeled rows are committed to their argmax class and their class
-    statistics are merged into ``labeled``, the labeled block's
-    (``Start.stats``); weights, means and family covariances are then
-    re-estimated from the merged statistics. A class with zero members
-    keeps its previous mean (and, in per-component families, covariance)
-    and has its weight floored at 1/(n+m); shared-family covariances always
-    come from the pooled scatter of the populated classes.
+    statistics are merged into the labeled block's (``start.stats``); the
+    model is then ``gmm.estimate`` of the merged statistics. A class with
+    zero members keeps its previous mean (and, in per-component families,
+    covariance) and has its weight floored at 1/(n+m); shared-family
+    covariances always come from the pooled scatter of the populated classes.
     """
     P = np.atleast_2d(np.asarray(posteriors, dtype=np.float64))
-    K, m = labeled[0].shape[0], unlabeled.shape[0]
+    K, m = start.stats[0].shape[0], unlabeled.shape[0]
     if P.shape[0] != m or (m and P.shape[1] != K):
         raise ValueError(
             f"posteriors must be {m}x{K}, got {P.shape[0]}x{P.shape[1] if P.ndim > 1 else '?'}"
         )
     if m and not np.allclose(P.sum(axis=1), 1.0, atol=1e-6):
         raise ValueError("posterior rows must each sum to 1")
-    hard = hard_assign(P)
-    counts, means, scatters = gmm.merge_class_stats(
-        labeled, gmm.class_stats(unlabeled, hard, K, family)
-    )
-    total = int(counts.sum())
-    empty = counts == 0
-    if np.any(empty) and prev_model is None:
-        raise ValueError(
-            f"classes {list(np.flatnonzero(empty) + 1)} received no members and "
-            "no previous model was supplied to fall back on"
-        )
-    for k in np.flatnonzero(empty):
-        means[k] = prev_model.components[k].mean
-    covs = gmm.estimate_family_covariances(family, scatters, counts, total)
-    previous = [prev_model.components[k] if empty[k] else None for k in range(K)]
-    components = _components(family, means, covs, regularization, previous)
-    weights = counts / total
-    floor = 1.0 / total
-    weights = np.where(empty, floor, weights)
-    weights = weights / weights.sum()
-    return MixtureModel(weights, components, family)
+    family = start.config.family
+    unlabeled_stats = gmm.class_stats(unlabeled, hard_assign(P), K, family)
+    stats = gmm.merge_class_stats(start.stats, unlabeled_stats)
+    return gmm.estimate(stats, family, start.config.regularization, prev_model)
 
 
 def _stop_reached(trace: list[float], tolerance: float, rule: str) -> bool:
@@ -207,31 +175,23 @@ def _stop_reached(trace: list[float], tolerance: float, rule: str) -> bool:
     return (l2 - l1) / (1.0 - a) < tolerance
 
 
-def fit(
-    dataset: Dataset, config: CemConfig, trace_path=None, start: Start | None = None
-) -> FitResult:
-    """Run CEM to convergence (or the iteration cap).
+def fit(start: Start, X_u: np.ndarray, trace_path=None) -> FitResult:
+    """Run CEM from ``start`` on the unlabeled rows ``X_u`` to convergence (or the cap).
 
-    The returned posteriors and hard labels are evaluated under the final
-    model, so ``predict(result.model, dataset.unlabeled_features)``
-    reproduces them exactly. When ``trace_path`` is given, per-iteration
-    diagnostics (complete and observed log-likelihood, number of unlabeled
-    rows that changed class) are streamed there as CSV.
+    ``start`` is ``initialize`` of the labeled block and carries the
+    settings; fits that share a labeled block and settings share one. The
+    returned posteriors and hard labels are evaluated under the final
+    model, so ``predict(result.model, X_u)`` reproduces them exactly. When
+    ``trace_path`` is given, per-iteration diagnostics (complete and
+    observed log-likelihood, number of unlabeled rows that changed class)
+    are streamed there as CSV.
 
-    ``start`` is ``initialize(dataset, config)``, computed here when not
-    given; fits that share the labeled block and config can share one.
-    The iterations read only the unlabeled block, and its ``log_joint`` is
-    evaluated once per model: the matrix behind each iteration's complete
-    log-likelihood also gives the next E-step, the trace's observed
-    log-likelihood and, after the last iteration, the returned posteriors
-    and final log-likelihoods.
+    The unlabeled block's ``log_joint`` is evaluated once per model: the
+    matrix behind each iteration's complete log-likelihood also gives the
+    next E-step, the trace's observed log-likelihood and, after the last
+    iteration, the returned posteriors and final log-likelihoods.
     """
-    if start is None:
-        start = initialize(dataset, config)
-    if start.model.family != config.family or start.stats[0].sum() != dataset.n:
-        raise ValueError("start was not initialized from this labeled block and family")
-    model = start.model
-    X_u = dataset.unlabeled_features
+    config, model = start.config, start.model
     joint = gmm.log_joint(model, X_u)
     trace: list[float] = []
     converged = False
@@ -248,21 +208,14 @@ def fit(
         for _ in range(config.max_iterations):
             posteriors = _posteriors(joint)
             hard = hard_assign(posteriors)
-            model = cm_step(
-                start.stats,
-                X_u,
-                posteriors,
-                config.family,
-                regularization=config.regularization,
-                prev_model=model,
-            )
+            model = cm_step(start, X_u, posteriors, prev_model=model)
             labeled = gmm.labeled_log_likelihood(model, start.stats)
             joint = gmm.log_joint(model, X_u)
             loglik = labeled + gmm.assigned_log_likelihood(joint, hard)
             trace.append(loglik)
             if writer is not None:
                 n_changed = (
-                    int(np.sum(hard != prev_hard)) if prev_hard is not None else dataset.m
+                    int(np.sum(hard != prev_hard)) if prev_hard is not None else len(X_u)
                 )
                 writer.writerow(
                     [

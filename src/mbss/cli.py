@@ -30,6 +30,7 @@ EXIT_DATA = 65
 EXIT_INTERNAL = 70
 
 DEFAULT_VOCABULARY = Path(__file__).parent / "data" / "default_api_vocabulary.txt"
+BUNDLED_VOCABULARY_KEY = "mbss/data/default_api_vocabulary.txt"
 
 
 class UsageError(MbssError):
@@ -49,13 +50,19 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _input_key(path) -> str:
+    """A manifest input's key: its path as given, but the bundled vocabulary by
+    its name in the package, so the key does not depend on the checkout."""
+    return BUNDLED_VOCABULARY_KEY if Path(path) == DEFAULT_VOCABULARY else str(path)
+
+
 def _write_manifest(primary_out: Path, command: str, argv, inputs, outputs, seed=None) -> None:
     manifest = {
         "command": command,
         "argv": list(argv),
         "seed": seed,
         "version": __version__,
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
+        "inputs": {_input_key(p): _sha256(Path(p)) for p in inputs},
         "outputs": {str(p): _sha256(Path(p)) for p in outputs},
     }
     path = Path(str(primary_out) + ".manifest.json")
@@ -95,8 +102,18 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok != ""]
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok != ""]
+def _percent_list(text: str) -> list[float]:
+    values = _float_list(text)
+    if not all(0.0 <= v <= 100.0 for v in values):
+        raise argparse.ArgumentTypeError(f"percentages must lie in [0, 100], got {text}")
+    return values
+
+
+def _positive_int_list(text: str) -> list[int]:
+    values = [int(tok) for tok in text.split(",") if tok != ""]
+    if min(values, default=1) < 1:
+        raise argparse.ArgumentTypeError(f"counts must be at least 1, got {text}")
+    return values
 
 
 def _name_list(choices, case):
@@ -197,10 +214,10 @@ def build_parser():
     p.add_argument("--knn-k", type=_positive_int, default=3, help="neighbors for knn (default 3)")
     p.add_argument("--folds", type=_positive_int, default=10, help="CV folds (default 10)")
     p.add_argument("--oos-data", default=None, help="out-of-sample dataset CSV (oos protocol)")
-    p.add_argument("--fractions", type=_float_list,
+    p.add_argument("--fractions", type=_percent_list,
                    default=list(evaluation.DEFAULT_FRACTIONS),
                    help="test-size percentages for the DR sweep")
-    p.add_argument("--replicates", type=_int_list,
+    p.add_argument("--replicates", type=_positive_int_list,
                    default=list(evaluation.DEFAULT_REPLICATES),
                    help="Monte Carlo replicates per fraction")
     p.add_argument("--positive-label", type=_positive_int, default=2,
@@ -515,21 +532,14 @@ _HANDLERS = {
 }
 
 
-def _apply_config_defaults(argv, subparsers) -> None:
-    """Load --config JSON (if present) as subcommand defaults.
+def _apply_config_defaults(config_path, sub) -> None:
+    """Load a --config JSON file as defaults of the subcommand parser ``sub``.
 
     Explicit flags still win because argparse only falls back to defaults
     for absent options. Required path arguments stay required.
     """
-    if "--config" not in argv:
-        return
-    config_path = argv[argv.index("--config") + 1] if argv.index("--config") + 1 < len(argv) else None
     if not config_path:
         raise UsageError("--config requires a path")
-    command = next((tok for tok in argv if not tok.startswith("-")), None)
-    sub = subparsers.get(command)
-    if sub is None:
-        raise UsageError(f"unknown command {command!r}")
     if not Path(config_path).exists():
         raise UsageError(f"config file does not exist: {config_path}")
     try:
@@ -542,7 +552,7 @@ def _apply_config_defaults(argv, subparsers) -> None:
     actions = {action.dest: action for action in sub._actions}
     unknown = sorted(set(values) - (set(actions) - {"help", "config", "command"}))
     if unknown:
-        raise UsageError(f"config keys {unknown} are not flags of '{command}'")
+        raise UsageError(f"config keys {unknown} are not flags of '{sub.prog}'")
 
     # argparse runs a flag's type only on string defaults: a value goes in as
     # the text the flag takes (a list comma-separated), so its parser checks it.
@@ -558,8 +568,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     try:
-        _apply_config_defaults(argv, subparsers)
+        # Parse once to find --config in any spelling argparse accepts
+        # (--config=PATH, an abbreviation), then again with its defaults.
         args = parser.parse_args(argv)
+        if args.config is not None:
+            _apply_config_defaults(args.config, subparsers[args.command])
+            args = parser.parse_args(argv)
         return _HANDLERS[args.command](args, argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -62,11 +62,6 @@ class ApiVocabulary:
         except OSError as exc:
             raise DataFormatError(f"cannot read vocabulary {path}: {exc}") from exc
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in self.entries:
-                fh.write(entry + "\n")
-
 
 def build_vocabulary(api_list_file) -> ApiVocabulary:
     """Read a one-identity-per-line file into a vocabulary."""
@@ -174,14 +169,6 @@ class Dataset:
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.K + 1)[1:]
-
-    def require_class_members(self, min_count: int = 1) -> None:
-        counts = self.class_counts()
-        lacking = [k + 1 for k, c in enumerate(counts) if c < min_count]
-        if lacking:
-            raise ValueError(
-                f"classes {lacking} have fewer than {min_count} labeled samples"
-            )
 
     def save_csv(self, path) -> None:
         """Write header (API identities + 'label') and one row per sample.

@@ -23,7 +23,6 @@ import numpy as np
 from . import baselines, cem
 # ``stratified_folds`` stays bound here by name: perfbench/spans.py patches it.
 from .dataset import Dataset, stratified_folds
-from .synth import feature_names
 
 TIE_LABEL = 0
 
@@ -132,12 +131,10 @@ def mbss(config: cem.CemConfig, positive_label: int = 2):
     """
 
     def train(train_X, train_y, test_pool):
-        names, K = feature_names(train_X.shape[1]), int(train_y.max())
-        start = cem.initialize(Dataset(train_X, train_y, test_pool[:0], names, K), config)
+        start = cem.initialize(train_X, train_y, int(train_y.max()), config)
 
         def predict(test_idx):
-            dataset = Dataset(train_X, train_y, test_pool[test_idx], names, K)
-            result = cem.fit(dataset, config, start=start)
+            result = cem.fit(start, test_pool[test_idx])
             return result.hard_labels, result.posteriors[:, positive_label - 1]
 
         return predict

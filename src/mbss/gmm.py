@@ -20,7 +20,8 @@ the shared W once and subtracts each component's whitened mean.
 The closed-form estimators follow Celeux & Govaert (1995). They and
 ``labeled_log_likelihood`` read rows only through per-class counts, means
 and scatters (``class_stats``), which ``merge_class_stats`` combines
-across row blocks.
+across row blocks. ``estimate`` is the one path from those statistics to
+a mixture: the CEM start, every CM-step and LDA's pooled covariance.
 """
 
 from __future__ import annotations
@@ -419,6 +420,40 @@ def estimate_family_covariances(
         else:
             out[k] = scatters[k] / counts[k]
     return out
+
+
+def estimate(stats, family: str, regularization: float, previous=None) -> MixtureModel:
+    """The mixture that class statistics estimate: the one way to build a model from them.
+
+    ``stats`` is ``class_stats`` in the family's shape. Weights are the class
+    proportions, an empty class floored at 1/n, renormalized; means are the
+    class means; covariances are the family estimates, ridged by
+    ``make_component``. A shared family builds and factors its one
+    covariance once. An empty class keeps ``previous``'s mean and, in a
+    per-component family, its component; without ``previous`` it is an error.
+    """
+    counts, means, scatters = stats
+    n = int(counts.sum())
+    empty = counts == 0
+    if np.any(empty):
+        if previous is None:
+            raise ValueError(
+                f"classes {(np.flatnonzero(empty) + 1).tolist()} received no members and "
+                "no previous model was supplied to fall back on"
+            )
+        means = np.where(empty[:, None], [c.mean for c in previous.components], means)
+    covs = estimate_family_covariances(family, scatters, counts, n)
+    if family in SHARED_FAMILIES:
+        first = make_component(means[0], covs[0], regularization)
+        components = [first] + [first.with_mean(mean) for mean in means[1:]]
+    else:
+        components = [
+            previous.components[k] if empty[k]
+            else make_component(means[k], covs[k], regularization)
+            for k in range(len(means))
+        ]
+    weights = np.where(empty, 1.0 / n, counts / n)
+    return MixtureModel(weights / weights.sum(), components, family)
 
 
 def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str):

@@ -62,7 +62,10 @@ def select_model(dataset: Dataset, families, config: cem.CemConfig):
     failures: list[tuple[str, Exception]] = []
     for family in families:
         try:
-            result = cem.fit(dataset, replace(config, family=family))
+            start = cem.initialize(
+                dataset.labeled_features, dataset.labels, dataset.K, replace(config, family=family)
+            )
+            result = cem.fit(start, dataset.unlabeled_features)
         except (MbssError, ValueError, np.linalg.LinAlgError) as exc:
             failures.append((family, exc))
             continue

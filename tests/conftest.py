@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mbss import cem
 from mbss.dataset import ApiVocabulary, Dataset
 
 
@@ -21,3 +22,13 @@ def make_dataset(X_labeled, labels, X_unlabeled, K=None):
         K = int(labels.max()) if labels.size else 1
     vocab = ApiVocabulary(tuple(f"f{i:03d}" for i in range(X_labeled.shape[1])))
     return Dataset(X_labeled, labels, X_unlabeled, vocab, K)
+
+
+def start_for(ds, config):
+    """``cem.initialize`` of a dataset's labeled block."""
+    return cem.initialize(ds.labeled_features, ds.labels, ds.K, config)
+
+
+def fit_dataset(ds, config, trace_path=None):
+    """``cem.fit`` of a dataset: its labeled block's start and its unlabeled rows."""
+    return cem.fit(start_for(ds, config), ds.unlabeled_features, trace_path)

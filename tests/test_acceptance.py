@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import fit_dataset, make_dataset, start_for
 from mbss import baselines, cem, cli, gmm, model_select, synth
 from mbss.dataset import Dataset
 from mbss.evaluation import CLASSIFIERS, detection_rate, roc_auc, write_dr_csv
@@ -47,7 +47,7 @@ def test_criterion_1_cem_monotonicity():
                     seed=1000 * d + seed,
                 )
                 ds, _ = synth.sample_mixture(spec)
-                result = cem.fit(ds, cem.CemConfig(family=family))
+                result = fit_dataset(ds, cem.CemConfig(family=family))
                 trace = np.asarray(result.loglik_trace)
                 if trace.size > 1:
                     worst_drop = min(worst_drop, float(np.diff(trace).min()))
@@ -76,7 +76,7 @@ def test_criterion_2_recovery_at_strong_separation():
             d=5, separation=6.0, n_samples=1000, label_fraction=0.5, seed=seed
         )
         ds, truth = synth.sample_mixture(spec)
-        result = cem.fit(ds, cem.CemConfig(family="EII"))
+        result = fit_dataset(ds, cem.CemConfig(family="EII"))
         acc = float(np.mean(result.hard_labels == truth))
         err = max(
             float(np.linalg.norm(result.model.components[k].mean - spec.means[k]))
@@ -106,9 +106,9 @@ def test_criterion_3_semi_supervised_gain():
         )
         ds, truth = synth.sample_mixture(spec)
         config = cem.CemConfig(family="EII")
-        init_labels, _ = cem.predict(cem.initialize(ds, config).model, ds.unlabeled_features)
+        init_labels, _ = cem.predict(start_for(ds, config).model, ds.unlabeled_features)
         init_acc = float(np.mean(init_labels == truth))
-        cem_acc = float(np.mean(cem.fit(ds, config).hard_labels == truth))
+        cem_acc = float(np.mean(fit_dataset(ds, config).hard_labels == truth))
         wins += cem_acc >= init_acc
         details.append((init_acc, cem_acc))
     assert wins >= 8, f"only {wins}/10 seeds improved: {details}"
@@ -243,7 +243,7 @@ def test_criterion_6_lda_equals_shared_covariance_initialization():
         )
         y = np.array([1] * n_per + [2] * n_per)
         ds = make_dataset(X, y, np.empty((0, d)))
-        mixture = cem.initialize(ds, cem.CemConfig(family="EEE")).model
+        mixture = start_for(ds, cem.CemConfig(family="EEE")).model
         lda = baselines.lda_fit(X, y)
         Q = rng.standard_normal((50, d)) + rng.uniform(0.0, 1.5)
         lda_labels, _ = baselines.lda_predict_all(lda, Q)

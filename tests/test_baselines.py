@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_dataset
-from mbss import baselines, cem
+from conftest import make_dataset, start_for
+from mbss import baselines, cem, gmm
 from mbss.baselines import AmbiguousTie, KnnModel, knn_predict_all
 from oracles import direct_log_density
 
@@ -66,26 +66,25 @@ class TestKnn:
             KnnModel(np.zeros((3, 2)), [1, 2, 1], k=4)
 
 
+def lda_model(means, covariance, priors):
+    """An LDA model from its class means, pooled covariance and priors."""
+    covs = np.stack([covariance] * len(priors))
+    return baselines.LdaModel(gmm.MixtureModel.from_arrays(priors, means, covs, "EEE"))
+
+
 class TestLda:
     def test_perpendicular_bisector_geometry(self):
-        model = baselines.LdaModel(
-            means=np.array([[0.0, 0.0], [2.0, 0.0]]),
-            pooled_covariance=np.eye(2),
-            log_priors=np.log([0.5, 0.5]),
-        )
+        model = lda_model(np.array([[0.0, 0.0], [2.0, 0.0]]), np.eye(2), [0.5, 0.5])
         labels, _ = baselines.lda_predict_all(model, np.array([[0.9, 5.0], [1.1, -7.0]]))
         assert labels[0] == 1
         assert labels[1] == 2
 
     def test_equal_means_prior_dominates(self):
-        model = baselines.LdaModel(
-            means=np.zeros((2, 3)),
-            pooled_covariance=np.eye(3),
-            log_priors=np.log([0.9, 0.1]),
-        )
         rng = np.random.default_rng(2)
-        labels, _ = baselines.lda_predict_all(model, rng.standard_normal((20, 3)))
-        assert np.all(labels == 1)
+        Q = rng.standard_normal((20, 3))
+        for priors, winner in (([0.9, 0.1], 1), ([0.1, 0.9], 2)):
+            labels, _ = baselines.lda_predict_all(lda_model(np.zeros((2, 3)), np.eye(3), priors), Q)
+            assert np.all(labels == winner)
 
     def test_agrees_with_plugin_bayes_oracle(self):
         rng = np.random.default_rng(3)
@@ -97,9 +96,10 @@ class TestLda:
         Q = rng.standard_normal((50, 4)) + 0.5
         labels, _ = baselines.lda_predict_all(model, Q)
         prior = np.log([0.5, 0.5])
+        comps = model.mixture.components
         for i, x in enumerate(Q):
             joint = [
-                prior[k] + direct_log_density(model.means[k], model.pooled_covariance, x)
+                prior[k] + direct_log_density(comps[k].mean, comps[k].covariance, x)
                 for k in range(2)
             ]
             assert labels[i] == int(np.argmax(joint)) + 1
@@ -124,12 +124,25 @@ class TestLda:
             )
             y = np.array([1] * 40 + [2] * 40)
             ds = make_dataset(X, y, np.empty((0, 3)))
-            mixture = cem.initialize(ds, cem.CemConfig(family="EEE")).model
+            mixture = start_for(ds, cem.CemConfig(family="EEE")).model
             lda = baselines.lda_fit(X, y)
             Q = rng.standard_normal((60, 3)) + 0.75
             lda_labels, _ = baselines.lda_predict_all(lda, Q)
             mix_labels, _ = cem.predict(mixture, Q)
             assert np.array_equal(lda_labels, mix_labels)
+
+    def test_fit_builds_and_factors_one_component(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        X = (rng.random((100, 160)) < 0.3).astype(float)
+        y = np.repeat([1, 2], 50)
+        built = []
+        real = gmm.ComponentParams.__post_init__
+        monkeypatch.setattr(
+            gmm.ComponentParams, "__post_init__", lambda self: built.append(1) or real(self)
+        )
+        model = baselines.lda_fit(X, y)
+        assert len(built) == 1
+        assert model.mixture.components[1].inv_cholesky is model.mixture.components[0].inv_cholesky
 
     def test_fit_requires_two_per_class(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import fit_dataset, make_dataset, start_for
 from mbss import cem, gmm, model_select, synth
 from oracles import pooled_class_scatter
 
@@ -20,7 +20,7 @@ class TestInitialize:
             [1, 1, 2, 2],
             np.empty((0, 2)),
         )
-        model = cem.initialize(ds, cem.CemConfig(family="EII")).model
+        model = start_for(ds, cem.CemConfig(family="EII")).model
         assert np.allclose(model.weights, [0.5, 0.5])
         assert np.allclose(model.components[0].mean, [1.0, 0.0])
         assert np.allclose(model.components[1].mean, [0.0, 5.0])
@@ -29,7 +29,7 @@ class TestInitialize:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((20, 3)) + 4.0
         ds = make_dataset(X, np.ones(20, dtype=int), np.empty((0, 3)), K=1)
-        model = cem.initialize(ds, cem.CemConfig(family="VVV")).model
+        model = start_for(ds, cem.CemConfig(family="VVV")).model
         assert model.K == 1
         assert np.allclose(model.weights, [1.0])
         assert np.allclose(model.components[0].mean, X.mean(axis=0))
@@ -40,7 +40,7 @@ class TestInitialize:
         )
         y = np.array([1, 1, 1, 2, 2, 2])
         ds = make_dataset(X, y, np.empty((0, 2)))
-        model = cem.initialize(ds, cem.CemConfig(family="EII")).model
+        model = start_for(ds, cem.CemConfig(family="EII")).model
         lam = np.trace(pooled_class_scatter(X, y, 2)) / (2 * 6)
         got = model.components[0].covariance[0]
         assert got == pytest.approx(lam * (1 + 1e-6), rel=1e-12)
@@ -48,10 +48,16 @@ class TestInitialize:
         for comp in model.components:
             assert np.array_equal(comp.covariance, [got, got])
 
+    @pytest.mark.parametrize("labels", [[0, 1, 2, 2], [1, 1, 2, 3]])
+    def test_labels_must_lie_in_one_to_k(self, labels):
+        X = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ValueError, match=r"labels must lie in 1\.\.2"):
+            cem.initialize(X, np.array(labels), 2, cem.CemConfig(family="EII"))
+
     def test_requires_two_labeled_per_class(self):
         ds = make_dataset([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [1, 1, 2], np.empty((0, 2)))
-        with pytest.raises(ValueError):
-            cem.initialize(ds, cem.CemConfig(family="EII"))
+        with pytest.raises(ValueError, match=r"classes \[2\] have fewer than 2 labeled samples"):
+            start_for(ds, cem.CemConfig(family="EII"))
 
 
 class TestEStep:
@@ -78,10 +84,15 @@ class TestEStep:
         assert P.shape == (0, 1)
 
 
-def cm_step(ds, posteriors, family, **kwargs):
-    """``cem.cm_step`` on a dataset: its labeled statistics and unlabeled block."""
+def cm_step(ds, posteriors, family, prev_model=None):
+    """``cem.cm_step`` on a dataset: a start of its labeled statistics, and its unlabeled block.
+
+    The start is built directly, so a class may lack labeled rows; the
+    CM-step does not read its model.
+    """
     labeled = gmm.class_stats(ds.labeled_features, ds.labels, ds.K, family)
-    return cem.cm_step(labeled, ds.unlabeled_features, posteriors, family, **kwargs)
+    start = cem.Start(labeled, None, cem.CemConfig(family=family))
+    return cem.cm_step(start, ds.unlabeled_features, posteriors, prev_model)
 
 
 class TestCmStep:
@@ -152,21 +163,21 @@ class TestCmStep:
 class TestFit:
     def test_separated_spherical_recovers_assignments(self):
         (ds, truth), spec = two_blob_dataset(seed=1, separation=10.0)
-        result = cem.fit(ds, cem.CemConfig(family="EII"))
+        result = fit_dataset(ds, cem.CemConfig(family="EII"))
         assert result.converged
         assert np.array_equal(result.hard_labels, truth)
 
     def test_iteration_cap_respected(self):
         (ds, _), _ = two_blob_dataset(seed=2, separation=2.0)
-        result = cem.fit(ds, cem.CemConfig(family="EII", max_iterations=1))
+        result = fit_dataset(ds, cem.CemConfig(family="EII", max_iterations=1))
         assert result.iterations == 1
         assert result.loglik_trace and len(result.loglik_trace) == 1
 
     def test_deterministic_rerun_is_bit_identical(self):
         (ds, _), _ = two_blob_dataset(seed=3, separation=3.0)
         cfg = cem.CemConfig(family="VVI")
-        a = cem.fit(ds, cfg)
-        b = cem.fit(ds, cfg)
+        a = fit_dataset(ds, cfg)
+        b = fit_dataset(ds, cfg)
         assert a.loglik_trace == b.loglik_trace
         assert np.array_equal(a.posteriors, b.posteriors)
         assert np.array_equal(a.hard_labels, b.hard_labels)
@@ -177,7 +188,7 @@ class TestFit:
     @pytest.mark.parametrize("family", gmm.FAMILIES)
     def test_covariances_are_stored_in_the_family_shape(self, family):
         (ds, _), _ = two_blob_dataset(seed=9, separation=3.0, d=4)
-        result = cem.fit(ds, cem.CemConfig(family=family))
+        result = fit_dataset(ds, cem.CemConfig(family=family))
         diagonal = family in gmm.DIAGONAL_FAMILIES
         for comp in result.model.components:
             assert comp.covariance.shape == ((4,) if diagonal else (4, 4))
@@ -190,8 +201,8 @@ class TestFit:
         ds = make_dataset(X, y, np.empty((0, 3)))
         for family in gmm.FAMILIES:
             cfg = cem.CemConfig(family=family)
-            init = cem.initialize(ds, cfg).model
-            result = cem.fit(ds, cfg)
+            init = start_for(ds, cfg).model
+            result = fit_dataset(ds, cfg)
             assert result.converged
             assert np.array_equal(result.model.weights, init.weights)
             for ca, cb in zip(result.model.components, init.components):
@@ -201,13 +212,13 @@ class TestFit:
     def test_trace_is_nondecreasing(self):
         for seed in range(5):
             (ds, _), _ = two_blob_dataset(seed=seed, separation=2.0, n=160)
-            result = cem.fit(ds, cem.CemConfig(family="VVV"))
+            result = fit_dataset(ds, cem.CemConfig(family="VVV"))
             diffs = np.diff(result.loglik_trace)
             assert diffs.size == 0 or diffs.min() >= -1e-8
 
     def test_posteriors_consistent_with_hard_labels(self):
         (ds, _), _ = two_blob_dataset(seed=4, separation=2.5)
-        result = cem.fit(ds, cem.CemConfig(family="EEE"))
+        result = fit_dataset(ds, cem.CemConfig(family="EEE"))
         assert np.array_equal(result.hard_labels, np.argmax(result.posteriors, axis=1) + 1)
         labels, posteriors = cem.predict(result.model, ds.unlabeled_features)
         assert np.array_equal(labels, result.hard_labels)
@@ -219,8 +230,8 @@ class TestFit:
         perm = rng.permutation(ds.m)
         permuted = make_dataset(ds.labeled_features, ds.labels, ds.unlabeled_features[perm])
         cfg = cem.CemConfig(family="EEI")
-        a = cem.fit(ds, cfg)
-        b = cem.fit(permuted, cfg)
+        a = fit_dataset(ds, cfg)
+        b = fit_dataset(permuted, cfg)
         assert np.array_equal(a.hard_labels[perm], b.hard_labels)
         for ca, cb in zip(a.model.components, b.model.components):
             assert np.allclose(ca.mean, cb.mean, atol=1e-9)
@@ -228,13 +239,13 @@ class TestFit:
 
     def test_delta_stopping_also_converges(self):
         (ds, _), _ = two_blob_dataset(seed=6, separation=4.0)
-        result = cem.fit(ds, cem.CemConfig(family="EII", stopping="delta"))
+        result = fit_dataset(ds, cem.CemConfig(family="EII", stopping="delta"))
         assert result.converged
 
     def test_trace_csv_stream(self, tmp_path):
         (ds, _), _ = two_blob_dataset(seed=7, separation=3.0)
         path = tmp_path / "trace.csv"
-        result = cem.fit(ds, cem.CemConfig(family="EII"), trace_path=path)
+        result = fit_dataset(ds, cem.CemConfig(family="EII"), trace_path=path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,complete_loglik,observed_loglik,n_changed_labels"
         assert len(lines) == result.iterations + 1
@@ -248,7 +259,7 @@ class TestFit:
     @pytest.mark.parametrize("family", gmm.FAMILIES)
     def test_final_logliks_equal_the_gmm_functions_exactly(self, family):
         (ds, _), _ = two_blob_dataset(seed=9, separation=2.5, d=3)
-        result = cem.fit(ds, cem.CemConfig(family=family))
+        result = fit_dataset(ds, cem.CemConfig(family=family))
         assert result.complete_loglik == gmm.complete_log_likelihood(
             result.model, ds, result.hard_labels
         )
@@ -294,7 +305,7 @@ class TestLogJointReuse:
     def test_fit_scores_unlabeled_block_once_per_model(self, monkeypatch, tmp_path, family):
         (ds, _), _ = two_blob_dataset(seed=11, separation=2.0, label_fraction=0.3)
         calls = _count_unlabeled_log_joints(monkeypatch, ds)
-        result = cem.fit(ds, cem.CemConfig(family=family), trace_path=tmp_path / "t.csv")
+        result = fit_dataset(ds, cem.CemConfig(family=family), trace_path=tmp_path / "t.csv")
         assert result.iterations >= 2
         assert len(calls) == result.iterations + 1
         assert len({id(model) for model in calls}) == len(calls)
@@ -313,28 +324,19 @@ class TestLabeledBlockOnce:
     def test_iterations_never_read_the_labeled_block(self, monkeypatch, family):
         (ds, _), _ = two_blob_dataset(seed=13, separation=2.0, label_fraction=0.3)
         config = cem.CemConfig(family=family)
-        start = cem.initialize(ds, config)
+        start = start_for(ds, config)
         blocks = []
         real_joint, real_stats = gmm.log_joint, gmm.class_stats
         monkeypatch.setattr(gmm, "log_joint", lambda m, X: blocks.append(X) or real_joint(m, X))
         monkeypatch.setattr(gmm, "class_stats", lambda X, *a: blocks.append(X) or real_stats(X, *a))
-        shared = cem.fit(ds, config, start=start)
+        shared = cem.fit(start, ds.unlabeled_features)
         assert shared.iterations >= 2
         assert blocks and all(X is ds.unlabeled_features for X in blocks)
         blocks.clear()
-        alone = cem.fit(ds, config)
+        alone = fit_dataset(ds, config)
         assert sum(X is ds.labeled_features for X in blocks) == 1
         assert shared.loglik_trace == alone.loglik_trace
         assert np.array_equal(shared.posteriors, alone.posteriors)
-
-    def test_start_must_match_the_labeled_block_and_family(self):
-        (ds, _), _ = two_blob_dataset(seed=14, separation=2.0, label_fraction=0.3)
-        start = cem.initialize(ds, cem.CemConfig(family="EII"))
-        with pytest.raises(ValueError, match="start"):
-            cem.fit(ds, cem.CemConfig(family="VVI"), start=start)
-        fewer = make_dataset(ds.labeled_features[1:], ds.labels[1:], ds.unlabeled_features)
-        with pytest.raises(ValueError, match="start"):
-            cem.fit(fewer, cem.CemConfig(family="EII"), start=start)
 
     @pytest.mark.parametrize("family", gmm.SHARED_FAMILIES)
     def test_shared_families_factor_their_covariance_once_per_step(self, monkeypatch, family):
@@ -342,7 +344,7 @@ class TestLabeledBlockOnce:
         made = []
         real = gmm.make_component
         monkeypatch.setattr(gmm, "make_component", lambda *a: made.append(a) or real(*a))
-        result = cem.fit(ds, cem.CemConfig(family=family))
+        result = fit_dataset(ds, cem.CemConfig(family=family))
         assert len(made) == result.iterations + 1
         covs = [c.covariance for c in result.model.components]
         assert covs[0] is covs[1]

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import fit_dataset
 from mbss import cem, cli, gmm, synth
 from mbss.dataset import Dataset
 from mbss.evaluation import detection_rate
@@ -119,6 +120,15 @@ class TestExtract:
         assert first == second
         assert "data.csv.manifest.json" in first
 
+    def test_manifest_keys_the_bundled_vocabulary_by_name(self, tmp_path):
+        logs = write_logs(tmp_path, {"a.log": "java.net.URL.openConnection 1\n"})
+        out = tmp_path / "data.csv"
+        assert cli.main(["extract", "--logs", str(logs), "--out", str(out)]) == 0
+        text = (tmp_path / "data.csv.manifest.json").read_text()
+        assert str(cli.DEFAULT_VOCABULARY) not in text
+        inputs = json.loads(text)["inputs"]
+        assert inputs[cli.BUNDLED_VOCABULARY_KEY] == cli._sha256(cli.DEFAULT_VOCABULARY)
+
     def test_missing_directory_is_usage_error(self, tmp_path):
         rc = cli.main(
             ["extract", "--logs", str(tmp_path / "nope"), "--out", str(tmp_path / "x.csv")]
@@ -175,7 +185,7 @@ class TestClassify:
             ["classify", "--model", str(model_path), "--data", str(data), "--out", str(preds_path)]
         ) == 0
         ds = Dataset.load_csv(data)
-        result = cem.fit(ds, cem.CemConfig(family="EII"))
+        result = fit_dataset(ds, cem.CemConfig(family="EII"))
         lines = preds_path.read_text().strip().splitlines()[1:]
         got = np.array([int(line.split(",")[1]) for line in lines])
         assert np.array_equal(got, result.hard_labels)
@@ -545,6 +555,18 @@ class TestConfigFile:
         assert rc == 64
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spelling", [["--config", "{}"], ["--config={}"], ["--conf", "{}"], ["--con={}"]]
+    )
+    def test_every_spelling_of_the_flag_applies_the_file(self, tmp_path, capsys, spelling):
+        data = synth_csv(tmp_path, seed=35)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iterations": 0}))
+        flag = [token.format(cfg) for token in spelling]
+        rc = cli.main(["fit", "--data", str(data), *flag, "--out", str(tmp_path / "m.json")])
+        assert rc == 64
+        assert "--max-iterations" in capsys.readouterr().err
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         data = synth_csv(tmp_path, seed=31)
         cfg = tmp_path / "cfg.json"
@@ -562,6 +584,57 @@ class TestConfigFile:
             ["fit", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "m.json")]
         )
         assert rc == 64
+
+
+class TestSweepLadder:
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--fractions", "150", "--replicates", "1"], "--fractions"),
+            (["--fractions", "-5", "--replicates", "1"], "--fractions"),
+            (["--fractions", "50,100.5", "--replicates", "2,1"], "--fractions"),
+            (["--fractions", "nan", "--replicates", "1"], "--fractions"),
+            (["--fractions", "100", "--replicates", "0"], "--replicates"),
+            (["--fractions", "50,100", "--replicates", "2,-1"], "--replicates"),
+        ],
+    )
+    def test_out_of_range_ladder_is_usage_error(self, tmp_path, capsys, flags, named):
+        train = synth_csv(tmp_path, "train.csv", n=100, seed=40)
+        oos = synth_csv(tmp_path, "oos.csv", n=60, seed=41)
+        rc = cli.main(
+            ["evaluate", "--data", str(train), "--protocol", "oos", "--oos-data", str(oos),
+             "--classifiers", "lda", *flags, "--seed", "1", "--out", str(tmp_path / "dr.csv")]
+        )
+        assert rc == 64
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "values, named",
+        [({"fractions": [150]}, "--fractions"), ({"replicates": [0]}, "--replicates")],
+    )
+    def test_out_of_range_config_ladder_is_usage_error(self, tmp_path, capsys, values, named):
+        train = synth_csv(tmp_path, "train.csv", n=100, seed=40)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fractions": [100], "replicates": [1], **values}))
+        rc = cli.main(
+            ["evaluate", "--data", str(train), "--protocol", "oos", "--oos-data", str(train),
+             "--config", str(cfg), "--classifiers", "lda", "--seed", "1",
+             "--out", str(tmp_path / "dr.csv")]
+        )
+        assert rc == 64
+        assert named in capsys.readouterr().err
+
+    def test_zero_percent_is_skipped_with_a_warning(self, tmp_path):
+        train = synth_csv(tmp_path, "train.csv", n=100, seed=40)
+        out = tmp_path / "dr.csv"
+        with pytest.warns(UserWarning, match="yields zero rows"):
+            rc = cli.main(
+                ["evaluate", "--data", str(train), "--protocol", "oos", "--oos-data", str(train),
+                 "--classifiers", "lda", "--fractions", "0,100", "--replicates", "1,1",
+                 "--seed", "1", "--out", str(out)]
+            )
+        assert rc == 0
+        assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["100.0"]
 
 
 class TestProtocolAliases:

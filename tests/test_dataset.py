@@ -123,12 +123,6 @@ class TestBuildVocabulary:
         with pytest.raises(DataFormatError):
             build_vocabulary(path)
 
-    def test_round_trip(self, tmp_path):
-        vocab = build_vocabulary(BUNDLED_VOCAB)
-        out = tmp_path / "copy.txt"
-        vocab.save(out)
-        assert build_vocabulary(out).entries == vocab.entries
-
 
 class TestStratifiedFolds:
     def setup_method(self):
@@ -244,8 +238,3 @@ class TestDatasetValidation:
         ds = make_dataset([[0.0, 1.0], [1.0, 0.0]], [1, 2], np.empty((0, 2)))
         with pytest.raises(ValueError):
             ds.labeled_features[0, 0] = 5.0
-
-    def test_require_class_members(self):
-        ds = make_dataset([[0.0, 1.0], [1.0, 0.0]], [1, 1], np.empty((0, 2)), K=2)
-        with pytest.raises(ValueError):
-            ds.require_class_members(1)

@@ -6,7 +6,7 @@ import pytest
 from conftest import make_dataset
 from mbss import baselines, cem, evaluation, synth
 from mbss.baselines import AmbiguousTie
-from mbss.dataset import stratified_folds
+from mbss.dataset import Dataset, stratified_folds
 from mbss.evaluation import (
     DEFAULT_FRACTIONS,
     DEFAULT_REPLICATES,
@@ -222,9 +222,22 @@ class TestClassifierProtocol:
         predict = evaluation.mbss(config)(X, y, pool)
         idx = np.array([0, 3, 7, 8, 20])
         labels, scores = predict(idx)
-        alone = real_fit(make_dataset(X, y, pool[idx]), config)
+        alone = real_fit(real_initialize(X, y, 2, config), pool[idx])
         assert np.array_equal(labels, alone.hard_labels)
         assert np.array_equal(scores, alone.posteriors[:, 1])
+
+    def test_mbss_sweep_builds_no_dataset(self, monkeypatch):
+        ds = labeled_synthetic(seed=7, n=120, separation=3.0)
+        X, y = ds.labeled_features, ds.labels
+        built = []
+        real = Dataset.__post_init__
+        monkeypatch.setattr(Dataset, "__post_init__", lambda self: built.append(1) or real(self))
+        rows = detection_rate(
+            evaluation.mbss(cem.CemConfig(family="EII")), X, y, X[y == 2][:30] + 0.5,
+            (20.0, 100.0), (3, 1), seed=3,
+        )
+        assert [row.replicates for row in rows] == [3, 1]
+        assert built == []
 
     def test_external_predictions_must_cover_the_pool(self):
         with pytest.raises(ValueError, match="3 predictions for 4 test rows"):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
-from mbss import cem, gmm
+from conftest import fit_dataset, make_dataset
+from mbss import baselines, cem, gmm
 from mbss.errors import DataFormatError, SingularCovarianceError
 from oracles import (
     direct_complete_ll,
@@ -341,7 +341,7 @@ def binary_fit(family, seed=160, d=160):
     Xl[:, :5] = 0.0
     Xu = (rng.random((20, d)) < p).astype(float)
     ds = make_dataset(Xl, np.repeat([1, 2], 15), Xu)
-    return ds, cem.fit(ds, cem.CemConfig(family=family, max_iterations=2))
+    return ds, fit_dataset(ds, cem.CemConfig(family=family, max_iterations=2))
 
 
 def dense(model):
@@ -404,6 +404,59 @@ class TestLabeledStatistics:
         none = gmm.class_stats(np.empty((0, 3)), np.zeros(0, dtype=np.int64), 3, "VVV")
         for got, want in zip(gmm.merge_class_stats(a, none), a):
             np.testing.assert_array_equal(got, want)
+
+
+class TestEstimate:
+    """``gmm.estimate`` is the one path from class statistics to a model."""
+
+    def test_weights_means_and_empty_class_fallback(self):
+        X = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0], [5.0, 5.0], [7.0, 5.0]])
+        stats = gmm.class_stats(X, np.array([1, 1, 1, 2, 2]), 3, "VII")
+        previous = gmm.MixtureModel.from_arrays(
+            [0.2, 0.3, 0.5], np.array([[9.0, 9.0], [8.0, 8.0], [7.0, 7.0]]),
+            np.stack([np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)]), "VII",
+        )
+        model = gmm.estimate(stats, "VII", 1e-6, previous)
+        # counts (3, 2, 0) over n = 5: (3/5, 2/5, 1/5) renormalized
+        np.testing.assert_allclose(model.weights, [0.5, 1 / 3, 1 / 6], rtol=1e-15)
+        np.testing.assert_array_equal(model.components[0].mean, X[:3].mean(axis=0))
+        np.testing.assert_array_equal(model.components[1].mean, X[3:].mean(axis=0))
+        assert model.components[2] is previous.components[2]
+        with pytest.raises(ValueError, match=r"classes \[3\] received no members"):
+            gmm.estimate(stats, "VII", 1e-6)
+
+    @pytest.mark.parametrize("family", gmm.SHARED_FAMILIES)
+    def test_shared_family_builds_one_component(self, monkeypatch, family):
+        rng = np.random.default_rng(180)
+        stats = gmm.class_stats(rng.standard_normal((12, 3)), np.repeat([1, 2, 3], 4), 3, family)
+        built = []
+        real = gmm.ComponentParams.__post_init__
+        monkeypatch.setattr(
+            gmm.ComponentParams, "__post_init__", lambda self: built.append(1) or real(self)
+        )
+        model = gmm.estimate(stats, family, 1e-6)
+        assert len(built) == 1
+        assert all(c.covariance is model.components[0].covariance for c in model.components)
+
+    @pytest.mark.parametrize("caller", ["initialize", "cm_step", "lda_fit"])
+    def test_every_model_from_class_statistics_goes_through_it(self, monkeypatch, caller):
+        rng = np.random.default_rng(181)
+        X = rng.standard_normal((20, 3)) + np.repeat([[0.0], [3.0]], 10, axis=0)
+        y = np.repeat([1, 2], 10)
+        config = cem.CemConfig(family="EEE")
+        start = cem.initialize(X, y, 2, config)
+        calls = []
+        real = gmm.estimate
+        monkeypatch.setattr(gmm, "estimate", lambda *a: calls.append(a) or real(*a))
+        if caller == "initialize":
+            model = cem.initialize(X, y, 2, config).model
+        elif caller == "cm_step":
+            model = cem.cm_step(start, X[:4], np.full((4, 2), 0.5), start.model)
+        else:
+            model = baselines.lda_fit(X, y).mixture
+        assert len(calls) == 1
+        assert calls[0][1] == "EEE"
+        assert model.family == "EEE"
 
 
 class TestParameterCount:
