@@ -10,7 +10,6 @@ export), a synthetic-data oracle and a CLI pipeline.
 __version__ = "0.1.0"
 
 from .baselines import (
-    AmbiguousTie,
     KnnModel,
     LdaModel,
     knn_predict_all,
@@ -53,7 +52,6 @@ from .synth import SynthSpec, binarize, sample_mixture, two_class_spec
 
 __all__ = [
     "__version__",
-    "AmbiguousTie",
     "ApiVocabulary",
     "CemConfig",
     "ComponentParams",

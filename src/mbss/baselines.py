@@ -2,8 +2,8 @@
 
 kNN distance on binary vectors is squared Euclidean, which equals the
 Hamming count and is integer-exact. Vote ties are a first-class outcome
-(``AmbiguousTie``) rather than an arbitrary pick, and the evaluation
-harness tallies them separately.
+(``TIE_LABEL``, 0, outside the classes 1..K) rather than an arbitrary
+pick, and the evaluation harness tallies them separately.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import numpy as np
 from . import gmm
 
 
-@dataclass(frozen=True)
-class AmbiguousTie:
-    """Returned when the neighbor vote has no unique winner."""
+# The label of a prediction with no unique winner; classes are 1..K.
+TIE_LABEL = 0
 
 
 @dataclass
@@ -37,27 +36,25 @@ class KnnModel:
             raise ValueError(f"k must be in 1..{self.features.shape[0]}")
 
 
-def knn_predict_all(model: KnnModel, X: np.ndarray) -> list:
+def knn_predict_all(model: KnnModel, X: np.ndarray) -> np.ndarray:
     """Per row, the majority label among the k nearest training points, or
-    AmbiguousTie.
+    ``TIE_LABEL`` when the vote has no unique winner.
 
     Distance ties at the k-th neighbor include every equidistant point in
     the vote.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] == 0:
-        return []
     if X.shape[1] != model.features.shape[1]:
         raise ValueError(
             f"expected dimension {model.features.shape[1]}, got {X.shape[1]}"
         )
-    out = []
-    for x in X:
+    out = np.empty(X.shape[0], dtype=np.int64)
+    for i, x in enumerate(X):
         d2 = np.sum((model.features - x) ** 2, axis=1)
         kth = np.partition(d2, model.k - 1)[model.k - 1]
         votes = np.bincount(model.labels[d2 <= kth])
         winners = np.flatnonzero(votes == votes.max())
-        out.append(int(winners[0]) if winners.size == 1 else AmbiguousTie())
+        out[i] = winners[0] if winners.size == 1 else TIE_LABEL
     return out
 
 

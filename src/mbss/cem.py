@@ -19,7 +19,6 @@ every CM-step's model come from one estimator, ``gmm.estimate``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +54,13 @@ class CemConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Converged model plus its fitting trace and unlabeled posteriors.
+    """Converged model plus its per-iteration record and unlabeled posteriors.
 
+    Iteration i has one entry in each trace: ``loglik_trace`` is the
+    complete log-likelihood of its model under the hard labels its CM-step
+    took, ``observed_trace`` the observed log-likelihood of its model, and
+    ``changed_labels`` the number of unlabeled rows whose hard label differs
+    from iteration i-1's (all m rows at the first iteration).
     ``complete_loglik`` (unlabeled rows under ``hard_labels``) and
     ``observed_loglik`` are evaluated under the final model; they equal
     ``gmm.complete_log_likelihood(model, dataset, hard_labels)`` and
@@ -67,6 +71,8 @@ class FitResult:
     model: MixtureModel
     iterations: int
     loglik_trace: tuple[float, ...]
+    observed_trace: tuple[float, ...]
+    changed_labels: tuple[int, ...]
     converged: bool
     posteriors: np.ndarray
     hard_labels: np.ndarray
@@ -106,47 +112,38 @@ def initialize(X: np.ndarray, y: np.ndarray, K: int, config: CemConfig) -> Start
 
 def e_step(model: MixtureModel, unlabeled: np.ndarray) -> np.ndarray:
     """Posterior class membership of each unlabeled row under the model."""
-    return _posteriors(gmm.log_joint(model, unlabeled))
-
-
-def _posteriors(joint: np.ndarray) -> np.ndarray:
-    """Posterior membership from a ``log_joint`` matrix."""
-    return np.exp(gmm.normalize_log_joint(joint))
+    return np.exp(gmm.log_responsibilities(model, unlabeled))
 
 
 def hard_assign(posteriors: np.ndarray) -> np.ndarray:
     """Maximum-posterior class per row, ties broken toward the lowest index."""
-    P = np.atleast_2d(np.asarray(posteriors, dtype=np.float64))
-    if P.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.argmax(P, axis=1).astype(np.int64) + 1
+    return np.argmax(np.atleast_2d(posteriors), axis=1).astype(np.int64) + 1
 
 
 def cm_step(
     start: Start,
     unlabeled: np.ndarray,
-    posteriors: np.ndarray,
+    hard_labels: np.ndarray,
     prev_model: MixtureModel | None = None,
 ) -> MixtureModel:
-    """Hard-assignment maximization step.
+    """Hard-assignment maximization step on the partition ``hard_labels``.
 
-    Unlabeled rows are committed to their argmax class and their class
-    statistics are merged into the labeled block's (``start.stats``); the
-    model is then ``gmm.estimate`` of the merged statistics. A class with
-    zero members keeps its previous mean (and, in per-component families,
-    covariance) and has its weight floored at 1/(n+m); shared-family
-    covariances always come from the pooled scatter of the populated classes.
+    Each unlabeled row belongs to its hard label (1..K, one per row, as
+    ``hard_assign`` gives them); the rows' class statistics are merged into
+    the labeled block's (``start.stats``) and the model is ``gmm.estimate``
+    of the merged statistics. A class with zero members keeps its previous
+    mean (and, in per-component families, covariance) and has its weight
+    floored at 1/(n+m); shared-family covariances always come from the
+    pooled scatter of the populated classes.
     """
-    P = np.atleast_2d(np.asarray(posteriors, dtype=np.float64))
+    hard = np.asarray(hard_labels, dtype=np.int64)
     K, m = start.stats[0].shape[0], unlabeled.shape[0]
-    if P.shape[0] != m or (m and P.shape[1] != K):
-        raise ValueError(
-            f"posteriors must be {m}x{K}, got {P.shape[0]}x{P.shape[1] if P.ndim > 1 else '?'}"
-        )
-    if m and not np.allclose(P.sum(axis=1), 1.0, atol=1e-6):
-        raise ValueError("posterior rows must each sum to 1")
+    if hard.shape != (m,):
+        raise ValueError(f"hard_labels must hold {m} labels, got shape {hard.shape}")
+    if np.any((hard < 1) | (hard > K)):
+        raise ValueError(f"hard labels must lie in 1..{K}")
     family = start.config.family
-    unlabeled_stats = gmm.class_stats(unlabeled, hard_assign(P), K, family)
+    unlabeled_stats = gmm.class_stats(unlabeled, hard, K, family)
     stats = gmm.merge_class_stats(start.stats, unlabeled_stats)
     return gmm.estimate(stats, family, start.config.regularization, prev_model)
 
@@ -175,81 +172,58 @@ def _stop_reached(trace: list[float], tolerance: float, rule: str) -> bool:
     return (l2 - l1) / (1.0 - a) < tolerance
 
 
-def fit(start: Start, X_u: np.ndarray, trace_path=None) -> FitResult:
+def fit(start: Start, X_u: np.ndarray) -> FitResult:
     """Run CEM from ``start`` on the unlabeled rows ``X_u`` to convergence (or the cap).
 
     ``start`` is ``initialize`` of the labeled block and carries the
     settings; fits that share a labeled block and settings share one. The
     returned posteriors and hard labels are evaluated under the final
-    model, so ``predict(result.model, X_u)`` reproduces them exactly. When
-    ``trace_path`` is given, per-iteration diagnostics (complete and
-    observed log-likelihood, number of unlabeled rows that changed class)
-    are streamed there as CSV.
+    model, so ``predict(result.model, X_u)`` reproduces them exactly.
 
-    The unlabeled block's ``log_joint`` is evaluated once per model: the
-    matrix behind each iteration's complete log-likelihood also gives the
-    next E-step, the trace's observed log-likelihood and, after the last
-    iteration, the returned posteriors and final log-likelihoods.
+    Each model scores the unlabeled block once. Its ``log_joint`` gives
+    the complete log-likelihood under the hard labels that built the
+    model, and its row log-sum-exp gives the posteriors and the observed
+    log-likelihood; the hard labels are taken once per model and drive
+    the next CM-step, so the last model's are the returned ones.
     """
     config, model = start.config, start.model
     joint = gmm.log_joint(model, X_u)
-    trace: list[float] = []
-    converged = False
-    prev_hard: np.ndarray | None = None
-    writer = None
-    trace_fh = None
-    try:
-        if trace_path is not None:
-            trace_fh = open(trace_path, "w", encoding="utf-8", newline="")
-            writer = csv.writer(trace_fh, lineterminator="\n")
-            writer.writerow(
-                ["iteration", "complete_loglik", "observed_loglik", "n_changed_labels"]
-            )
-        for _ in range(config.max_iterations):
-            posteriors = _posteriors(joint)
-            hard = hard_assign(posteriors)
-            model = cm_step(start, X_u, posteriors, prev_model=model)
-            labeled = gmm.labeled_log_likelihood(model, start.stats)
-            joint = gmm.log_joint(model, X_u)
-            loglik = labeled + gmm.assigned_log_likelihood(joint, hard)
-            trace.append(loglik)
-            if writer is not None:
-                n_changed = (
-                    int(np.sum(hard != prev_hard)) if prev_hard is not None else len(X_u)
-                )
-                writer.writerow(
-                    [
-                        len(trace),
-                        repr(loglik),
-                        repr(labeled + gmm.marginal_log_likelihood(joint)),
-                        n_changed,
-                    ]
-                )
-            prev_hard = hard
-            if _stop_reached(trace, config.tolerance, config.stopping):
-                converged = True
-                break
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
-    posteriors = _posteriors(joint)
+    norm = gmm.row_logsumexp(joint)
+    posteriors = np.exp(joint - norm[:, None])
     hard = hard_assign(posteriors)
+    trace: list[float] = []
+    observed: list[float] = []
+    changed: list[int] = []
+    prev_hard = None
+    converged = False
+    for _ in range(config.max_iterations):
+        model = cm_step(start, X_u, hard, prev_model=model)
+        labeled = gmm.labeled_log_likelihood(model, start.stats)
+        joint = gmm.log_joint(model, X_u)
+        norm = gmm.row_logsumexp(joint)
+        trace.append(labeled + gmm.assigned_log_likelihood(joint, hard))
+        observed.append(labeled + float(norm.sum()))
+        changed.append(len(X_u) if prev_hard is None else int(np.sum(hard != prev_hard)))
+        posteriors = np.exp(joint - norm[:, None])
+        prev_hard, hard = hard, hard_assign(posteriors)
+        if _stop_reached(trace, config.tolerance, config.stopping):
+            converged = True
+            break
     return FitResult(
         model=model,
         iterations=len(trace),
         loglik_trace=tuple(trace),
+        observed_trace=tuple(observed),
+        changed_labels=tuple(changed),
         converged=converged,
         posteriors=posteriors,
         hard_labels=hard,
         complete_loglik=labeled + gmm.assigned_log_likelihood(joint, hard),
-        observed_loglik=labeled + gmm.marginal_log_likelihood(joint),
+        observed_loglik=observed[-1],
     )
 
 
 def predict(model: MixtureModel, X: np.ndarray):
     """Maximum-posterior classification: ``(labels in 1..K, posteriors)``."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64), np.empty((0, model.K))
     posteriors = e_step(model, X)
     return hard_assign(posteriors), posteriors

@@ -9,6 +9,7 @@ hashes) is written alongside each primary output. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -301,11 +302,13 @@ def cmd_extract(args, argv) -> int:
     dataset.save_csv(out)
     sources = Path(str(out) + ".sources.csv")
     with open(sources, "w", encoding="utf-8", newline="") as fh:
-        fh.write("filename,block,row_in_block,label,parsed_lines,skipped_lines\n")
-        for i, (name, lab, r) in enumerate(labeled):
-            fh.write(f"{name},labeled,{i},{lab},{r.n_parsed},{r.n_skipped}\n")
-        for i, (name, _, r) in enumerate(unlabeled):
-            fh.write(f"{name},unlabeled,{i},,{r.n_parsed},{r.n_skipped}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["filename", "block", "row_in_block", "label", "parsed_lines", "skipped_lines"]
+        )
+        for block, rows in (("labeled", labeled), ("unlabeled", unlabeled)):
+            for i, (name, lab, r) in enumerate(rows):
+                writer.writerow([name, block, i, lab, r.n_parsed, r.n_skipped])
     inputs = [args.vocabulary] + ([args.labels] if args.labels else []) + [str(p) for p in files]
     if args.config:
         inputs.insert(0, args.config)
@@ -316,10 +319,19 @@ def cmd_extract(args, argv) -> int:
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
+def _load_training_set(path) -> Dataset:
+    """A dataset CSV to train on: every class 1..K needs at least 2 labeled rows."""
+    dataset = Dataset.load_csv(path)
+    lacking = (np.flatnonzero(dataset.class_counts() < 2) + 1).tolist()
+    if lacking:
+        raise DataFormatError(f"{path}: classes {lacking} have fewer than 2 labeled samples")
+    return dataset
+
+
 def cmd_fit(args, argv) -> int:
     _require_inputs(args.data)
     config = _cem_config(args)
-    dataset = Dataset.load_csv(args.data)
+    dataset = _load_training_set(args.data)
     best, scores = model_select.select_model(dataset, args.families, config)
     out = _prepare_out(args.out)
     gmm.save_model(best.fit.model, out)
@@ -404,9 +416,13 @@ def _load_external_predictions(path, expected: int):
 def cmd_evaluate(args, argv) -> int:
     _require_inputs(args.data, args.oos_data, args.external_predictions)
     config = _cem_config(args)
-    dataset = Dataset.load_csv(args.data)
-    out = _prepare_out(args.out)
+    dataset = _load_training_set(args.data)
     positive = args.positive_label
+    if positive > dataset.K:
+        raise UsageError(
+            f"--positive-label {positive} exceeds the training set's {dataset.K} classes"
+        )
+    out = _prepare_out(args.out)
     extra_outputs = []
     inputs = ([args.config] if args.config else []) + [args.data]
     train_X, train_y = dataset.labeled_features, dataset.labels

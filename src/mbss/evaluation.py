@@ -8,8 +8,8 @@ is subsampled at a ladder of fractions with Monte Carlo replicates and the
 detection rate (flagged-malicious share) is averaged per fraction.
 
 The positive class means "malicious" throughout and defaults to label 2.
-Ambiguous-tie predictions count as incorrect and are tallied separately;
-in arrays they are encoded as label 0.
+Predictions are int arrays of labels in 1..K, with ``TIE_LABEL`` (0) for
+an ambiguous tie; ties count as incorrect and are tallied separately.
 """
 
 from __future__ import annotations
@@ -21,23 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, cem
+from .baselines import TIE_LABEL
 # ``stratified_folds`` stays bound here by name: perfbench/spans.py patches it.
 from .dataset import Dataset, stratified_folds
 
-TIE_LABEL = 0
-
 DEFAULT_FRACTIONS = (0.1, 1.0, 20.0, 50.0, 90.0, 100.0)
 DEFAULT_REPLICATES = (50, 30, 20, 10, 5, 1)
-
-
-def predictions_to_array(preds) -> np.ndarray:
-    """Normalize a prediction list to an int array, ties becoming 0."""
-    if isinstance(preds, np.ndarray):
-        return preds.astype(np.int64)
-    return np.array(
-        [TIE_LABEL if isinstance(p, baselines.AmbiguousTie) else int(p) for p in preds],
-        dtype=np.int64,
-    )
 
 
 @dataclass(frozen=True)
@@ -71,7 +60,7 @@ def confusion(truth: np.ndarray, preds, positive_label: int):
     sample total.
     """
     truth = np.asarray(truth, dtype=np.int64).reshape(-1)
-    pred = predictions_to_array(preds)
+    pred = np.asarray(preds, dtype=np.int64).reshape(-1)
     if pred.shape[0] != truth.shape[0]:
         raise ValueError("one prediction per truth label required")
     is_pos = truth == positive_label
@@ -157,7 +146,7 @@ def knn(k: int = 3):
             idx = np.asarray(test_idx, dtype=np.int64)
             new = np.unique(idx[known[idx] < 0])
             if new.size:
-                known[new] = predictions_to_array(baselines.knn_predict_all(model, test_pool[new]))
+                known[new] = baselines.knn_predict_all(model, test_pool[new])
             return known[idx], None
 
         return predict
@@ -292,8 +281,7 @@ def detection_rate(
         drs = []
         for _ in range(reps):
             idx = rng.choice(N, size=size, replace=False)
-            preds = predictions_to_array(predict(idx)[0])
-            drs.append(float(np.mean(preds == positive_label)))
+            drs.append(float(np.mean(predict(idx)[0] == positive_label)))
         drs = np.array(drs)
         rows.append(
             DrRow(

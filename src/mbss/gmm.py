@@ -42,12 +42,15 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 MAX_REGULARIZATION = 1e-2
 
 
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable log(sum(exp(a))) along an axis."""
-    shift = np.max(a, axis=axis, keepdims=True)
+def row_logsumexp(joint: np.ndarray) -> np.ndarray:
+    """Stable log(sum(exp(row))) of each row of a ``log_joint`` matrix.
+
+    Exponentiating ``joint`` less these values gives the posteriors, and
+    their sum is the rows' observed log-likelihood.
+    """
+    shift = np.max(joint, axis=1, keepdims=True)
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    out = np.log(np.sum(np.exp(a - shift), axis=axis)) + np.squeeze(shift, axis=axis)
-    return out
+    return np.log(np.sum(np.exp(joint - shift), axis=1)) + shift[:, 0]
 
 
 @dataclass
@@ -251,8 +254,6 @@ def log_joint(model: MixtureModel, X: np.ndarray) -> np.ndarray:
     family scores each component with ``log_density``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] == 0:
-        return np.empty((0, model.K))
     if X.shape[1] != model.d:
         raise ValueError(f"expected dimension {model.d}, got {X.shape[1]}")
     with np.errstate(divide="ignore"):
@@ -271,20 +272,14 @@ def log_joint(model: MixtureModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def normalize_log_joint(joint: np.ndarray) -> np.ndarray:
-    """Log responsibilities from a ``log_joint`` matrix (rows log-sum to 0)."""
-    if joint.shape[0] == 0:
-        return joint
-    return joint - _logsumexp(joint, axis=1)[:, None]
-
-
 def log_responsibilities(model: MixtureModel, X: np.ndarray) -> np.ndarray:
     """Row-normalized posterior membership log-probabilities.
 
     Each row exponentiates to a probability vector; normalization uses the
     log-sum-exp shift so widely separated components stay finite.
     """
-    return normalize_log_joint(log_joint(model, X))
+    joint = log_joint(model, X)
+    return joint - row_logsumexp(joint)[:, None]
 
 
 def labeled_log_likelihood(model, stats) -> float:
@@ -327,16 +322,7 @@ def _labeled_stats(model, dataset):
 
 def assigned_log_likelihood(joint: np.ndarray, hard_labels: np.ndarray) -> float:
     """Sum of each row's ``log_joint`` term under its hard label (1..K)."""
-    if joint.shape[0] == 0:
-        return 0.0
     return float(joint[np.arange(joint.shape[0]), hard_labels - 1].sum())
-
-
-def marginal_log_likelihood(joint: np.ndarray) -> float:
-    """Sum over rows of the log mixture density, from a ``log_joint`` matrix."""
-    if joint.shape[0] == 0:
-        return 0.0
-    return float(_logsumexp(joint, axis=1).sum())
 
 
 def complete_log_likelihood(model, dataset, hard_labels) -> float:
@@ -352,18 +338,14 @@ def complete_log_likelihood(model, dataset, hard_labels) -> float:
         )
     if hard.size and (hard.min() < 1 or hard.max() > model.K):
         raise ValueError("hard labels must lie in 1..K")
-    total = labeled_log_likelihood(model, _labeled_stats(model, dataset))
-    if dataset.m:
-        total += assigned_log_likelihood(log_joint(model, dataset.unlabeled_features), hard)
-    return total
+    labeled = labeled_log_likelihood(model, _labeled_stats(model, dataset))
+    return labeled + assigned_log_likelihood(log_joint(model, dataset.unlabeled_features), hard)
 
 
 def observed_log_likelihood(model, dataset) -> float:
     """Training log-likelihood: labeled joints plus marginalized unlabeled terms."""
-    total = labeled_log_likelihood(model, _labeled_stats(model, dataset))
-    if dataset.m:
-        total += marginal_log_likelihood(log_joint(model, dataset.unlabeled_features))
-    return total
+    labeled = labeled_log_likelihood(model, _labeled_stats(model, dataset))
+    return labeled + float(row_logsumexp(log_joint(model, dataset.unlabeled_features)).sum())
 
 
 def parameter_count(family: str, K: int, d: int) -> int:

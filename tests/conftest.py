@@ -29,6 +29,6 @@ def start_for(ds, config):
     return cem.initialize(ds.labeled_features, ds.labels, ds.K, config)
 
 
-def fit_dataset(ds, config, trace_path=None):
+def fit_dataset(ds, config):
     """``cem.fit`` of a dataset: its labeled block's start and its unlabeled rows."""
-    return cem.fit(start_for(ds, config), ds.unlabeled_features, trace_path)
+    return cem.fit(start_for(ds, config), ds.unlabeled_features)

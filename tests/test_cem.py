@@ -84,7 +84,7 @@ class TestEStep:
         assert P.shape == (0, 1)
 
 
-def cm_step(ds, posteriors, family, prev_model=None):
+def cm_step(ds, hard_labels, family, prev_model=None):
     """``cem.cm_step`` on a dataset: a start of its labeled statistics, and its unlabeled block.
 
     The start is built directly, so a class may lack labeled rows; the
@@ -92,7 +92,7 @@ def cm_step(ds, posteriors, family, prev_model=None):
     """
     labeled = gmm.class_stats(ds.labeled_features, ds.labels, ds.K, family)
     start = cem.Start(labeled, None, cem.CemConfig(family=family))
-    return cem.cm_step(start, ds.unlabeled_features, posteriors, prev_model)
+    return cem.cm_step(start, ds.unlabeled_features, hard_labels, prev_model)
 
 
 class TestCmStep:
@@ -101,7 +101,7 @@ class TestCmStep:
         X = rng.standard_normal((10, 2))
         y = np.array([1] * 5 + [2] * 5)
         ds = make_dataset(X, y, np.empty((0, 2)))
-        model = cm_step(ds, np.empty((0, 2)), "VVV")
+        model = cm_step(ds, [], "VVV")
         assert np.allclose(model.weights, [0.5, 0.5])
         assert np.allclose(model.components[0].mean, X[:5].mean(axis=0))
         assert np.allclose(model.components[1].mean, X[5:].mean(axis=0))
@@ -110,9 +110,8 @@ class TestCmStep:
         ds = make_dataset(
             [[0.0, 0.0], [4.0, 0.0]], [1, 2], [[1.0, 0.0], [3.0, 0.0]]
         )
-        posteriors = np.array([[0.9, 0.1], [0.2, 0.8]])
-        model = cm_step(ds, posteriors, "EII")
-        # hard labels (1, 2); each class holds one labeled + one unlabeled point
+        model = cm_step(ds, [1, 2], "EII")
+        # each class holds one labeled + one unlabeled point
         assert np.allclose(model.weights, [0.5, 0.5])
         assert np.allclose(model.components[0].mean, [0.5, 0.0])
         assert np.allclose(model.components[1].mean, [3.5, 0.0])
@@ -121,10 +120,16 @@ class TestCmStep:
         assert cem.hard_assign(np.array([[0.5, 0.5]])).tolist() == [1]
         assert cem.hard_assign(np.array([[0.2, 0.4, 0.4]])).tolist() == [2]
 
-    def test_rejects_non_stochastic_posteriors(self):
+    @pytest.mark.parametrize(
+        "hard, message",
+        [([], "must hold 1 labels"), ([1, 2], "must hold 1 labels"), ([[1]], "must hold 1"),
+         ([0], r"lie in 1\.\.2"), ([3], r"lie in 1\.\.2")],
+        ids=["none", "two", "column", "zero", "above-k"],
+    )
+    def test_rejects_hard_labels_of_wrong_length_or_range(self, hard, message):
         ds = make_dataset([[0.0], [1.0]], [1, 2], [[0.5]])
-        with pytest.raises(ValueError):
-            cm_step(ds, np.array([[0.9, 0.9]]), "EII")
+        with pytest.raises(ValueError, match=message):
+            cm_step(ds, hard, "EII")
 
     def test_starved_class_keeps_previous_parameters(self):
         # class 2 has no labeled rows (relaxed container) and wins no posteriors
@@ -135,15 +140,14 @@ class TestCmStep:
             np.stack([np.eye(2), 2.0 * np.eye(2)]),
             "VII",
         )
-        posteriors = np.array([[1.0, 0.0]])
-        model = cm_step(ds, posteriors, "VII", prev_model=prev)
+        model = cm_step(ds, [1], "VII", prev_model=prev)
         assert np.allclose(model.components[1].mean, [9.0, 9.0])
         assert np.array_equal(model.components[1].covariance, prev.components[1].covariance)
         # counts (3, 0) -> raw (1, 0), floored (1, 1/3), renormalized (3/4, 1/4)
         assert model.weights[1] == pytest.approx(0.25, abs=1e-12)
         assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError):
-            cm_step(ds, posteriors, "VII")
+            cm_step(ds, [1], "VII")
 
     def test_label_retention_under_posterior_perturbation(self):
         rng = np.random.default_rng(7)
@@ -153,8 +157,8 @@ class TestCmStep:
         ds = make_dataset(Xl, yl, Xu)
         P1 = np.array([[0.1, 0.9]] * 4)
         P2 = np.array([[0.4, 0.6]] * 4)  # different posteriors, same argmax
-        m1 = cm_step(ds, P1, "VVV")
-        m2 = cm_step(ds, P2, "VVV")
+        m1 = cm_step(ds, cem.hard_assign(P1), "VVV")
+        m2 = cm_step(ds, cem.hard_assign(P2), "VVV")
         # class 1 statistics come from the labeled rows only
         assert np.array_equal(m1.components[0].mean, m2.components[0].mean)
         assert np.allclose(m1.components[0].mean, Xl[:4].mean(axis=0))
@@ -242,19 +246,36 @@ class TestFit:
         result = fit_dataset(ds, cem.CemConfig(family="EII", stopping="delta"))
         assert result.converged
 
-    def test_trace_csv_stream(self, tmp_path):
-        (ds, _), _ = two_blob_dataset(seed=7, separation=3.0)
-        path = tmp_path / "trace.csv"
-        result = fit_dataset(ds, cem.CemConfig(family="EII"), trace_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,complete_loglik,observed_loglik,n_changed_labels"
-        assert len(lines) == result.iterations + 1
-        first = lines[1].split(",")
-        assert int(first[0]) == 1
-        assert float(first[1]) == result.loglik_trace[0]
-        # the last row's observed column comes from the reused log-joint
-        last = lines[-1].split(",")
-        assert float(last[2]) == gmm.observed_log_likelihood(result.model, ds)
+    @pytest.mark.parametrize("family", ["EII", "VVV"])
+    def test_per_iteration_record_is_a_prefix_of_longer_fits(self, family):
+        (ds, _), _ = two_blob_dataset(seed=7, separation=2.0, label_fraction=0.3)
+        full = fit_dataset(ds, cem.CemConfig(family=family))
+        assert full.iterations >= 3
+        record = (full.loglik_trace, full.observed_trace, full.changed_labels)
+        assert all(len(trace) == full.iterations for trace in record)
+        assert full.changed_labels[0] == ds.m
+        assert full.observed_trace[-1] == full.observed_loglik
+        for k in range(1, full.iterations + 1):
+            capped = fit_dataset(ds, cem.CemConfig(family=family, max_iterations=k))
+            assert capped.iterations == k
+            assert (capped.loglik_trace, capped.observed_trace, capped.changed_labels) == tuple(
+                trace[:k] for trace in record
+            )
+            assert capped.observed_trace[-1] == gmm.observed_log_likelihood(capped.model, ds)
+
+    def test_changed_labels_count_the_c_step_moves(self):
+        (ds, _), _ = two_blob_dataset(seed=8, separation=1.5, label_fraction=0.3)
+        config = cem.CemConfig(family="EII")
+        start = start_for(ds, config)
+        result = cem.fit(start, ds.unlabeled_features)
+        # replay the fit: the C-step of iteration i commits to the argmax of model i-1
+        model, labels = start.model, []
+        for _ in range(result.iterations):
+            labels.append(cem.predict(model, ds.unlabeled_features)[0])
+            model = cem.cm_step(start, ds.unlabeled_features, labels[-1], model)
+        moves = [ds.m] + [int(np.sum(a != b)) for a, b in zip(labels, labels[1:])]
+        assert result.changed_labels == tuple(moves)
+        assert any(moves[1:])
 
     @pytest.mark.parametrize("family", gmm.FAMILIES)
     def test_final_logliks_equal_the_gmm_functions_exactly(self, family):
@@ -302,13 +323,19 @@ class TestLogJointReuse:
     """The unlabeled block is scored once per model: iterations + 1 times per fit."""
 
     @pytest.mark.parametrize("family", ["EII", "VVI", "EEE", "VVV"])
-    def test_fit_scores_unlabeled_block_once_per_model(self, monkeypatch, tmp_path, family):
+    def test_fit_scores_unlabeled_block_once_per_model(self, monkeypatch, family):
         (ds, _), _ = two_blob_dataset(seed=11, separation=2.0, label_fraction=0.3)
         calls = _count_unlabeled_log_joints(monkeypatch, ds)
-        result = fit_dataset(ds, cem.CemConfig(family=family), trace_path=tmp_path / "t.csv")
+        assigned = []
+        real_assign = cem.hard_assign
+        monkeypatch.setattr(cem, "hard_assign", lambda P: assigned.append(P) or real_assign(P))
+        result = fit_dataset(ds, cem.CemConfig(family=family))
         assert result.iterations >= 2
         assert len(calls) == result.iterations + 1
         assert len({id(model) for model in calls}) == len(calls)
+        # the partition is taken once per model, and the last one is returned
+        assert len(assigned) == result.iterations + 1
+        assert np.array_equal(real_assign(assigned[-1]), result.hard_labels)
 
     def test_selection_does_not_rescore(self, monkeypatch):
         (ds, _), _ = two_blob_dataset(seed=12, separation=2.0, label_fraction=0.3)

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -106,6 +107,24 @@ class TestExtract:
         assert ds.n == 4 and ds.m == 1 and ds.K == 2
         sources = (tmp_path / "data.csv.sources.csv").read_text()
         assert "u1.log,unlabeled" in sources
+
+    def test_sources_table_quotes_file_names(self, tmp_path):
+        logs = write_logs(
+            tmp_path,
+            {"a,b.log": "java.net.URL.openConnection 1\n", 'q"c.log': "javax.crypto.Cipher.doFinal 1\n"},
+        )
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text(VOCAB)
+        out = tmp_path / "data.csv"
+        rc = cli.main(["extract", "--logs", str(logs), "--vocabulary", str(vocab), "--out", str(out)])
+        assert rc == 0
+        with open(tmp_path / "data.csv.sources.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["filename", "block", "row_in_block", "label", "parsed_lines", "skipped_lines"]
+        assert rows[1:] == [
+            ["a,b.log", "unlabeled", "0", "", "1", "0"],
+            ['q"c.log', "unlabeled", "1", "", "1", "0"],
+        ]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         logs = write_logs(tmp_path, {"a.log": "java.net.URL.openConnection 1\n"})
@@ -356,6 +375,22 @@ class TestEvaluate:
         assert "--folds" in capsys.readouterr().err
 
     @pytest.mark.parametrize("protocol", ["cv", "oos"])
+    @pytest.mark.parametrize("classifier", ["mbss", "lda", "knn"])
+    def test_positive_label_above_k_is_usage_error(self, tmp_path, capsys, protocol, classifier):
+        data = synth_csv(tmp_path, n=200, seed=29)
+        assert Dataset.load_csv(data).K == 2
+        rc = cli.main(
+            [
+                "evaluate", "--data", str(data), "--protocol", protocol, "--oos-data", str(data),
+                "--classifiers", classifier, "--positive-label", "3",
+                "--seed", "1", "--out", str(tmp_path / "o.csv"),
+            ]
+        )
+        assert rc == 64
+        assert "--positive-label 3" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("protocol", ["cv", "oos"])
     def test_knn_k_above_training_rows_is_usage_error(self, tmp_path, capsys, protocol):
         data = synth_csv(tmp_path, n=40, seed=24)
         n = Dataset.load_csv(data).n
@@ -449,6 +484,29 @@ class TestEvaluate:
             ]
         )
         assert rc == 64
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("fit", []),
+        ("evaluate", ["--protocol", "oos", "--oos-data", "{data}", "--classifiers", "mbss,lda,knn",
+                      "--seed", "1"]),
+        ("evaluate", ["--protocol", "cv", "--folds", "2", "--classifiers", "lda", "--seed", "1"]),
+    ],
+    ids=["fit", "evaluate-oos", "evaluate-cv"],
+)
+def test_class_with_one_labeled_row_is_data_error(tmp_path, capsys, command, extra):
+    ds = Dataset.load_csv(synth_csv(tmp_path, n=40, seed=28))
+    keep = np.concatenate([np.flatnonzero(ds.labels == 1), np.flatnonzero(ds.labels == 2)[:1]])
+    data = tmp_path / "thin.csv"
+    Dataset(
+        ds.labeled_features[keep], ds.labels[keep], ds.unlabeled_features, ds.vocabulary, 2
+    ).save_csv(data)
+    argv = [command, "--data", str(data), *extra, "--out", str(tmp_path / "o.csv")]
+    rc = cli.main([arg.format(data=data) for arg in argv])
+    assert rc == 65
+    assert "classes [2] have fewer than 2 labeled samples" in capsys.readouterr().err
 
 
 class TestSynth:

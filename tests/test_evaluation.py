@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_dataset
 from mbss import baselines, cem, evaluation, synth
-from mbss.baselines import AmbiguousTie
+from mbss.baselines import TIE_LABEL
 from mbss.dataset import Dataset, stratified_folds
 from mbss.evaluation import (
     DEFAULT_FRACTIONS,
@@ -49,7 +49,7 @@ def sweep(classifier, X, *args, **kwargs):
 class TestConfusion:
     def test_counts_conserve_total(self):
         truth = np.array([1, 1, 2, 2, 2])
-        preds = [1, 2, 2, 1, AmbiguousTie()]
+        preds = [1, 2, 2, 1, TIE_LABEL]
         counts, ties = confusion(truth, preds, positive_label=2)
         assert counts.total == 5
         assert ties == 1
@@ -59,7 +59,7 @@ class TestConfusion:
 
     def test_tie_counts_as_incorrect_on_both_sides(self):
         truth = np.array([2, 1])
-        counts, ties = confusion(truth, [AmbiguousTie(), AmbiguousTie()], 2)
+        counts, ties = confusion(truth, [TIE_LABEL, TIE_LABEL], 2)
         assert ties == 2
         assert counts.fn == 1 and counts.fp == 1
 
@@ -137,7 +137,7 @@ class TestDetectionRate:
 
     def test_ties_count_as_not_detected(self):
         X = np.zeros((10, 2))
-        fn = rule(lambda sub: [AmbiguousTie()] * sub.shape[0])
+        fn = rule(lambda sub: np.full(sub.shape[0], TIE_LABEL))
         rows = sweep(fn, X, (100.0,), (1,), seed=0)
         assert rows[0].dr_mean == 0.0
 

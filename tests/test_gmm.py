@@ -451,7 +451,7 @@ class TestEstimate:
         if caller == "initialize":
             model = cem.initialize(X, y, 2, config).model
         elif caller == "cm_step":
-            model = cem.cm_step(start, X[:4], np.full((4, 2), 0.5), start.model)
+            model = cem.cm_step(start, X[:4], np.ones(4, dtype=np.int64), start.model)
         else:
             model = baselines.lda_fit(X, y).mixture
         assert len(calls) == 1

@@ -66,10 +66,10 @@ class TestSelectModel:
         ds = spherical_dataset(seed=3)
         real_fit = cem.fit
 
-        def flaky_fit(start, X_u, trace_path=None):
+        def flaky_fit(start, X_u):
             if start.config.family == "VVV":
                 raise MbssError("synthetic failure")
-            return real_fit(start, X_u, trace_path)
+            return real_fit(start, X_u)
 
         monkeypatch.setattr(model_select.cem, "fit", flaky_fit)
         best, scores = model_select.select_model(ds, ["VVV", "EII"], cem.CemConfig())
@@ -79,7 +79,7 @@ class TestSelectModel:
     def test_all_failing_is_an_error(self, monkeypatch):
         ds = spherical_dataset(seed=4)
 
-        def broken_fit(start, X_u, trace_path=None):
+        def broken_fit(start, X_u):
             raise MbssError("nope")
 
         monkeypatch.setattr(model_select.cem, "fit", broken_fit)
@@ -91,8 +91,8 @@ class TestSelectModel:
         real_fit = cem.fit
         fixed = {}
 
-        def pinned_fit(start, X_u, trace_path=None):
-            return replace(real_fit(start, X_u, trace_path), complete_loglik=-100.0)
+        def pinned_fit(start, X_u):
+            return replace(real_fit(start, X_u), complete_loglik=-100.0)
 
         monkeypatch.setattr(model_select.cem, "fit", pinned_fit)
         monkeypatch.setattr(

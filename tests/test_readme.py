@@ -1,7 +1,10 @@
-"""The README's library quick start runs as written."""
+"""The README's quick starts run as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+from mbss import cli
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -14,3 +17,20 @@ def test_library_quick_start_runs(capsys):
     converged, iterations, accuracy = capsys.readouterr().out.split()
     assert converged == "True" and int(iterations) >= 1
     assert float(accuracy) > 0.9
+
+
+def test_cli_blocks_run(tmp_path, monkeypatch):
+    """Every ``mbss`` line of the README's bash blocks exits 0, in order, from a
+    directory where the repository's ``data/`` is visible."""
+    text = README.read_text(encoding="utf-8")
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in re.findall(r"```bash\n(.*?)```", text, re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("mbss ")
+    ]
+    assert len(commands) == 7
+    (tmp_path / "data").symlink_to(README.parent / "data")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
