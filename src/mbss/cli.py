@@ -250,13 +250,14 @@ def build_parser():
 
 
 def _load_labels_file(path) -> dict[str, int]:
+    """filename,label rows, CSV-quoted as ``<out>.sources.csv`` writes names."""
     out: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#") or line.lower() == "filename,label":
                 continue
-            parts = [p.strip() for p in line.split(",")]
+            parts = [p.strip() for p in next(csv.reader([line]))]
             if len(parts) != 2:
                 raise DataFormatError(f"{path}:{lineno}: expected 'filename,label'")
             try:
@@ -350,18 +351,20 @@ def cmd_fit(args, argv) -> int:
 def cmd_classify(args, argv) -> int:
     _require_inputs(args.model, args.data)
     model = gmm.load_model(args.model)
+    if args.positive_label > model.K:
+        raise UsageError(
+            f"--positive-label {args.positive_label} exceeds the model's {model.K} classes"
+        )
     dataset = Dataset.load_csv(args.data)
     if dataset.d != model.d:
         raise DataFormatError(
             f"dimension mismatch: model expects d={model.d}, dataset has d={dataset.d}"
         )
     labels, posteriors = cem.predict(model, dataset.unlabeled_features)
-    score_col = args.positive_label - 1 if args.positive_label <= model.K else None
     out = _prepare_out(args.out)
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write("sample_id,predicted_label,score\n")
-        for i, lab in enumerate(labels):
-            score = posteriors[i, score_col] if score_col is not None else posteriors[i].max()
+        for i, (lab, score) in enumerate(zip(labels, posteriors[:, args.positive_label - 1])):
             fh.write(f"{i},{int(lab)},{repr(float(score))}\n")
     inputs = ([args.config] if args.config else []) + [args.model, args.data]
     _write_manifest(out, "classify", argv, inputs, [out])

@@ -10,6 +10,7 @@ ordering of calls are discarded.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -175,70 +176,62 @@ class Dataset:
 
         Labeled rows come first with their class index; unlabeled rows have
         an empty label cell. Binary matrices are written as 0/1, anything
-        else with shortest round-trip float text.
+        else with shortest round-trip float text (numpy's ``%s`` of a
+        float64 is ``repr(float(v))``).
         """
-        stacked = np.vstack([self.labeled_features, self.unlabeled_features])
-        binary = bool(np.all((stacked == 0.0) | (stacked == 1.0))) if stacked.size else True
-
-        def fmt(v: float) -> str:
-            return str(int(v)) if binary else repr(float(v))
-
+        blocks = (self.labeled_features, self.unlabeled_features)
+        cell = "%d" if all(np.all((X == 0.0) | (X == 1.0)) for X in blocks) else "%s"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(list(self.vocabulary.entries) + ["label"])
-            for row, label in zip(self.labeled_features, self.labels):
-                writer.writerow([fmt(v) for v in row] + [str(int(label))])
-            for row in self.unlabeled_features:
-                writer.writerow([fmt(v) for v in row] + [""])
+            csv.writer(fh, lineterminator="\n").writerow([*self.vocabulary.entries, "label"])
+            np.savetxt(
+                fh, np.column_stack([self.labeled_features, self.labels]),
+                fmt=[cell] * self.d + ["%d"], delimiter=",",
+            )
+            # Ending each row with ",\n" leaves its label cell empty.
+            np.savetxt(fh, self.unlabeled_features, fmt=cell, delimiter=",", newline=",\n")
 
     @classmethod
-    def load_csv(cls, path, K: int | None = None) -> "Dataset":
+    def load_csv(cls, path) -> "Dataset":
+        """Read a dataset CSV as ``save_csv`` writes it; K is the largest label.
+
+        Cells may be CSV-quoted, so an API identity may hold a comma. A body
+        row is one finite number per identity and an integer or empty
+        (unlabeled) label cell; empty lines are skipped.
+        """
         try:
             with open(path, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh)
-                try:
-                    header = next(reader)
-                except StopIteration:
-                    raise DataFormatError(f"{path}: empty file") from None
+                header = next(csv.reader(fh), None)
+                if header is None:
+                    raise DataFormatError(f"{path}: empty file")
                 if not header or header[-1] != "label":
                     raise DataFormatError(f"{path}: last header column must be 'label'")
                 vocabulary = ApiVocabulary(tuple(header[:-1]))
-                # A float64 array per row, not a list of Python floats: a
-                # 6000x160 file otherwise adds ~50 MB of peak memory.
-                labeled_rows: list[np.ndarray] = []
-                labels: list[int] = []
-                unlabeled_rows: list[np.ndarray] = []
-                width = len(header) - 1
-                for lineno, row in enumerate(reader, start=2):
-                    if len(row) != len(header):
-                        raise DataFormatError(
-                            f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
-                        )
-                    try:
-                        values = np.fromiter(map(float, row[:-1]), np.float64, width)
-                    except ValueError as exc:
-                        raise DataFormatError(f"{path}:{lineno}: bad feature cell: {exc}") from exc
-                    if row[-1] == "":
-                        unlabeled_rows.append(values)
-                    else:
-                        try:
-                            labels.append(int(row[-1]))
-                        except ValueError as exc:
-                            raise DataFormatError(f"{path}:{lineno}: bad label cell") from exc
-                        labeled_rows.append(values)
+                width = len(header)
+                # loadtxt warns on a body without rows, so it starts at the
+                # first non-empty line; it reads the file's lines, not a copy.
+                first = next((line for line in fh if line.strip("\r\n")), None)
+                try:
+                    rows = np.loadtxt(
+                        itertools.chain([first], fh), delimiter=",", quotechar='"',
+                        comments=None, ndmin=2,
+                        # numpy < 2 passes a converter bytes, numpy 2 str; int() takes both.
+                        converters={width - 1: lambda cell: int(cell) if cell else np.nan},
+                    ) if first else np.empty((0, width))
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}: {exc}") from exc
         except OSError as exc:
             raise DataFormatError(f"cannot read dataset {path}: {exc}") from exc
-        d = vocabulary.d
-        inferred = max(labels) if labels else 1
-        if K is None:
-            K = inferred
+        if rows.shape[1] != width:
+            raise DataFormatError(f"{path}: expected {width} cells per row, got {rows.shape[1]}")
+        features, label_cells = rows[:, :-1], rows[:, -1]
+        if not np.isfinite(features).all():
+            raise DataFormatError(f"{path}: feature cells must be finite numbers")
+        labeled = ~np.isnan(label_cells)
+        labels = label_cells[labeled].astype(np.int64)
         try:
             return cls(
-                np.array(labeled_rows, dtype=np.float64).reshape(len(labeled_rows), d),
-                np.array(labels, dtype=np.int64),
-                np.array(unlabeled_rows, dtype=np.float64).reshape(len(unlabeled_rows), d),
-                vocabulary,
-                K,
+                features[labeled], labels, features[~labeled], vocabulary,
+                int(labels.max(initial=1)),
             )
         except ValueError as exc:
             raise DataFormatError(f"{path}: {exc}") from exc

@@ -126,6 +126,39 @@ class TestExtract:
             ['q"c.log', "unlabeled", "1", "", "1", "0"],
         ]
 
+    def test_labels_file_quotes_file_names(self, tmp_path):
+        logs = write_logs(
+            tmp_path,
+            {"a,b.log": "java.net.URL.openConnection 1\n", "c.log": "javax.crypto.Cipher.doFinal 1\n"},
+        )
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text(VOCAB)
+        labels = tmp_path / "labels.csv"
+        labels.write_text('filename,label\n# comment, with a comma\n\n "a,b.log" , 2\nc.log,1\n')
+        out = tmp_path / "data.csv"
+        rc = cli.main(
+            [
+                "extract", "--logs", str(logs), "--vocabulary", str(vocab),
+                "--labels", str(labels), "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        ds = Dataset.load_csv(out)
+        assert ds.labels.tolist() == [2, 1] and ds.m == 0
+
+    @pytest.mark.parametrize(
+        "row, message", [("a.log,1,2", "expected 'filename,label'"), ("a.log,x", "bad label 'x'")]
+    )
+    def test_bad_labels_row_is_data_error(self, tmp_path, capsys, row, message):
+        logs = write_logs(tmp_path, {"a.log": "java.net.URL.openConnection 1\n"})
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"filename,label\n{row}\n")
+        rc = cli.main(
+            ["extract", "--logs", str(logs), "--labels", str(labels), "--out", str(tmp_path / "d.csv")]
+        )
+        assert rc == 65
+        assert f"labels.csv:2: {message}" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, tmp_path):
         logs = write_logs(tmp_path, {"a.log": "java.net.URL.openConnection 1\n"})
         vocab = tmp_path / "vocab.txt"
@@ -237,6 +270,23 @@ class TestClassify:
         assert rc == 65
         err = capsys.readouterr().err
         assert "d=3" in err and "d=5" in err
+
+    def test_positive_label_above_k_is_usage_error(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, seed=17)
+        model_path = tmp_path / "model.json"
+        assert cli.main(
+            ["fit", "--data", str(data), "--families", "EII", "--out", str(model_path)]
+        ) == 0
+        preds_path = tmp_path / "preds.csv"
+        rc = cli.main(
+            [
+                "classify", "--model", str(model_path), "--data", str(data),
+                "--positive-label", "3", "--out", str(preds_path),
+            ]
+        )
+        assert rc == 64
+        assert "--positive-label 3" in capsys.readouterr().err
+        assert not preds_path.exists()
 
 
 def model_payload(family, means=((0.0, 0.0, 0.0), (4.0, 4.0, 4.0)), covariance=None):
@@ -507,6 +557,32 @@ def test_class_with_one_labeled_row_is_data_error(tmp_path, capsys, command, ext
     rc = cli.main([arg.format(data=data) for arg in argv])
     assert rc == 65
     assert "classes [2] have fewer than 2 labeled samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("fit", "--data"), ("classify", "--data"), ("evaluate", "--data"), ("evaluate", "--oos-data")],
+)
+def test_non_finite_feature_cell_is_data_error(tmp_path, capsys, command, flag, cell):
+    data = synth_csv(tmp_path, n=40, seed=30)
+    model_path = tmp_path / "model.json"
+    assert cli.main(["fit", "--data", str(data), "--families", "EII", "--out", str(model_path)]) == 0
+    # The last row is unlabeled: classify and evaluate read it too.
+    bad = tmp_path / "bad.csv"
+    lines = data.read_text().splitlines(keepends=True)
+    bad.write_text("".join(lines[:-1]) + cell + lines[-1][lines[-1].index(","):])
+    data_path, oos_path = (data, bad) if flag == "--oos-data" else (bad, data)
+    extra = {
+        "fit": [],
+        "classify": ["--model", str(model_path)],
+        "evaluate": ["--protocol", "oos", "--oos-data", str(oos_path), "--seed", "1"],
+    }[command]
+    rc = cli.main([command, "--data", str(data_path), *extra, "--out", str(tmp_path / "o.csv")])
+    assert rc == 65
+    err = capsys.readouterr().err
+    assert f"{bad}: feature cells must be finite" in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 class TestSynth:

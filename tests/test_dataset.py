@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,97 @@ class TestDatasetCsv:
         ds = Dataset.load_csv(path)
         assert ds.n == 0
         assert ds.m == 2
+
+    @pytest.mark.parametrize(
+        "labeled, labels, unlabeled, expected",
+        [
+            (
+                [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]], [2, 1], [[1.0, 1.0, 0.0]],
+                b"a.b,c.d,e.f,label\n0,1,1,2\n1,0,0,1\n1,1,0,\n",
+            ),
+            (
+                [[0.1, -0.0, 1e16], [5e-324, 1e-4, 2.5]], [1, 3], [[-1.0, 1 / 3, 123456789.123]],
+                b"a.b,c.d,e.f,label\n0.1,-0.0,1e+16,1\n5e-324,0.0001,2.5,3\n"
+                b"-1.0,0.3333333333333333,123456789.123,\n",
+            ),
+        ],
+        ids=["binary", "float"],
+    )
+    def test_saves_exact_bytes(self, tmp_path, labeled, labels, unlabeled, expected):
+        vocab = ApiVocabulary(("a.b", "c.d", "e.f"))
+        Dataset(labeled, labels, unlabeled, vocab, max(labels)).save_csv(tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        cells=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=24, max_size=24),
+        n=st.integers(0, 3),
+        m=st.integers(0, 3),
+    )
+    def test_float_cells_save_as_repr_and_round_trip(self, tmp_path_factory, d, cells, n, m):
+        X = np.array(cells[: (n + m) * d]).reshape(n + m, d)
+        ds = make_dataset(X[:n].reshape(n, d), [1] * n, X[n:], K=1)
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        ds.save_csv(path)
+        binary = bool(np.all((X == 0.0) | (X == 1.0)))
+        cell = (lambda v: str(int(v))) if binary else (lambda v: repr(float(v)))
+        rows = [[cell(v) for v in row] for row in X]
+        expected = [",".join(ds.vocabulary.entries + ("label",))]
+        expected += [",".join(row + ["1" if i < n else ""]) for i, row in enumerate(rows)]
+        assert path.read_text() == "".join(line + "\n" for line in expected)
+        again = path.with_name("again.csv")
+        Dataset.load_csv(path).save_csv(again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0,1,0\n", "0,1,-1\n", "0,1,1.5\n", "0,1,x\n",  # label cells
+            "0,1#,1\n", "0,,1\n",  # feature cells
+            "0,1,1#\n", "0,1,1\n#0,1,\n",  # "#" starts no comment
+            "0,nan,1\n", "inf,0,\n", "0,-inf,2\n",  # non-finite features
+            "0,1\n", "0,1,1,1\n", "0,1,1\n0,1\n", "0,1,1\n0,1,1,1\n",  # row widths
+        ],
+    )
+    def test_bad_body_is_data_error(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n" + body)
+        with pytest.raises(DataFormatError, match="bad.csv"):
+            Dataset.load_csv(path)
+
+    def test_quoted_header_identity_round_trips(self, tmp_path):
+        vocab = ApiVocabulary(("a.b(int,int)", 'q"x.y', "c.d"))
+        ds = Dataset([[0.0, 1.0, 0.5]], [1], np.empty((0, 3)), vocab, 1)
+        path = tmp_path / "q.csv"
+        ds.save_csv(path)
+        assert path.read_text().splitlines()[0] == '"a.b(int,int)","q""x.y",c.d,label'
+        assert Dataset.load_csv(path).vocabulary == vocab
+
+    def test_crlf_file_with_quoted_cells_loads(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b'f0,f1,label\r\n0,1,"2"\r\n"0.5",0,""\r\n')
+        ds = Dataset.load_csv(path)
+        assert ds.labeled_features.tolist() == [[0.0, 1.0]] and ds.labels.tolist() == [2]
+        assert ds.unlabeled_features.tolist() == [[0.5, 0.0]]
+
+    @pytest.mark.parametrize(
+        "body, n, m", [("", 0, 0), ("\n\n", 0, 0), ("0,1,\n1,1,\n", 0, 2)]
+    )
+    def test_no_rows_or_no_labels_load_without_warning(self, tmp_path, body, n, m):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,f1,label\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = Dataset.load_csv(path)
+        assert (ds.n, ds.m, ds.K, ds.d) == (n, m, 1, 2)
+
+    def test_empty_body_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,f1,label\n\n0,1,2\n\n1,0,\n\n")
+        ds = Dataset.load_csv(path)
+        assert ds.labeled_features.tolist() == [[0.0, 1.0]] and ds.labels.tolist() == [2]
+        assert ds.unlabeled_features.tolist() == [[1.0, 0.0]]
 
 
 class TestDatasetValidation:
