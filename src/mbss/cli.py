@@ -343,7 +343,7 @@ def cmd_fit(args, argv) -> int:
     _write_manifest(out, "fit", argv, inputs, [out, report], seed=args.seed)
     print(
         f"fit: selected {best.family} (BIC {best.bic:.4f}, "
-        f"{best.param_count} params, converged={best.converged}) -> {out}"
+        f"{best.param_count} params, converged={best.fit.converged}) -> {out}"
     )
     return EXIT_OK
 

@@ -196,7 +196,8 @@ class Dataset:
 
         Cells may be CSV-quoted, so an API identity may hold a comma. A body
         row is one finite number per identity and an integer or empty
-        (unlabeled) label cell; empty lines are skipped.
+        (unlabeled) label cell, from 1 to the number of labeled rows; empty
+        lines are skipped.
         """
         try:
             with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -205,7 +206,10 @@ class Dataset:
                     raise DataFormatError(f"{path}: empty file")
                 if not header or header[-1] != "label":
                     raise DataFormatError(f"{path}: last header column must be 'label'")
-                vocabulary = ApiVocabulary(tuple(header[:-1]))
+                try:
+                    vocabulary = ApiVocabulary(tuple(header[:-1]))
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}: header: {exc}") from exc
                 width = len(header)
                 # loadtxt warns on a body without rows, so it starts at the
                 # first non-empty line; it reads the file's lines, not a copy.
@@ -227,7 +231,14 @@ class Dataset:
         if not np.isfinite(features).all():
             raise DataFormatError(f"{path}: feature cells must be finite numbers")
         labeled = ~np.isnan(label_cells)
-        labels = label_cells[labeled].astype(np.int64)
+        labels = label_cells[labeled]
+        # Labels lie in 1..n for n labeled rows: a larger one names a class without rows.
+        outside = labels[(labels < 1) | (labels > labels.size)]
+        if outside.size:
+            raise DataFormatError(
+                f"{path}: label {outside[0]:.0f} is outside 1..{labels.size} (labeled rows)"
+            )
+        labels = labels.astype(np.int64)
         try:
             return cls(
                 features[labeled], labels, features[~labeled], vocabulary,

@@ -317,26 +317,17 @@ def roc_auc(scores: np.ndarray, truth: np.ndarray):
     P = int(t.sum())
     Ng = t.shape[0] - P
     order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    t_sorted = t[order]
-    points = [(float("inf"), 0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(s_sorted):
-        j = i
-        while j < len(s_sorted) and s_sorted[j] == s_sorted[i]:
-            j += 1
-        tp += int(t_sorted[i:j].sum())
-        fp += (j - i) - int(t_sorted[i:j].sum())
-        points.append(
-            (
-                float(s_sorted[i]),
-                fp / Ng if Ng else 0.0,
-                tp / P if P else 0.0,
-            )
-        )
-        i = j
-    pts = np.array(points, dtype=np.float64)
+    s_sorted, tp = s[order], np.cumsum(t[order])
+    # The last row of each run of equal scores closes its threshold's group;
+    # the group's first score is the threshold (-0.0 == 0.0 is one group).
+    last = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))
+    first = np.append(0, last[:-1] + 1)
+    tp = tp[last]
+    pts = np.empty((last.size + 1, 3))
+    pts[0] = (np.inf, 0.0, 0.0)
+    pts[1:, 0] = s_sorted[first]
+    pts[1:, 1] = (last + 1 - tp) / Ng if Ng else 0.0
+    pts[1:, 2] = tp / P if P else 0.0
     if P == 0 or Ng == 0:
         return pts, None
     # Trapezoidal rule written out (np.trapezoid needs numpy >= 2.0).

@@ -187,39 +187,6 @@ class MixtureModel:
     def d(self) -> int:
         return self.components[0].d
 
-    @classmethod
-    def from_arrays(
-        cls,
-        weights: np.ndarray,
-        means: np.ndarray,
-        covariances: np.ndarray,
-        family: str,
-    ) -> "MixtureModel":
-        """Build a model from a K x d x d stack, keeping the parameters its family has.
-
-        Those are the diagonal, the first component's covariance and the first
-        variance; a stack they rebuild only to above 1e-8 relative is rejected.
-        """
-        means = np.atleast_2d(np.asarray(means, dtype=np.float64))
-        covs = np.asarray(covariances, dtype=np.float64)
-        K, d = means.shape
-        if covs.shape != (K, d, d):
-            raise ValueError(f"{K} means of dimension {d} need {K}x{d}x{d} covariances")
-        diagonal = family in DIAGONAL_FAMILIES
-        kept = np.diagonal(covs, axis1=1, axis2=2) if diagonal else covs
-        if family in SHARED_FAMILIES:
-            kept = kept[:1]
-        if family in ("EII", "VII"):
-            kept = kept[:, :1]
-        kept = np.broadcast_to(kept, covs.shape[:2] if diagonal else covs.shape)
-        rebuilt = kept[:, :, None] * np.eye(d) if diagonal else kept
-        dev = float(np.max(np.abs(covs - rebuilt), initial=0.0))
-        dev /= float(np.max(np.abs(covs), initial=0.0)) or 1.0
-        if not dev <= 1e-8:
-            raise ValueError(f"covariances deviate from family {family} by {dev:.3e} (relative)")
-        comps = [ComponentParams(m, np.array(c)) for m, c in zip(means, kept)]
-        return cls(np.asarray(weights, dtype=np.float64), comps, family)
-
 
 def _gaussian_log(quad: np.ndarray, component: ComponentParams) -> np.ndarray:
     """-0.5 (quad + d log 2 pi + log det Sigma) for squared Mahalanobis distances."""
@@ -488,17 +455,14 @@ def merge_class_stats(a, b):
 
 
 def save_model(model: MixtureModel, path) -> None:
-    """Serialize a model as JSON with d x d covariances and round-trip floats."""
+    """Serialize a model as JSON: each covariance in its family's shape, round-trip floats."""
     payload = {
         "format": "mbss-model",
-        "version": 1,
+        "version": 2,
         "family": model.family,
         "weights": model.weights.tolist(),
         "means": [c.mean.tolist() for c in model.components],
-        "covariances": [
-            (np.diag(c.covariance) if c.covariance.ndim == 1 else c.covariance).tolist()
-            for c in model.components
-        ],
+        "covariances": [c.covariance.tolist() for c in model.components],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -514,16 +478,17 @@ def load_model(path) -> MixtureModel:
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != "mbss-model":
         raise DataFormatError(f"{path}: not a serialized mixture model")
-    try:
-        arrays = {
-            key: np.asarray(payload[key], dtype=np.float64)
-            for key in ("weights", "means", "covariances")
-        }
-        for key, values in arrays.items():
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{key} must be finite")
-        return MixtureModel.from_arrays(
-            arrays["weights"], arrays["means"], arrays["covariances"], payload["family"]
+    if payload.get("version") != 2:
+        raise DataFormatError(
+            f"{path}: model file version {payload.get('version')!r} is not 2; refit the model"
         )
+    try:
+        weights = np.asarray(payload["weights"], dtype=np.float64)
+        means = [np.asarray(m, dtype=np.float64) for m in payload["means"]]
+        covs = [np.asarray(c, dtype=np.float64) for c in payload["covariances"]]
+        if not all(np.all(np.isfinite(a)) for a in (weights, *means, *covs)):
+            raise ValueError("parameters must be finite")
+        components = [ComponentParams(m, c) for m, c in zip(means, covs, strict=True)]
+        return MixtureModel(weights, components, payload["family"])
     except (KeyError, TypeError, ValueError, SingularCovarianceError) as exc:
         raise DataFormatError(f"{path}: malformed model file: {exc}") from exc

@@ -21,19 +21,13 @@ from .errors import MbssError
 
 @dataclass(frozen=True)
 class ModelScore:
-    """One fitted family with its likelihoods, parameter count and scores."""
+    """One fitted family: its fit (likelihoods included), parameter count and BIC scores."""
 
     family: str
     bic: float
-    loglik: float
     param_count: int
     fit: cem.FitResult
-    observed_loglik: float
     observed_bic: float
-
-    @property
-    def converged(self) -> bool:
-        return self.fit.converged
 
 
 def bic(loglik: float, n_obs: int, n_params: int) -> float:
@@ -74,10 +68,8 @@ def select_model(dataset: Dataset, families, config: cem.CemConfig):
             ModelScore(
                 family=family,
                 bic=bic(result.complete_loglik, n_obs, params),
-                loglik=result.complete_loglik,
                 param_count=params,
                 fit=result,
-                observed_loglik=result.observed_loglik,
                 observed_bic=bic(result.observed_loglik, n_obs, params),
             )
         )
@@ -111,13 +103,13 @@ def write_selection_report(path, scores, best: ModelScore) -> None:
             writer.writerow(
                 [
                     score.family,
-                    int(score.converged),
+                    int(score.fit.converged),
                     score.fit.iterations,
-                    repr(score.loglik),
+                    repr(score.fit.complete_loglik),
                     score.param_count,
                     repr(score.bic),
                     int(score is best),
-                    repr(score.observed_loglik),
+                    repr(score.fit.observed_loglik),
                     repr(score.observed_bic),
                 ]
             )

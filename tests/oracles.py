@@ -7,6 +7,8 @@ agreement between the two is meaningful.
 
 import numpy as np
 
+from mbss import gmm
+
 
 def direct_log_density(mean, cov, x):
     """Gaussian log-density via explicit inverse and determinant."""
@@ -74,6 +76,30 @@ def pairwise_auc(scores, truth):
     return total / (len(pos) * len(neg))
 
 
+def roc_points(scores, truth):
+    """(threshold, fpr, tpr) rows by a loop over the distinct scores, highest first.
+
+    Each threshold is the first score of its group in a stable descending
+    sort, so -0.0 and 0.0 form one group.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    t = np.asarray(truth)
+    P = int(t.sum())
+    N = len(t) - P
+    order = np.argsort(-s, kind="stable")
+    points = [(np.inf, 0.0, 0.0)]
+    tp = fp = i = 0
+    while i < len(order):
+        j = i
+        while j < len(order) and s[order[j]] == s[order[i]]:
+            j += 1
+        positives = int(t[order[i:j]].sum())
+        tp, fp = tp + positives, fp + (j - i) - positives
+        points.append((float(s[order[i]]), fp / N if N else 0.0, tp / P if P else 0.0))
+        i = j
+    return np.array(points)
+
+
 def pooled_class_scatter(X, y, K):
     """Summed within-class scatter matrices by explicit loops."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -122,3 +148,21 @@ def random_orthogonal(rng, d):
     A = rng.standard_normal((d, d))
     Q, R = np.linalg.qr(A)
     return Q * np.sign(np.diag(R))
+
+
+def mixture(weights, means, covs, family):
+    """A ``MixtureModel`` from K d x d covariances, each kept in its family's shape.
+
+    The spherical and diagonal families keep the diagonals, exactly: a
+    nonzero off-diagonal entry there is a ValueError.
+    """
+    covs = np.asarray(covs, dtype=np.float64)
+    if family in gmm.DIAGONAL_FAMILIES:
+        variances = np.diagonal(covs, axis1=1, axis2=2)
+        if not np.array_equal(covs, variances[:, :, None] * np.eye(covs.shape[-1])):
+            raise ValueError(f"family {family} needs diagonal covariances")
+        covs = variances
+    components = [
+        gmm.ComponentParams(m, c) for m, c in zip(np.atleast_2d(means), covs, strict=True)
+    ]
+    return gmm.MixtureModel(np.asarray(weights, dtype=np.float64), components, family)

@@ -21,6 +21,7 @@ from oracles import (
     direct_log_density,
     direct_observed_ll,
     direct_responsibilities,
+    mixture,
     pairwise_auc,
     random_model_arrays,
     random_spd,
@@ -174,7 +175,7 @@ def test_criterion_5_oracle_equivalence():
 
         for family in gmm.FAMILIES:
             w, means, covs = random_model_arrays(rng, K, d, family=family)
-            model = gmm.MixtureModel.from_arrays(w, means, covs, family)
+            model = mixture(w, means, covs, family)
 
             X = means[rng.integers(0, K, 4)] + 0.5 * rng.standard_normal((4, d))
             expected = np.array(

@@ -4,7 +4,7 @@ import pytest
 from conftest import make_dataset, start_for
 from mbss import baselines, cem, gmm
 from mbss.baselines import TIE_LABEL, KnnModel, knn_predict_all
-from oracles import direct_log_density
+from oracles import direct_log_density, mixture
 
 
 def knn_one(model, x):
@@ -67,7 +67,7 @@ class TestKnn:
 def lda_model(means, covariance, priors):
     """An LDA model from its class means, pooled covariance and priors."""
     covs = np.stack([covariance] * len(priors))
-    return baselines.LdaModel(gmm.MixtureModel.from_arrays(priors, means, covs, "EEE"))
+    return baselines.LdaModel(mixture(priors, means, covs, "EEE"))
 
 
 class TestLda:

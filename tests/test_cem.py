@@ -3,7 +3,7 @@ import pytest
 
 from conftest import fit_dataset, make_dataset, start_for
 from mbss import cem, gmm, model_select, synth
-from oracles import pooled_class_scatter
+from oracles import mixture, pooled_class_scatter
 
 
 def two_blob_dataset(seed=0, separation=10.0, d=2, n=200, label_fraction=0.5):
@@ -62,7 +62,7 @@ class TestInitialize:
 
 class TestEStep:
     def test_identical_components_uniform(self):
-        model = gmm.MixtureModel.from_arrays(
+        model = mixture(
             [0.5, 0.5], np.zeros((2, 2)), np.stack([np.eye(2)] * 2), "EII"
         )
         P = cem.e_step(model, np.array([[1.0, 2.0], [0.0, 0.0]]))
@@ -70,14 +70,14 @@ class TestEStep:
 
     def test_point_at_mean_of_separated_component(self):
         means = np.array([[0.0, 0.0], [12.0, 0.0]])
-        model = gmm.MixtureModel.from_arrays(
+        model = mixture(
             [0.5, 0.5], means, np.stack([np.eye(2)] * 2), "EII"
         )
         P = cem.e_step(model, means[:1])
         assert P[0, 0] > 0.99
 
     def test_empty_unlabeled_block(self):
-        model = gmm.MixtureModel.from_arrays(
+        model = mixture(
             [1.0], np.zeros((1, 2)), np.eye(2)[None], "EII"
         )
         P = cem.e_step(model, np.empty((0, 2)))
@@ -134,7 +134,7 @@ class TestCmStep:
     def test_starved_class_keeps_previous_parameters(self):
         # class 2 has no labeled rows (relaxed container) and wins no posteriors
         ds = make_dataset([[0.0, 0.0], [0.5, 0.0]], [1, 1], [[0.2, 0.1]], K=2)
-        prev = gmm.MixtureModel.from_arrays(
+        prev = mixture(
             [0.5, 0.5],
             np.array([[0.0, 0.0], [9.0, 9.0]]),
             np.stack([np.eye(2), 2.0 * np.eye(2)]),
@@ -297,7 +297,7 @@ class TestFit:
             cem.CemConfig(family="EII", stopping="nope")
 
     def test_predict_empty_input(self):
-        model = gmm.MixtureModel.from_arrays(
+        model = mixture(
             [0.5, 0.5], np.zeros((2, 2)), np.stack([np.eye(2)] * 2), "EII"
         )
         labels, posteriors = cem.predict(model, np.empty((0, 2)))

@@ -290,12 +290,17 @@ class TestClassify:
 
 
 def model_payload(family, means=((0.0, 0.0, 0.0), (4.0, 4.0, 4.0)), covariance=None):
-    """A two-component d=3 model file body, as save_model writes it."""
-    cov = np.eye(3).tolist() if covariance is None else covariance
+    """A two-component d=3 model file body, as save_model writes it.
+
+    Both components get ``covariance``, by default the identity in the
+    family's shape: 3 variances or a 3 x 3 matrix.
+    """
+    if covariance is None:
+        covariance = [1.0] * 3 if family in gmm.DIAGONAL_FAMILIES else np.eye(3).tolist()
     return {
-        "format": "mbss-model", "version": 1, "family": family,
+        "format": "mbss-model", "version": 2, "family": family,
         "weights": [0.5, 0.5], "means": [list(m) for m in means] if means else means,
-        "covariances": [cov, cov],
+        "covariances": [covariance, covariance],
     }
 
 
@@ -305,14 +310,21 @@ def model_payload(family, means=((0.0, 0.0, 0.0), (4.0, 4.0, 4.0)), covariance=N
         model_payload("VVI", means=((0.0, float("nan"), 0.0), (4.0, 4.0, 4.0))),
         model_payload("VVV", means=((0.0, float("nan"), 0.0), (4.0, 4.0, 4.0))),
         model_payload("VVV", covariance=[[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-        model_payload("VVI", covariance=[[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]),
-        model_payload("EEI", covariance=[[1.0, 0.0, 0.0], [0.0, float("inf"), 0.0], [0.0, 0.0, 1.0]]),
+        model_payload("VVI", covariance=[1.0, -1.0, 1.0]),
+        model_payload("EEI", covariance=[1.0, float("inf"), 1.0]),
         model_payload("EII", means=None),
         dict(model_payload("EII"), weights=[float("nan"), 0.5]),
-        dict(model_payload("EII"), covariances=[np.eye(3).tolist()]),
+        dict(model_payload("EII"), covariances=[[1.0] * 3]),
+        model_payload("VVI", covariance=np.eye(3).tolist()),
+        model_payload("EEE", covariance=[1.0] * 3),
+        model_payload("EII", covariance=[1.0, 2.0, 1.0]),
+        dict(model_payload("EEE"), covariances=[np.eye(3).tolist(), (2.0 * np.eye(3)).tolist()]),
+        dict(model_payload("VVV"), weights=[0.25, 0.25, 0.5],
+             means=[[0.0] * 3, [4.0] * 3, [8.0] * 3]),
     ],
     ids=["vvi-nan-mean", "vvv-nan-mean", "not-pd", "negative-variance", "inf-variance",
-         "null-means", "nan-weight", "one-covariance"],
+         "null-means", "nan-weight", "one-covariance", "matrix-in-vvi", "vector-in-eee",
+         "unequal-eii-variances", "unequal-eee-covariances", "three-means-two-covariances"],
 )
 def test_bad_model_file_is_data_error(tmp_path, capsys, payload):
     data = synth_csv(tmp_path, seed=19)
@@ -324,6 +336,20 @@ def test_bad_model_file_is_data_error(tmp_path, capsys, payload):
     )
     assert rc == 65
     assert "malformed model file" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_version_1_model_file_asks_for_a_refit(tmp_path, capsys):
+    data = synth_csv(tmp_path, seed=19)
+    model_path = tmp_path / "model.json"
+    payload = dict(model_payload("VVV"), version=1)
+    model_path.write_text(json.dumps(payload))
+    rc = cli.main(
+        ["classify", "--model", str(model_path), "--data", str(data),
+         "--out", str(tmp_path / "p.csv")]
+    )
+    assert rc == 65
+    assert "version 1 is not 2; refit the model" in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
 
 
@@ -582,6 +608,35 @@ def test_non_finite_feature_cell_is_data_error(tmp_path, capsys, command, flag, 
     assert rc == 65
     err = capsys.readouterr().err
     assert f"{bad}: feature cells must be finite" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a.b,c.d,label\n0,1,1\n1,0,1000000000000\n1,1,\n", "label 1000000000000 is outside 1..2"),
+        ("a.b,a.b,label\n0,1,1\n1,0,2\n1,1,\n", "entries must be unique"),
+        ("label\n1\n2\n\n", "must not be empty"),
+    ],
+    ids=["huge-label", "repeated-identity", "no-identity"],
+)
+@pytest.mark.parametrize("command", ["fit", "classify", "evaluate"])
+def test_bad_label_or_header_is_data_error(tmp_path, capsys, command, text, message):
+    model_path = tmp_path / "model.json"
+    good = synth_csv(tmp_path, n=40, seed=31)
+    assert cli.main(["fit", "--data", str(good), "--families", "EII", "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    extra = {
+        "fit": [],
+        "classify": ["--model", str(model_path)],
+        "evaluate": ["--protocol", "cv", "--folds", "2", "--classifiers", "lda", "--seed", "1"],
+    }[command]
+    rc = cli.main([command, "--data", str(bad), *extra, "--out", str(tmp_path / "o.csv")])
+    assert rc == 65
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -280,6 +280,30 @@ class TestDatasetCsv:
         with pytest.raises(DataFormatError, match="bad.csv"):
             Dataset.load_csv(path)
 
+    @pytest.mark.parametrize(
+        "body, label",
+        [
+            ("0,1,2\n", "2"), ("0,1,1\n1,1,3\n0,0,\n", "3"),
+            ("0,1,1000000000000\n", "1000000000000"),
+            ("0,1,1\n1,1,-100000000000000000000000\n", "-99999999999999991611392"),
+        ],
+    )
+    def test_label_outside_one_to_the_labeled_row_count_is_data_error(self, tmp_path, body, label):
+        path = tmp_path / "big.csv"
+        path.write_text("f0,f1,label\n" + body)
+        with pytest.raises(DataFormatError, match=f"big.csv: label {label} is outside 1.."):
+            Dataset.load_csv(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [("a.b,a.b,label", "must be unique"), ("label", "must not be empty")],
+    )
+    def test_repeated_or_missing_header_identity_is_data_error(self, tmp_path, header, message):
+        path = tmp_path / "head.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(DataFormatError, match=f"head.csv: header: .*{message}"):
+            Dataset.load_csv(path)
+
     def test_quoted_header_identity_round_trips(self, tmp_path):
         vocab = ApiVocabulary(("a.b(int,int)", 'q"x.y', "c.d"))
         ds = Dataset([[0.0, 1.0, 0.5]], [1], np.empty((0, 3)), vocab, 1)
@@ -290,9 +314,10 @@ class TestDatasetCsv:
 
     def test_crlf_file_with_quoted_cells_loads(self, tmp_path):
         path = tmp_path / "crlf.csv"
-        path.write_bytes(b'f0,f1,label\r\n0,1,"2"\r\n"0.5",0,""\r\n')
+        path.write_bytes(b'f0,f1,label\r\n0,1,"2"\r\n1,1,1\r\n"0.5",0,""\r\n')
         ds = Dataset.load_csv(path)
-        assert ds.labeled_features.tolist() == [[0.0, 1.0]] and ds.labels.tolist() == [2]
+        assert ds.labeled_features.tolist() == [[0.0, 1.0], [1.0, 1.0]]
+        assert ds.labels.tolist() == [2, 1]
         assert ds.unlabeled_features.tolist() == [[0.5, 0.0]]
 
     @pytest.mark.parametrize(
@@ -308,9 +333,10 @@ class TestDatasetCsv:
 
     def test_empty_body_lines_are_skipped(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("f0,f1,label\n\n0,1,2\n\n1,0,\n\n")
+        path.write_text("f0,f1,label\n\n0,1,2\n\n1,1,1\n\n1,0,\n\n")
         ds = Dataset.load_csv(path)
-        assert ds.labeled_features.tolist() == [[0.0, 1.0]] and ds.labels.tolist() == [2]
+        assert ds.labeled_features.tolist() == [[0.0, 1.0], [1.0, 1.0]]
+        assert ds.labels.tolist() == [2, 1]
         assert ds.unlabeled_features.tolist() == [[1.0, 0.0]]
 
 

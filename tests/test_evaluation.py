@@ -18,7 +18,7 @@ from mbss.evaluation import (
     pca_project,
     roc_auc,
 )
-from oracles import pairwise_auc
+from oracles import pairwise_auc, roc_points
 
 
 def labeled_synthetic(seed=0, n=300, separation=8.0, d=3):
@@ -271,6 +271,15 @@ class TestRocAuc:
             scores = np.round(rng.standard_normal(n), 1)  # induce ties
             _, auc = roc_auc(scores, truth)
             assert auc == pytest.approx(pairwise_auc(scores, truth), abs=1e-9)
+
+    def test_points_equal_a_loop_over_distinct_scores(self):
+        rng = np.random.default_rng(34)
+        for i in range(200):
+            n = int(rng.integers(1, 30))
+            scores = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0, -1.0], n)
+            truth = rng.integers(0, 2, n) if i % 5 else np.full(n, i % 2)
+            points, _ = roc_auc(scores, truth)
+            assert points.tobytes() == roc_points(scores, truth).tobytes()
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(4)

@@ -14,6 +14,7 @@ from oracles import (
     direct_log_density,
     direct_observed_ll,
     direct_responsibilities,
+    mixture,
     random_model_arrays,
     random_orthogonal,
     random_spd,
@@ -22,7 +23,7 @@ from oracles import (
 
 def model_from(rng, K, d, family="VVV", spread=2.0):
     w, means, covs = random_model_arrays(rng, K, d, spread)
-    return gmm.MixtureModel.from_arrays(w, means, covs, family), (w, means, covs)
+    return mixture(w, means, covs, family), (w, means, covs)
 
 
 class TestComponentParams:
@@ -176,7 +177,7 @@ def binary_model(rng, family, K=3, d=160):
 
         covs = [rank_deficient()] * K if family == "EEE" else [rank_deficient() for _ in range(K)]
     w = rng.dirichlet(np.full(K, 5.0))
-    return gmm.MixtureModel.from_arrays(w / w.sum(), means, np.stack(covs), family)
+    return mixture(w / w.sum(), means, np.stack(covs), family)
 
 
 class TestLogJointKernels:
@@ -190,26 +191,6 @@ class TestLogJointKernels:
             expected = np.log(model.weights[k]) + gmm.log_density(comp, X)
             np.testing.assert_allclose(got[:, k], expected, rtol=1e-9, atol=0.0)
 
-    @pytest.mark.parametrize("family", ["EII", "VVI", "EEE"])
-    def test_from_arrays_projects_a_nudged_stack_onto_the_family(self, family):
-        rng = np.random.default_rng(161)
-        base = binary_model(rng, family, K=2, d=6)
-        covs = np.stack([np.diag(c.covariance) if c.covariance.ndim == 1 else c.covariance
-                         for c in base.components])
-        nudge = 1e-10 * covs[1, 0, 0]  # within the family tolerance
-        covs[1, 0, 1] += nudge
-        covs[1, 1, 0] += nudge
-        model = gmm.MixtureModel.from_arrays(
-            base.weights, np.stack([c.mean for c in base.components]), covs, family
-        )
-        for got, kept in zip(model.components, base.components):
-            assert np.array_equal(got.covariance, kept.covariance)
-        X = (rng.random((20, 6)) < 0.3).astype(float)
-        joint = gmm.log_joint(model, X)
-        for k, comp in enumerate(model.components):
-            expected = np.log(model.weights[k]) + gmm.log_density(comp, X)
-            np.testing.assert_allclose(joint[:, k], expected, rtol=1e-12, atol=0.0)
-
     def test_no_rows(self):
         model = binary_model(np.random.default_rng(162), "VVI", K=2, d=4)
         assert gmm.log_joint(model, np.empty((0, 4))).shape == (0, 2)
@@ -217,14 +198,14 @@ class TestLogJointKernels:
 
 class TestLogResponsibilities:
     def test_identical_components_give_uniform(self):
-        model = gmm.MixtureModel.from_arrays(
+        model = mixture(
             [0.5, 0.5], np.zeros((2, 3)), np.stack([np.eye(3)] * 2), "EII"
         )
         W = np.exp(gmm.log_responsibilities(model, np.random.default_rng(0).standard_normal((5, 3))))
         assert np.allclose(W, 0.5, atol=1e-12)
 
     def test_equidistant_point_recovers_priors(self):
-        model = gmm.MixtureModel.from_arrays(
+        model = mixture(
             [0.8, 0.2],
             np.array([[-1.0, 0.0], [1.0, 0.0]]),
             np.stack([np.eye(2)] * 2),
@@ -263,7 +244,7 @@ class TestLogResponsibilities:
         weights = np.array([0.3, 0.45, 0.25])
         means = np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 4.0]])
         covs = np.stack([1e6 * np.eye(2)] * 3)
-        model = gmm.MixtureModel.from_arrays(weights, means, covs, "EII")
+        model = mixture(weights, means, covs, "EII")
         X = np.random.default_rng(15).uniform(-5, 5, size=(10, 2))
         W = np.exp(gmm.log_responsibilities(model, X))
         assert np.max(np.abs(W - weights)) < 1e-3
@@ -287,7 +268,7 @@ class TestLikelihoods:
         assert got == pytest.approx(gmm.observed_log_likelihood(model, ds), abs=1e-12)
 
     def test_single_component_is_sum_of_log_densities(self):
-        model = gmm.MixtureModel.from_arrays(
+        model = mixture(
             [1.0], np.zeros((1, 2)), np.eye(2)[None], "VVV"
         )
         ds = make_dataset([[0.5, 0.5]], [1], [[1.0, -1.0]], K=1)
@@ -368,7 +349,7 @@ class TestLabeledStatistics:
         assert gmm.labeled_log_likelihood(model, stats) == pytest.approx(rows, rel=1e-9)
 
     def test_zero_weight_class_with_rows_is_minus_infinity(self):
-        model = gmm.MixtureModel.from_arrays(
+        model = mixture(
             [1.0, 0.0], np.zeros((2, 2)), np.stack([np.eye(2)] * 2), "VVV"
         )
         stats = gmm.class_stats(np.eye(2), np.array([1, 2]), 2, "VVV")
@@ -412,7 +393,7 @@ class TestEstimate:
     def test_weights_means_and_empty_class_fallback(self):
         X = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0], [5.0, 5.0], [7.0, 5.0]])
         stats = gmm.class_stats(X, np.array([1, 1, 1, 2, 2]), 3, "VII")
-        previous = gmm.MixtureModel.from_arrays(
+        previous = mixture(
             [0.2, 0.3, 0.5], np.array([[9.0, 9.0], [8.0, 8.0], [7.0, 7.0]]),
             np.stack([np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)]), "VII",
         )
@@ -494,16 +475,16 @@ class TestParameterCount:
 class TestMixtureModelValidation:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            gmm.MixtureModel.from_arrays(
+            mixture(
                 [0.6, 0.6], np.zeros((2, 2)), np.stack([np.eye(2)] * 2), "EII"
             )
 
     def test_family_conformity_enforced(self):
         rng = np.random.default_rng(21)
-        covs = np.stack([random_spd(rng, 2), random_spd(rng, 2)])
+        comps = [gmm.ComponentParams(np.zeros(2), random_spd(rng, 2)) for _ in range(2)]
         with pytest.raises(ValueError):
-            gmm.MixtureModel.from_arrays([0.5, 0.5], np.zeros((2, 2)), covs, "EII")
-        gmm.MixtureModel.from_arrays([0.5, 0.5], np.zeros((2, 2)), covs, "VVV")
+            gmm.MixtureModel(np.array([0.5, 0.5]), comps, "EII")
+        gmm.MixtureModel(np.array([0.5, 0.5]), comps, "VVV")
 
     @pytest.mark.parametrize(
         "family,covariances",
@@ -522,7 +503,7 @@ class TestMixtureModelValidation:
             gmm.MixtureModel(np.array([0.5, 0.5]), comps, family)
 
     @pytest.mark.parametrize(
-        "family,builder",
+        "family,make_covs",
         [
             ("EII", lambda: np.stack([2.0 * np.eye(3)] * 2)),
             ("VII", lambda: np.stack([2.0 * np.eye(3), 5.0 * np.eye(3)])),
@@ -532,8 +513,8 @@ class TestMixtureModelValidation:
             ("VVV", lambda: np.stack([random_spd(np.random.default_rng(k), 3) for k in range(2)])),
         ],
     )
-    def test_each_family_accepts_its_shape(self, family, builder):
-        model = gmm.MixtureModel.from_arrays([0.5, 0.5], np.zeros((2, 3)), builder(), family)
+    def test_each_family_accepts_its_shape(self, family, make_covs):
+        model = mixture([0.5, 0.5], np.zeros((2, 3)), make_covs(), family)
         assert model.family == family
 
 
@@ -542,17 +523,39 @@ class TestSerialization:
     def test_round_trip_is_lossless(self, tmp_path, family):
         rng = np.random.default_rng(22)
         w, means, covs = random_model_arrays(rng, 3, 4, family=family)
-        model = gmm.MixtureModel.from_arrays(w, means, covs, family)
+        model = mixture(w, means, covs, family)
         path = tmp_path / "model.json"
         gmm.save_model(model, path)
-        # the file keeps d x d covariances for every family
-        assert np.array_equal(json.loads(path.read_text())["covariances"], covs)
+        payload = json.loads(path.read_text())
+        # version 2 keeps each covariance in its family's shape
+        assert payload["version"] == 2
+        if family in gmm.DIAGONAL_FAMILIES:
+            covs = np.diagonal(covs, axis1=1, axis2=2)
+        assert np.array_equal(payload["covariances"], covs)
         loaded = gmm.load_model(path)
         assert loaded.family == model.family
         assert np.array_equal(loaded.weights, model.weights)
         for a, b in zip(loaded.components, model.components):
             assert np.array_equal(a.mean, b.mean)
             assert np.array_equal(a.covariance, b.covariance)
+            assert a.log_det == b.log_det
+
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_binary_model_at_d160_reloads_exactly(self, tmp_path, family):
+        model = binary_model(np.random.default_rng(23), family, K=2)
+        path, copy = tmp_path / "model.json", tmp_path / "copy.json"
+        gmm.save_model(model, path)
+        loaded = gmm.load_model(path)
+        gmm.save_model(loaded, copy)
+        assert path.read_bytes() == copy.read_bytes()
+        for a, b in zip(loaded.components, model.components):
+            assert np.array_equal(a.covariance, b.covariance)
+            assert a.log_det == b.log_det
+            assert (a.inv_cholesky is None) == (b.inv_cholesky is None)
+            assert a.inv_cholesky is None or np.array_equal(a.inv_cholesky, b.inv_cholesky)
+        if family in gmm.DIAGONAL_FAMILIES:
+            # 2 x 160 means and at most 2 x 160 variances, not 2 x 160 x 160
+            assert path.stat().st_size < 20_000
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"

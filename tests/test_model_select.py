@@ -46,10 +46,10 @@ class TestSelectModel:
         n_obs = ds.n + ds.m
         for s in scores:
             assert s.bic == pytest.approx(
-                2 * s.loglik - math.log(n_obs) * s.param_count, abs=1e-9
+                2 * s.fit.complete_loglik - math.log(n_obs) * s.param_count, abs=1e-9
             )
             assert s.observed_bic == pytest.approx(
-                2 * s.observed_loglik - math.log(n_obs) * s.param_count, abs=1e-9
+                2 * s.fit.observed_loglik - math.log(n_obs) * s.param_count, abs=1e-9
             )
 
     def test_adding_worse_family_never_changes_winner(self):

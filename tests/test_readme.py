@@ -2,8 +2,10 @@
 
 import re
 import shlex
+import types
 from pathlib import Path
 
+import mbss
 from mbss import cli
 
 README = Path(__file__).parent.parent / "README.md"
@@ -17,6 +19,16 @@ def test_library_quick_start_runs(capsys):
     converged, iterations, accuracy = capsys.readouterr().out.split()
     assert converged == "True" and int(iterations) >= 1
     assert float(accuracy) > 0.9
+
+
+def test_package_exports_the_quick_start_names():
+    text = README.read_text(encoding="utf-8")
+    imported = re.search(r"^from mbss import (.*)$", text, re.M).group(1)
+    public = {
+        name for name, value in vars(mbss).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == {name.strip() for name in imported.split(",")}
 
 
 def test_cli_blocks_run(tmp_path, monkeypatch):
