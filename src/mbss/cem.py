@@ -125,6 +125,7 @@ def cm_step(
     unlabeled: np.ndarray,
     hard_labels: np.ndarray,
     prev_model: MixtureModel | None = None,
+    block: gmm.Shifted | None = None,
 ) -> MixtureModel:
     """Hard-assignment maximization step on the partition ``hard_labels``.
 
@@ -134,7 +135,8 @@ def cm_step(
     of the merged statistics. A class with zero members keeps its previous
     mean (and, in per-component families, covariance) and has its weight
     floored at 1/(n+m); shared-family covariances always come from the
-    pooled scatter of the populated classes.
+    pooled scatter of the populated classes. ``block`` is the unlabeled
+    rows' ``gmm.Shifted`` form, if the caller holds it.
     """
     hard = np.asarray(hard_labels, dtype=np.int64)
     K, m = start.stats[0].shape[0], unlabeled.shape[0]
@@ -143,7 +145,7 @@ def cm_step(
     if np.any((hard < 1) | (hard > K)):
         raise ValueError(f"hard labels must lie in 1..{K}")
     family = start.config.family
-    unlabeled_stats = gmm.class_stats(unlabeled, hard, K, family)
+    unlabeled_stats = gmm.class_stats(unlabeled, hard, K, family, block)
     stats = gmm.merge_class_stats(start.stats, unlabeled_stats)
     return gmm.estimate(stats, family, start.config.regularization, prev_model)
 
@@ -184,10 +186,13 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
     the complete log-likelihood under the hard labels that built the
     model, and its row log-sum-exp gives the posteriors and the observed
     log-likelihood; the hard labels are taken once per model and drive
-    the next CM-step, so the last model's are the returned ones.
+    the next CM-step, so the last model's are the returned ones. For the
+    diagonal families the unlabeled rows are shifted and squared once
+    (``gmm.Shifted``), and every scoring and CM-step reads them so.
     """
     config, model = start.config, start.model
-    joint = gmm.log_joint(model, X_u)
+    block = gmm.Shifted.of(X_u) if config.family in gmm.DIAGONAL_FAMILIES else None
+    joint = gmm.log_joint(model, X_u, block)
     norm = gmm.row_logsumexp(joint)
     posteriors = np.exp(joint - norm[:, None])
     hard = hard_assign(posteriors)
@@ -197,13 +202,13 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
     prev_hard = None
     converged = False
     for _ in range(config.max_iterations):
-        model = cm_step(start, X_u, hard, prev_model=model)
+        model = cm_step(start, X_u, hard, model, block)
         labeled = gmm.labeled_log_likelihood(model, start.stats)
-        joint = gmm.log_joint(model, X_u)
+        joint = gmm.log_joint(model, X_u, block)
         norm = gmm.row_logsumexp(joint)
         trace.append(labeled + gmm.assigned_log_likelihood(joint, hard))
         observed.append(labeled + float(norm.sum()))
-        changed.append(len(X_u) if prev_hard is None else int(np.sum(hard != prev_hard)))
+        changed.append(len(X_u) if prev_hard is None else np.count_nonzero(hard != prev_hard))
         posteriors = np.exp(joint - norm[:, None])
         prev_hard, hard = hard, hard_assign(posteriors)
         if _stop_reached(trace, config.tolerance, config.stopping):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import traceback
@@ -57,13 +58,17 @@ def _input_key(path) -> str:
     return BUNDLED_VOCABULARY_KEY if Path(path) == DEFAULT_VOCABULARY else str(path)
 
 
-def _write_manifest(primary_out: Path, command: str, argv, inputs, outputs, seed=None) -> None:
+def _write_manifest(
+    primary_out: Path, command: str, argv, inputs, outputs, seed=None, digests=None
+) -> None:
+    """Write the manifest; ``digests`` holds the SHA-256 of inputs already read, by path."""
+    digests = digests or {}
     manifest = {
         "command": command,
         "argv": list(argv),
         "seed": seed,
         "version": __version__,
-        "inputs": {_input_key(p): _sha256(Path(p)) for p in inputs},
+        "inputs": {_input_key(p): digests.get(str(p)) or _sha256(Path(p)) for p in inputs},
         "outputs": {str(p): _sha256(Path(p)) for p in outputs},
     }
     path = Path(str(primary_out) + ".manifest.json")
@@ -279,10 +284,15 @@ def cmd_extract(args, argv) -> int:
         raise DataFormatError(f"no files matching {args.pattern!r} under {log_dir}")
     parsed = []
     failures = []
+    digests = {}
     for path in files:
         try:
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                result = parse_log(fh, vocabulary)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            digests[str(path)] = hashlib.sha256(data).hexdigest()
+            # decoded as a text-mode open() would: UTF-8, errors replaced, universal newlines
+            text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace")
+            result = parse_log(text, vocabulary)
         except (DataFormatError, OSError) as exc:
             failures.append((path.name, str(exc)))
             continue
@@ -313,7 +323,7 @@ def cmd_extract(args, argv) -> int:
     inputs = [args.vocabulary] + ([args.labels] if args.labels else []) + [str(p) for p in files]
     if args.config:
         inputs.insert(0, args.config)
-    _write_manifest(out, "extract", argv, inputs, [out, sources])
+    _write_manifest(out, "extract", argv, inputs, [out, sources], digests=digests)
     for name, msg in failures:
         print(f"extract: failed: {name}: {msg}", file=sys.stderr)
     print(f"extract: wrote {dataset.n} labeled + {dataset.m} unlabeled rows to {out}")

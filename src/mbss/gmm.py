@@ -13,10 +13,17 @@ supported, named by the volume/shape/orientation convention:
 Each component stores its covariance in its family's shape: a vector of d
 variances for the spherical and diagonal families, a d x d matrix for EEE
 and VVV, factored once as W = L^-1, the inverse of its lower Cholesky
-factor (Sigma^-1 = W^T W). ``log_density`` scales squared deviations by
-the inverse variances, O(N d), or multiplies them by W, O(N d^2).
-``log_joint`` calls it per component, except for EEE, which whitens X with
-the shared W once and subtracts each component's whitened mean.
+factor (Sigma^-1 = W^T W). A model also keeps its means, log-determinants
+and, for the diagonal families, inverse variances stacked K-wise.
+
+The diagonal families read rows through their moments about a shift c
+(``Shifted``): D = X - c and D * D. ``log_joint`` scores all K components
+with two products, (D * D)(1/v)^T - 2 D((mu - c)/v)^T + sum((mu - c)^2/v),
+and ``class_stats`` takes the class sums of D and D * D from one-hot
+products. The shift, the rows' column mean, keeps rows far from the
+origin from cancelling. EEE whitens X with the shared W once and subtracts
+each component's whitened mean; VVV multiplies each component's
+deviations by its W, O(N d^2).
 The closed-form estimators follow Celeux & Govaert (1995). They and
 ``labeled_log_likelihood`` read rows only through per-class counts, means
 and scatters (``class_stats``), which ``merge_class_stats`` combines
@@ -48,9 +55,9 @@ def row_logsumexp(joint: np.ndarray) -> np.ndarray:
     Exponentiating ``joint`` less these values gives the posteriors, and
     their sum is the rows' observed log-likelihood.
     """
-    shift = np.max(joint, axis=1, keepdims=True)
+    shift = joint.max(axis=1, keepdims=True)
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    return np.log(np.sum(np.exp(joint - shift), axis=1)) + shift[:, 0]
+    return np.log(np.exp(joint - shift).sum(axis=1)) + shift[:, 0]
 
 
 @dataclass
@@ -77,7 +84,7 @@ class ComponentParams:
             raise ValueError(f"mean has dimension {d} but covariance has shape {cov.shape}")
         if cov.ndim == 1:
             chol = None
-            if not np.all(cov > 0.0):
+            if not (cov > 0.0).all():
                 raise SingularCovarianceError("covariance is not positive definite")
         else:
             scale = float(np.max(np.abs(cov))) if cov.size else 0.0
@@ -89,7 +96,7 @@ class ComponentParams:
             except np.linalg.LinAlgError as exc:
                 raise SingularCovarianceError("covariance is not positive definite") from exc
         # sqrt(v) is what cholesky(diag(v)) puts on its diagonal, bit for bit.
-        self.log_det = 2.0 * float(np.sum(np.log(np.sqrt(cov) if chol is None else np.diag(chol))))
+        self.log_det = 2.0 * float(np.log(np.sqrt(cov) if chol is None else np.diag(chol)).sum())
         self.mean = mean
         self.covariance = cov
         self.inv_cholesky = None if chol is None else np.linalg.inv(chol)
@@ -119,7 +126,7 @@ def make_component(
     ``MAX_REGULARIZATION`` before giving up.
     """
     cov = np.asarray(covariance, dtype=np.float64)
-    t = float(np.mean(cov if cov.ndim == 1 else np.diagonal(cov)))
+    t = float(cov.sum() if cov.ndim == 1 else np.trace(cov)) / cov.shape[0]
     if not t > 0.0:
         # Zero or degenerate scatter (e.g. identical rows); fall back to an
         # absolute scale so the ridge is nonzero.
@@ -147,11 +154,21 @@ SHARED_FAMILIES = ("EII", "EEI", "EEE")
 
 @dataclass
 class MixtureModel:
-    """A K-component Gaussian mixture whose components have its family's shape."""
+    """A K-component Gaussian mixture whose components have its family's shape.
+
+    ``means`` (K x d) and ``log_dets`` (K) stack the components' own,
+    ``log_weights`` is -inf for a zero weight, and ``inverse_variances``
+    (K x d) holds 1/v for the diagonal families (None for EEE and VVV), so
+    the kernels score all components at once.
+    """
 
     weights: np.ndarray
     components: list[ComponentParams]
     family: str
+    log_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    means: np.ndarray = field(init=False, repr=False, compare=False)
+    log_dets: np.ndarray = field(init=False, repr=False, compare=False)
+    inverse_variances: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -161,23 +178,30 @@ class MixtureModel:
             raise ValueError("one weight per component required")
         if w.shape[0] < 1:
             raise ValueError("mixture needs at least one component")
-        if np.any(w < 0.0):
+        if (w < 0.0).any():
             raise ValueError("weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-        dims = {c.d for c in self.components}
-        if len(dims) != 1:
+        if len({c.d for c in self.components}) != 1:
             raise ValueError("components disagree on dimension")
         covs = [c.covariance for c in self.components]
         diagonal = self.family in DIAGONAL_FAMILIES
         if any(c.ndim != (1 if diagonal else 2) for c in covs):
             shape = "variance vectors" if diagonal else "d x d covariances"
             raise ValueError(f"family {self.family} needs {shape}")
-        if self.family in ("EII", "VII") and any(np.any(c != c[0]) for c in covs):
-            raise ValueError(f"family {self.family} needs equal variances")
-        if self.family in SHARED_FAMILIES and any(not np.array_equal(c, covs[0]) for c in covs):
+        if self.family in SHARED_FAMILIES and any(
+            c is not covs[0] and not np.array_equal(c, covs[0]) for c in covs
+        ):
             raise ValueError(f"family {self.family} needs one covariance for all components")
+        variances = np.array(covs) if diagonal else None
+        if self.family in ("EII", "VII") and (variances != variances[:, :1]).any():
+            raise ValueError(f"family {self.family} needs equal variances")
         self.weights = w
+        with np.errstate(divide="ignore"):
+            self.log_weights = np.log(w)
+        self.means = np.array([c.mean for c in self.components])
+        self.log_dets = np.array([c.log_det for c in self.components])
+        self.inverse_variances = None if variances is None else 1.0 / variances
 
     @property
     def K(self) -> int:
@@ -188,9 +212,30 @@ class MixtureModel:
         return self.components[0].d
 
 
-def _gaussian_log(quad: np.ndarray, component: ComponentParams) -> np.ndarray:
+def _gaussian_log(quad: np.ndarray, d: int, log_det) -> np.ndarray:
     """-0.5 (quad + d log 2 pi + log det Sigma) for squared Mahalanobis distances."""
-    return -0.5 * (quad + component.d * _LOG_2PI + component.log_det)
+    return -0.5 * (quad + d * _LOG_2PI + log_det)
+
+
+@dataclass(frozen=True)
+class Shifted:
+    """Rows X as the diagonal kernels read them: ``rows`` = X - ``shift``, and their ``squares``.
+
+    ``Shifted.of(X)`` shifts by the column means. Expanded about the origin,
+    rows near 1e4 + N(0, 1) lose about eight digits to cancellation in
+    sum((x - mu)^2 / v) = sum(x^2 / v) - 2 sum(x mu / v) + sum(mu^2 / v);
+    about their mean they lose none.
+    """
+
+    shift: np.ndarray
+    rows: np.ndarray
+    squares: np.ndarray
+
+    @classmethod
+    def of(cls, X: np.ndarray) -> "Shifted":
+        shift = X.mean(axis=0) if X.shape[0] else np.zeros(X.shape[1])
+        rows = X - shift
+        return cls(shift, rows, rows * rows)
 
 
 def log_density(component: ComponentParams, x: np.ndarray) -> float | np.ndarray:
@@ -210,33 +255,47 @@ def log_density(component: ComponentParams, x: np.ndarray) -> float | np.ndarray
     else:
         z = diff @ component.inv_cholesky.T
         quad = np.sum(z * z, axis=1)
-    out = _gaussian_log(quad, component)
+    out = _gaussian_log(quad, component.d, component.log_det)
     return float(out[0]) if single else out
 
 
-def log_joint(model: MixtureModel, X: np.ndarray) -> np.ndarray:
+def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) -> np.ndarray:
     """Matrix of log(pi_k) + log f_k(x_j), rows = samples, cols = components.
 
-    EEE whitens X with the shared inverse Cholesky factor once; every other
-    family scores each component with ``log_density``.
+    The matrix is the transpose of a C-ordered K x N array, so reductions
+    over a row's K entries (max, sum, log-sum-exp) sweep contiguous columns.
+
+    The diagonal families score all components with two products on
+    ``block``, the ``Shifted`` rows of X (``Shifted.of(X)`` unless given; a
+    fit builds it once for all its calls): with delta = mu - shift,
+    quad = squares (1/v)^T - 2 rows (delta/v)^T + sum(delta^2/v). EEE
+    whitens X with the shared inverse Cholesky factor once; VVV scores each
+    component with ``log_density``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.d:
         raise ValueError(f"expected dimension {model.d}, got {X.shape[1]}")
-    with np.errstate(divide="ignore"):
-        logw = np.log(model.weights)
+    logw = model.log_weights[:, None]
+    if model.inverse_variances is not None:
+        block = Shifted.of(X) if block is None else block
+        inv = model.inverse_variances
+        delta = model.means - block.shift
+        scaled = delta * inv
+        quad = inv @ block.squares.T + (-2.0 * scaled) @ block.rows.T
+        quad += (delta * scaled).sum(axis=1, keepdims=True)
+        return (logw + _gaussian_log(quad, model.d, model.log_dets[:, None])).T
     comps = model.components
-    out = np.empty((X.shape[0], model.K))
+    out = np.empty((model.K, X.shape[0]))
     if model.family == "EEE":
         W = comps[0].inv_cholesky
         Z = X @ W.T
         for k, comp in enumerate(comps):
             diff = Z - W @ comp.mean
-            out[:, k] = logw[k] + _gaussian_log(np.sum(diff * diff, axis=1), comp)
+            out[k] = logw[k] + _gaussian_log(np.sum(diff * diff, axis=1), comp.d, comp.log_det)
     else:
         for k, comp in enumerate(comps):
-            out[:, k] = logw[k] + log_density(comp, X)
-    return out
+            out[k] = logw[k] + log_density(comp, X)
+    return out.T
 
 
 def log_responsibilities(model: MixtureModel, X: np.ndarray) -> np.ndarray:
@@ -259,27 +318,26 @@ def labeled_log_likelihood(model, stats) -> float:
         n_k log w_k - 1/2 [n_k (d log 2 pi + log det Sigma_k)
                            + tr(Sigma_k^-1 S_k) + n_k q_k],
 
-    q_k = (M_k - mu_k)^T Sigma_k^-1 (M_k - mu_k). The diagonal families need
-    only the inverse variances; EEE and VVV take one product each with the
-    inverse Cholesky factor W: tr(Sigma_k^-1 S_k) = sum((W S_k) * W) and
-    q_k = |W (M_k - mu_k)|^2.
+    q_k = (M_k - mu_k)^T Sigma_k^-1 (M_k - mu_k). The diagonal families take
+    all classes at once from the inverse variances; EEE and VVV take one
+    product per class with the inverse Cholesky factor W:
+    tr(Sigma_k^-1 S_k) = sum((W S_k) * W) and q_k = |W (M_k - mu_k)|^2.
     """
     counts, means, scatters = stats
-    with np.errstate(divide="ignore"):
-        logw = np.log(model.weights)
-    total = 0.0
-    for k in np.flatnonzero(counts):
-        comp, n = model.components[k], counts[k]
-        delta = means[k] - comp.mean
-        W = comp.inv_cholesky
-        if W is None:
-            inv = 1.0 / comp.covariance
-            quad = scatters[k] @ inv + n * ((delta * delta) @ inv)
-        else:
-            z = W @ delta
-            quad = np.sum((W @ scatters[k]) * W) + n * (z @ z)
-        total += n * logw[k] - 0.5 * (n * (comp.d * _LOG_2PI + comp.log_det) + quad)
-    return float(total)
+    present = counts.nonzero()[0]
+    n = counts[present]
+    delta = means[present] - model.means[present]
+    if model.inverse_variances is not None:
+        inv = model.inverse_variances[present]
+        quad = ((scatters[present] + n[:, None] * (delta * delta)) * inv).sum(axis=1)
+    else:
+        quad = np.empty(len(present))
+        for i, k in enumerate(present):
+            W = model.components[k].inv_cholesky
+            z = W @ delta[i]
+            quad[i] = np.sum((W @ scatters[k]) * W) + n[i] * (z @ z)
+    logw, log_dets = model.log_weights[present], model.log_dets[present]
+    return float((n * logw - 0.5 * (n * (model.d * _LOG_2PI + log_dets) + quad)).sum())
 
 
 def _labeled_stats(model, dataset):
@@ -352,7 +410,6 @@ def estimate_family_covariances(
     if family not in FAMILIES:
         raise ValueError(f"unknown covariance family {family!r}")
     scatters = np.asarray(scatters, dtype=np.float64)
-    counts = np.asarray(counts, dtype=np.float64)
     K, d = scatters.shape[:2]
     expected = (K, d) if family in DIAGONAL_FAMILIES else (K, d, d)
     if scatters.shape != expected:
@@ -362,13 +419,12 @@ def estimate_family_covariances(
         return np.full(expected, float(pooled.sum()) / (d * total))
     if family in SHARED_FAMILIES:
         return np.broadcast_to(pooled / total, expected).copy()
-    out = np.full(expected, np.nan)
-    for k in np.flatnonzero(counts):
-        if family == "VII":
-            out[k] = float(scatters[k].sum()) / (d * counts[k])
-        else:
-            out[k] = scatters[k] / counts[k]
-    return out
+    counts = np.asarray(counts, dtype=np.float64)
+    if family == "VII":
+        scatters, counts = scatters.sum(axis=1, keepdims=True), d * counts
+    counts = counts.reshape((K,) + (1,) * (scatters.ndim - 1))
+    out = np.divide(scatters, counts, out=np.full(scatters.shape, np.nan), where=counts > 0)
+    return np.broadcast_to(out, expected).copy()
 
 
 def estimate(stats, family: str, regularization: float, previous=None) -> MixtureModel:
@@ -384,13 +440,13 @@ def estimate(stats, family: str, regularization: float, previous=None) -> Mixtur
     counts, means, scatters = stats
     n = int(counts.sum())
     empty = counts == 0
-    if np.any(empty):
+    if empty.any():
         if previous is None:
             raise ValueError(
                 f"classes {(np.flatnonzero(empty) + 1).tolist()} received no members and "
                 "no previous model was supplied to fall back on"
             )
-        means = np.where(empty[:, None], [c.mean for c in previous.components], means)
+        means = np.where(empty[:, None], previous.means, means)
     covs = estimate_family_covariances(family, scatters, counts, n)
     if family in SHARED_FAMILIES:
         first = make_component(means[0], covs[0], regularization)
@@ -405,30 +461,41 @@ def estimate(stats, family: str, regularization: float, previous=None) -> Mixtur
     return MixtureModel(weights / weights.sum(), components, family)
 
 
-def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str):
+def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str, block: Shifted | None = None):
     """Counts, means and centered scatters per class (labels 1..K).
 
     Scatters are d x d for the full families and per-dimension sums of
     squares (K x d) for the spherical and diagonal ones, the shapes
     ``estimate_family_covariances`` takes. An empty class gets a NaN mean
     and a zero scatter.
+
+    The diagonal families take every class at once from the products of
+    the one-hot label matrix H with X, D and D * D, where ``block`` holds the
+    ``Shifted`` rows of X (``Shifted.of(X)`` unless given): the means are
+    H^T X / n and the scatters H^T (D * D) - (H^T D)^2 / n.
     """
     d = X.shape[1]
-    diagonal = family in DIAGONAL_FAMILIES
     counts = np.bincount(y, minlength=K + 1)[1:].astype(np.int64)
+    if family in DIAGONAL_FAMILIES:
+        block = Shifted.of(X) if block is None else block
+        H = (np.arange(1, K + 1)[:, None] == y).astype(np.float64)
+        n = np.maximum(counts, 1)[:, None]
+        means = H @ X / n
+        means[counts == 0] = np.nan
+        sums = H @ block.rows
+        # a sum of squares: clip the rounding of a constant column at zero
+        scatters = np.maximum(H @ block.squares - sums * (sums / n), 0.0)
+        return counts, means, scatters
     means = np.full((K, d), np.nan)
-    scatters = np.zeros((K, d) if diagonal else (K, d, d))
+    scatters = np.zeros((K, d, d))
     for k in range(K):
         rows = X[y == k + 1]
         if rows.shape[0] == 0:
             continue
         means[k] = rows.mean(axis=0)
         diff = rows - means[k]
-        if diagonal:
-            scatters[k] = np.einsum("ij,ij->j", diff, diff)
-        else:
-            s = diff.T @ diff
-            scatters[k] = 0.5 * (s + s.T)
+        s = diff.T @ diff
+        scatters[k] = 0.5 * (s + s.T)
     return counts, means, scatters
 
 
@@ -438,19 +505,21 @@ def merge_class_stats(a, b):
     Per class, the pairwise update of Chan, Golub and LeVeque (1979): with
     n and m rows and delta = mean_b - mean_a, the merged mean is
     mean_a + delta m/(n+m) and the scatter S_a + S_b + n m/(n+m) delta delta^T
-    (delta^2 per dimension for K x d scatters). A class without rows in one
-    block keeps the other block's statistics bit for bit.
+    (delta^2 per dimension for K x d scatters), for all classes at once. A
+    class without rows in one block keeps the other block's statistics bit
+    for bit.
     """
     (n, mean_a, scatter_a), (m, mean_b, scatter_b) = a, b
-    counts, means, scatters = n + m, mean_a.copy(), scatter_a.copy()
-    for k in np.flatnonzero(m):
-        if n[k] == 0:
-            means[k], scatters[k] = mean_b[k], scatter_b[k]
-            continue
-        delta = mean_b[k] - mean_a[k]
-        means[k] = mean_a[k] + delta * (m[k] / counts[k])
-        outer = delta * delta if scatters.ndim == 2 else np.outer(delta, delta)
-        scatters[k] = scatter_a[k] + scatter_b[k] + (n[k] * m[k] / counts[k]) * outer
+    counts = n + m
+    total = np.maximum(counts, 1)
+    delta = mean_b - mean_a
+    outer = delta * delta if scatter_a.ndim == 2 else delta[:, :, None] * delta[:, None, :]
+    weight = (n * m / total).reshape((-1,) + (1,) * (outer.ndim - 1))
+    means = mean_a + delta * (m / total)[:, None]
+    scatters = scatter_a + scatter_b + weight * outer
+    for k in np.flatnonzero(n * m == 0):
+        one = (mean_a, scatter_a) if m[k] == 0 else (mean_b, scatter_b)
+        means[k], scatters[k] = one[0][k], one[1][k]
     return counts, means, scatters
 
 
@@ -470,7 +539,11 @@ def save_model(model: MixtureModel, path) -> None:
 
 
 def load_model(path) -> MixtureModel:
-    """Read a ``save_model`` file; a malformed or non-finite one is a DataFormatError."""
+    """Read a ``save_model`` file; a malformed or non-finite one is a DataFormatError.
+
+    A shared family's K stored covariances must be equal; it is built and
+    factored once and shared, as ``estimate`` shares it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -488,7 +561,15 @@ def load_model(path) -> MixtureModel:
         covs = [np.asarray(c, dtype=np.float64) for c in payload["covariances"]]
         if not all(np.all(np.isfinite(a)) for a in (weights, *means, *covs)):
             raise ValueError("parameters must be finite")
-        components = [ComponentParams(m, c) for m, c in zip(means, covs, strict=True)]
-        return MixtureModel(weights, components, payload["family"])
+        pairs = list(zip(means, covs, strict=True))
+        family = payload["family"]
+        if family in SHARED_FAMILIES and pairs:
+            if any(not np.array_equal(c, covs[0]) for c in covs):
+                raise ValueError(f"family {family} needs one covariance for all components")
+            first = ComponentParams(*pairs[0])
+            components = [first] + [first.with_mean(m) for m in means[1:]]
+        else:
+            components = [ComponentParams(m, c) for m, c in pairs]
+        return MixtureModel(weights, components, family)
     except (KeyError, TypeError, ValueError, SingularCovarianceError) as exc:
         raise DataFormatError(f"{path}: malformed model file: {exc}") from exc

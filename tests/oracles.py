@@ -8,6 +8,7 @@ agreement between the two is meaningful.
 import numpy as np
 
 from mbss import gmm
+from mbss.baselines import TIE_LABEL
 
 
 def direct_log_density(mean, cov, x):
@@ -58,6 +59,39 @@ def direct_observed_ll(weights, means, covs, X_labeled, y_labeled, X_unlabeled):
             )
         )
     return float(total)
+
+
+def direct_class_moments(X, y, K):
+    """Per class 1..K: row count, mean and per-dimension sum of squared deviations, by loops."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    counts = np.zeros(K, dtype=np.int64)
+    means = np.full((K, X.shape[1]), np.nan)
+    scatters = np.zeros((K, X.shape[1]))
+    for k in range(K):
+        rows = [x for x, label in zip(X, y) if label == k + 1]
+        counts[k] = len(rows)
+        if rows:
+            means[k] = sum(rows) / len(rows)
+            for x in rows:
+                scatters[k] += (x - means[k]) ** 2
+    return counts, means, scatters
+
+
+def direct_knn(model, X):
+    """The k-nearest-neighbor vote by a loop over the query rows.
+
+    Each query's squared distances to all training rows are summed
+    directly; every training row within the k-th smallest distance votes,
+    and a vote without a unique winner is ``TIE_LABEL``.
+    """
+    out = np.empty(len(X), dtype=np.int64)
+    for i, x in enumerate(np.atleast_2d(np.asarray(X, dtype=np.float64))):
+        d2 = np.sum((model.features - x) ** 2, axis=1)
+        kth = np.partition(d2, model.k - 1)[model.k - 1]
+        votes = np.bincount(model.labels[d2 <= kth])
+        winners = np.flatnonzero(votes == votes.max())
+        out[i] = winners[0] if winners.size == 1 else TIE_LABEL
+    return out
 
 
 def pairwise_auc(scores, truth):

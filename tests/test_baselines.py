@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, start_for
 from mbss import baselines, cem, gmm
 from mbss.baselines import TIE_LABEL, KnnModel, knn_predict_all
-from oracles import direct_log_density, mixture
+from oracles import direct_knn, direct_log_density, mixture
 
 
 def knn_one(model, x):
@@ -56,6 +58,42 @@ class TestKnn:
         assert batch.dtype == np.int64
         for i in range(7):
             assert knn_one(model, Q[i]) == batch[i]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        kind=st.sampled_from(["binary", "normal", "offset", "quarters", "near-copies"]),
+    )
+    def test_matches_the_direct_loop(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 80)), int(rng.integers(1, 24))
+        if kind == "binary":
+            F, Q = (rng.random((n, d)) < 0.3) * 1.0, (rng.random((40, d)) < 0.3) * 1.0
+        elif kind == "normal":
+            F, Q = rng.standard_normal((n, d)), rng.standard_normal((40, d))
+        elif kind == "offset":
+            F, Q = 1e4 + rng.standard_normal((n, d)), 1e4 + rng.standard_normal((40, d))
+        elif kind == "quarters":
+            # Exact distances with many ties, and duplicate training rows; the
+            # column offsets near 1e4 make |x|^2 + |f|^2 - 2 x.f round.
+            c = 1e4 * rng.random(d)
+            F, Q = c + rng.integers(-4, 5, (n, d)) / 4.0, c + rng.integers(-4, 5, (40, d)) / 4.0
+            F[rng.integers(0, n, n // 2)] = F[0]
+        else:
+            F = rng.standard_normal((n, d))
+            Q = F[rng.integers(0, n, 40)] * (1.0 + 1e-15 * rng.standard_normal((40, d)))
+        model = KnnModel(F, rng.integers(1, 4, n), k=int(rng.integers(1, n + 1)))
+        np.testing.assert_array_equal(knn_predict_all(model, Q), direct_knn(model, Q))
+
+    def test_query_blocks_do_not_change_the_vote(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        F = (rng.random((50, 12)) < 0.4) * 1.0
+        model = KnnModel(F, rng.integers(1, 3, 50), k=3)
+        Q = (rng.random((30, 12)) < 0.4) * 1.0
+        whole = knn_predict_all(model, Q)
+        monkeypatch.setattr(baselines, "KNN_BLOCK", 7)
+        np.testing.assert_array_equal(knn_predict_all(model, Q), whole)
+        np.testing.assert_array_equal(whole, direct_knn(model, Q))
 
     def test_validation(self):
         with pytest.raises(ValueError):

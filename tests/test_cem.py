@@ -310,10 +310,10 @@ def _count_unlabeled_log_joints(monkeypatch, ds):
     calls = []
     real = gmm.log_joint
 
-    def counting(model, X):
+    def counting(model, X, *block):
         if X is ds.unlabeled_features:
             calls.append(model)
-        return real(model, X)
+        return real(model, X, *block)
 
     monkeypatch.setattr(gmm, "log_joint", counting)
     return calls
@@ -354,7 +354,9 @@ class TestLabeledBlockOnce:
         start = start_for(ds, config)
         blocks = []
         real_joint, real_stats = gmm.log_joint, gmm.class_stats
-        monkeypatch.setattr(gmm, "log_joint", lambda m, X: blocks.append(X) or real_joint(m, X))
+        monkeypatch.setattr(
+            gmm, "log_joint", lambda m, X, *a: blocks.append(X) or real_joint(m, X, *a)
+        )
         monkeypatch.setattr(gmm, "class_stats", lambda X, *a: blocks.append(X) or real_stats(X, *a))
         shared = cem.fit(start, ds.unlabeled_features)
         assert shared.iterations >= 2

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import fit_dataset
 from mbss import cem, cli, gmm, synth
-from mbss.dataset import Dataset
+from mbss.dataset import ApiVocabulary, Dataset, parse_log
 from mbss.evaluation import detection_rate
 
 VOCAB = "\n".join(
@@ -171,6 +171,57 @@ class TestExtract:
         second = {p.name: p.read_bytes() for p in tmp_path.glob("data.csv*")}
         assert first == second
         assert "data.csv.manifest.json" in first
+
+    def test_line_endings_bom_and_invalid_utf8_vectorize_as_text_mode_open(self, tmp_path):
+        # CRLF, a lone CR, a BOM, a byte that is not UTF-8 and a U+2028 that
+        # str.splitlines() would break at but universal newlines do not
+        raw = (
+            "\ufeffjava.net.URL.openConnection 1\r\n".encode()
+            + b"javax.crypto.Cipher.doFinal 2\rnot a record\r\n"
+            + b"android.telephony.TelephonyManager.getDevice\xffId 3\n"
+            + "javax.crypto.Cipher.doFinal\u2028java.net.URL.openConnection 4".encode()
+        )
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "a.log").write_bytes(raw)
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text(VOCAB)
+        out = tmp_path / "data.csv"
+        argv = ["extract", "--logs", str(logs), "--vocabulary", str(vocab), "--out", str(out)]
+        assert cli.main(argv) == 0
+        with open(logs / "a.log", "r", encoding="utf-8", errors="replace") as fh:
+            expected = parse_log(fh, ApiVocabulary.from_file(vocab))
+        np.testing.assert_array_equal(Dataset.load_csv(out).unlabeled_features, [expected.bits])
+        with open(str(out) + ".sources.csv", newline="") as fh:
+            row = list(csv.DictReader(fh))[0]
+        assert (int(row["parsed_lines"]), int(row["skipped_lines"])) == (
+            expected.n_parsed, expected.n_skipped,
+        )
+
+    def test_each_log_is_opened_once_and_hashed_in_the_manifest(self, tmp_path, monkeypatch):
+        logs = write_logs(
+            tmp_path,
+            {"a.log": "java.net.URL.openConnection 1\n", "b.log": "no record here\n"},
+        )
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text(VOCAB)
+        out = tmp_path / "data.csv"
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        argv = ["extract", "--logs", str(logs), "--vocabulary", str(vocab), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_PARTIAL
+        monkeypatch.undo()
+        for log in (logs / "a.log", logs / "b.log"):
+            assert opened.count(str(log)) == 1
+        inputs = json.loads((tmp_path / "data.csv.manifest.json").read_text())["inputs"]
+        assert inputs[str(logs / "a.log")] == cli._sha256(logs / "a.log")
+        assert inputs[str(logs / "b.log")] == cli._sha256(logs / "b.log")
 
     def test_manifest_keys_the_bundled_vocabulary_by_name(self, tmp_path):
         logs = write_logs(tmp_path, {"a.log": "java.net.URL.openConnection 1\n"})

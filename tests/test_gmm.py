@@ -10,11 +10,13 @@ from conftest import fit_dataset, make_dataset
 from mbss import baselines, cem, gmm
 from mbss.errors import DataFormatError, SingularCovarianceError
 from oracles import (
+    direct_class_moments,
     direct_complete_ll,
     direct_log_density,
     direct_observed_ll,
     direct_responsibilities,
     mixture,
+    random_family_covariances,
     random_model_arrays,
     random_orthogonal,
     random_spd,
@@ -381,10 +383,51 @@ class TestLabeledStatistics:
     def test_merge_with_an_empty_block_changes_nothing(self):
         rng = np.random.default_rng(171)
         X = rng.standard_normal((10, 3))
-        a = gmm.class_stats(X, np.array([1] * 5 + [2] * 5), 3, "VVV")
-        none = gmm.class_stats(np.empty((0, 3)), np.zeros(0, dtype=np.int64), 3, "VVV")
-        for got, want in zip(gmm.merge_class_stats(a, none), a):
-            np.testing.assert_array_equal(got, want)
+        for family in gmm.FAMILIES:
+            a = gmm.class_stats(X, np.array([1] * 5 + [2] * 5), 3, family)
+            none = gmm.class_stats(np.empty((0, 3)), np.zeros(0, dtype=np.int64), 3, family)
+            for merged in (gmm.merge_class_stats(a, none), gmm.merge_class_stats(none, a)):
+                for got, want in zip(merged, a):
+                    np.testing.assert_array_equal(got, want)
+
+
+class TestFarFromTheOrigin:
+    """The diagonal kernels expand about the rows' mean, so rows near 1e4 lose no digits.
+
+    Expanded about the origin instead, these rows agree with the oracles to
+    only about 1e-8.
+    """
+
+    @staticmethod
+    def far_rows(family, seed=190, d=40, K=3):
+        rng = np.random.default_rng(seed)
+        means = 1e4 + rng.standard_normal((K, d))
+        covs = random_family_covariances(rng, family, K, d) / d
+        y = np.repeat(np.arange(1, K + 1), 40)
+        X = means[y - 1] + rng.standard_normal((len(y), d))
+        w = rng.dirichlet(np.full(K, 5.0))
+        return mixture(w / w.sum(), means, covs, family), (w / w.sum(), means, covs), X, y
+
+    @pytest.mark.parametrize("family", gmm.DIAGONAL_FAMILIES)
+    def test_log_joint_matches_the_oracle(self, family):
+        model, (w, means, covs), X, _ = self.far_rows(family)
+        expected = [
+            [np.log(w[k]) + direct_log_density(means[k], covs[k], x) for k in range(len(w))]
+            for x in X
+        ]
+        np.testing.assert_allclose(gmm.log_joint(model, X), expected, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("family", gmm.DIAGONAL_FAMILIES)
+    def test_class_stats_and_labeled_likelihood_match_the_oracles(self, family):
+        model, (w, means, covs), X, y = self.far_rows(family)
+        counts, got_means, got_scatters = gmm.class_stats(X, y, 3, family)
+        want_counts, want_means, want_scatters = direct_class_moments(X, y, 3)
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_allclose(got_means, want_means, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(got_scatters, want_scatters, rtol=1e-9, atol=0.0)
+        expected = direct_complete_ll(w, means, covs, X, y, np.empty((0, X.shape[1])), [])
+        got = gmm.labeled_log_likelihood(model, (counts, got_means, got_scatters))
+        assert got == pytest.approx(expected, rel=1e-9)
 
 
 class TestEstimate:
@@ -556,6 +599,32 @@ class TestSerialization:
         if family in gmm.DIAGONAL_FAMILIES:
             # 2 x 160 means and at most 2 x 160 variances, not 2 x 160 x 160
             assert path.stat().st_size < 20_000
+
+    @pytest.mark.parametrize("family", gmm.SHARED_FAMILIES)
+    def test_shared_covariance_is_built_once_on_load(self, tmp_path, monkeypatch, family):
+        rng = np.random.default_rng(24)
+        w, means, covs = random_model_arrays(rng, 4, 3, family=family)
+        path = tmp_path / "model.json"
+        gmm.save_model(mixture(w, means, covs, family), path)
+        built = []
+        real = gmm.ComponentParams.__post_init__
+        monkeypatch.setattr(
+            gmm.ComponentParams, "__post_init__", lambda self: built.append(1) or real(self)
+        )
+        loaded = gmm.load_model(path)
+        assert len(built) == 1
+        assert all(c.covariance is loaded.components[0].covariance for c in loaded.components)
+
+    def test_unequal_shared_covariances_are_malformed(self, tmp_path):
+        rng = np.random.default_rng(25)
+        w, means, covs = random_model_arrays(rng, 2, 3, family="EEE")
+        path = tmp_path / "model.json"
+        gmm.save_model(mixture(w, means, covs, "EEE"), path)
+        payload = json.loads(path.read_text())
+        payload["covariances"][1][0][0] += 1.0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match="one covariance for all components"):
+            gmm.load_model(path)
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
