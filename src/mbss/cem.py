@@ -60,7 +60,9 @@ class FitResult:
     complete log-likelihood of its model under the hard labels its CM-step
     took, ``observed_trace`` the observed log-likelihood of its model, and
     ``changed_labels`` the number of unlabeled rows whose hard label differs
-    from iteration i-1's (all m rows at the first iteration).
+    from iteration i-1's (all m rows at the first iteration). An iteration
+    with no changed label repeats the previous iteration's model and
+    entries, so ``fit`` records it without a CM-step.
     ``complete_loglik`` (unlabeled rows under ``hard_labels``) and
     ``observed_loglik`` are evaluated under the final model; they equal
     ``gmm.complete_log_likelihood(model, dataset, hard_labels)`` and
@@ -189,6 +191,11 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
     the next CM-step, so the last model's are the returned ones. For the
     diagonal families the unlabeled rows are shifted and squared once
     (``gmm.Shifted``), and every scoring and CM-step reads them so.
+
+    Hard labels equal to the partition that built the current model are a
+    fixed point: the next CM-step would rebuild that model bit for bit, so
+    that iteration repeats the last record, with 0 changed labels, without
+    one; the stopping rule then fires unless the trace is non-finite.
     """
     config, model = start.config, start.model
     block = gmm.Shifted.of(X_u) if config.family in gmm.DIAGONAL_FAMILIES else None
@@ -202,15 +209,21 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
     prev_hard = None
     converged = False
     for _ in range(config.max_iterations):
-        model = cm_step(start, X_u, hard, model, block)
-        labeled = gmm.labeled_log_likelihood(model, start.stats)
-        joint = gmm.log_joint(model, X_u, block)
-        norm = gmm.row_logsumexp(joint)
-        trace.append(labeled + gmm.assigned_log_likelihood(joint, hard))
-        observed.append(labeled + float(norm.sum()))
-        changed.append(len(X_u) if prev_hard is None else np.count_nonzero(hard != prev_hard))
-        posteriors = np.exp(joint - norm[:, None])
-        prev_hard, hard = hard, hard_assign(posteriors)
+        if prev_hard is not None and np.array_equal(hard, prev_hard):
+            # the partition that built this model: a CM-step would rebuild it
+            trace.append(trace[-1])
+            observed.append(observed[-1])
+            changed.append(0)
+        else:
+            model = cm_step(start, X_u, hard, model, block)
+            labeled = gmm.labeled_log_likelihood(model, start.stats)
+            joint = gmm.log_joint(model, X_u, block)
+            norm = gmm.row_logsumexp(joint)
+            trace.append(labeled + gmm.assigned_log_likelihood(joint, hard))
+            observed.append(labeled + float(norm.sum()))
+            changed.append(len(X_u) if prev_hard is None else np.count_nonzero(hard != prev_hard))
+            posteriors = np.exp(joint - norm[:, None])
+            prev_hard, hard = hard, hard_assign(posteriors)
         if _stop_reached(trace, config.tolerance, config.stopping):
             converged = True
             break

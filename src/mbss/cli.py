@@ -55,7 +55,8 @@ def _sha256(path: Path) -> str:
 def _input_key(path) -> str:
     """A manifest input's key: its path as given, but the bundled vocabulary by
     its name in the package, so the key does not depend on the checkout."""
-    return BUNDLED_VOCABULARY_KEY if Path(path) == DEFAULT_VOCABULARY else str(path)
+    path = path if isinstance(path, Path) else Path(path)
+    return BUNDLED_VOCABULARY_KEY if path == DEFAULT_VOCABULARY else str(path)
 
 
 def _write_manifest(
@@ -279,7 +280,8 @@ def cmd_extract(args, argv) -> int:
     log_dir = Path(args.logs)
     if not log_dir.is_dir():
         raise UsageError(f"--logs must be a directory: {log_dir}")
-    files = sorted(p for p in log_dir.glob(args.pattern) if p.is_file())
+    # Path order, by parts, without Path's own comparisons
+    files = sorted((p for p in log_dir.glob(args.pattern) if p.is_file()), key=lambda p: p.parts)
     if not files:
         raise DataFormatError(f"no files matching {args.pattern!r} under {log_dir}")
     parsed = []
@@ -320,7 +322,7 @@ def cmd_extract(args, argv) -> int:
         for block, rows in (("labeled", labeled), ("unlabeled", unlabeled)):
             for i, (name, lab, r) in enumerate(rows):
                 writer.writerow([name, block, i, lab, r.n_parsed, r.n_skipped])
-    inputs = [args.vocabulary] + ([args.labels] if args.labels else []) + [str(p) for p in files]
+    inputs = [args.vocabulary] + ([args.labels] if args.labels else []) + files
     if args.config:
         inputs.insert(0, args.config)
     _write_manifest(out, "extract", argv, inputs, [out, sources], digests=digests)

@@ -21,9 +21,11 @@ The diagonal families read rows through their moments about a shift c
 with two products, (D * D)(1/v)^T - 2 D((mu - c)/v)^T + sum((mu - c)^2/v),
 and ``class_stats`` takes the class sums of D and D * D from one-hot
 products. The shift, the rows' column mean, keeps rows far from the
-origin from cancelling. EEE whitens X with the shared W once and subtracts
-each component's whitened mean; VVV multiplies each component's
-deviations by its W, O(N d^2).
+origin from cancelling. EEE and VVV share one loop: it whitens X with a
+component's W, O(N d^2), only when W differs from the previous
+component's (once for EEE, whose components share W; K times for VVV),
+and subtracts each component's whitened mean. ``log_density`` is the
+one-component ``log_joint``.
 The closed-form estimators follow Celeux & Govaert (1995). They and
 ``labeled_log_likelihood`` read rows only through per-class counts, means
 and scatters (``class_stats``), which ``merge_class_stats`` combines
@@ -241,22 +243,13 @@ class Shifted:
 def log_density(component: ComponentParams, x: np.ndarray) -> float | np.ndarray:
     """Log of the Gaussian density at ``x`` (a vector, or a matrix of rows).
 
-    Computes -0.5 (x-mu)^T Sigma^-1 (x-mu) - 0.5 log det(2 pi Sigma) from
-    the inverse variances or the cached inverse Cholesky factor.
+    The one-component ``log_joint``: family VVI for a variance vector, VVV
+    for a d x d covariance, so each structure has one kernel.
     """
     X = np.asarray(x, dtype=np.float64)
-    single = X.ndim == 1
-    X = np.atleast_2d(X)
-    if X.shape[1] != component.d:
-        raise ValueError(f"expected dimension {component.d}, got {X.shape[1]}")
-    diff = X - component.mean
-    if component.inv_cholesky is None:
-        quad = np.multiply(diff, diff, out=diff) @ (1.0 / component.covariance)
-    else:
-        z = diff @ component.inv_cholesky.T
-        quad = np.sum(z * z, axis=1)
-    out = _gaussian_log(quad, component.d, component.log_det)
-    return float(out[0]) if single else out
+    family = "VVI" if component.inv_cholesky is None else "VVV"
+    out = log_joint(MixtureModel(np.ones(1), [component], family), X)[:, 0]
+    return float(out[0]) if X.ndim == 1 else out
 
 
 def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) -> np.ndarray:
@@ -268,9 +261,10 @@ def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) 
     The diagonal families score all components with two products on
     ``block``, the ``Shifted`` rows of X (``Shifted.of(X)`` unless given; a
     fit builds it once for all its calls): with delta = mu - shift,
-    quad = squares (1/v)^T - 2 rows (delta/v)^T + sum(delta^2/v). EEE
-    whitens X with the shared inverse Cholesky factor once; VVV scores each
-    component with ``log_density``.
+    quad = squares (1/v)^T - 2 rows (delta/v)^T + sum(delta^2/v). EEE and
+    VVV take quad = |Z - W mu|^2, where Z = X W^T is formed again only when
+    a component's inverse Cholesky factor W is not the previous one's:
+    once for EEE, K times for VVV.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.d:
@@ -284,17 +278,14 @@ def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) 
         quad = inv @ block.squares.T + (-2.0 * scaled) @ block.rows.T
         quad += (delta * scaled).sum(axis=1, keepdims=True)
         return (logw + _gaussian_log(quad, model.d, model.log_dets[:, None])).T
-    comps = model.components
     out = np.empty((model.K, X.shape[0]))
-    if model.family == "EEE":
-        W = comps[0].inv_cholesky
-        Z = X @ W.T
-        for k, comp in enumerate(comps):
-            diff = Z - W @ comp.mean
-            out[k] = logw[k] + _gaussian_log(np.sum(diff * diff, axis=1), comp.d, comp.log_det)
-    else:
-        for k, comp in enumerate(comps):
-            out[k] = logw[k] + log_density(comp, X)
+    W = None
+    for k, comp in enumerate(model.components):
+        if comp.inv_cholesky is not W:
+            W = comp.inv_cholesky
+            Z = X @ W.T
+        diff = Z - W @ comp.mean
+        out[k] = logw[k] + _gaussian_log(np.sum(diff * diff, axis=1), comp.d, comp.log_det)
     return out.T
 
 

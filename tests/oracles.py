@@ -7,7 +7,7 @@ agreement between the two is meaningful.
 
 import numpy as np
 
-from mbss import gmm
+from mbss import cem, gmm
 from mbss.baselines import TIE_LABEL
 
 
@@ -59,6 +59,49 @@ def direct_observed_ll(weights, means, covs, X_labeled, y_labeled, X_unlabeled):
             )
         )
     return float(total)
+
+
+def reference_fit(start, X_u):
+    """``cem.fit`` as a plain loop in which every iteration runs its CM-step.
+
+    An iteration whose partition is the one that built the current model
+    rebuilds that model and repeats its record; ``cem.fit`` records such a
+    repeat without the CM-step, and must return the same result.
+    """
+    config, model = start.config, start.model
+    block = gmm.Shifted.of(X_u) if config.family in gmm.DIAGONAL_FAMILIES else None
+    joint = gmm.log_joint(model, X_u, block)
+    norm = gmm.row_logsumexp(joint)
+    posteriors = np.exp(joint - norm[:, None])
+    hard = cem.hard_assign(posteriors)
+    trace, observed, changed = [], [], []
+    prev_hard = None
+    converged = False
+    for _ in range(config.max_iterations):
+        model = cem.cm_step(start, X_u, hard, model, block)
+        labeled = gmm.labeled_log_likelihood(model, start.stats)
+        joint = gmm.log_joint(model, X_u, block)
+        norm = gmm.row_logsumexp(joint)
+        trace.append(labeled + gmm.assigned_log_likelihood(joint, hard))
+        observed.append(labeled + float(norm.sum()))
+        changed.append(len(X_u) if prev_hard is None else np.count_nonzero(hard != prev_hard))
+        posteriors = np.exp(joint - norm[:, None])
+        prev_hard, hard = hard, cem.hard_assign(posteriors)
+        if cem._stop_reached(trace, config.tolerance, config.stopping):
+            converged = True
+            break
+    return cem.FitResult(
+        model=model,
+        iterations=len(trace),
+        loglik_trace=tuple(trace),
+        observed_trace=tuple(observed),
+        changed_labels=tuple(changed),
+        converged=converged,
+        posteriors=posteriors,
+        hard_labels=hard,
+        complete_loglik=labeled + gmm.assigned_log_likelihood(joint, hard),
+        observed_loglik=observed[-1],
+    )
 
 
 def direct_class_moments(X, y, K):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import fit_dataset, make_dataset, start_for
 from mbss import cem, gmm, model_select, synth
-from oracles import mixture, pooled_class_scatter
+from oracles import mixture, pooled_class_scatter, reference_fit
 
 
 def two_blob_dataset(seed=0, separation=10.0, d=2, n=200, label_fraction=0.5):
@@ -319,8 +319,17 @@ def _count_unlabeled_log_joints(monkeypatch, ds):
     return calls
 
 
+def models_built(result):
+    """The starting model plus one per CM-step: iterations + 1, less a final repeat.
+
+    A last iteration with no changed label repeats the partition that built
+    the model before it, and ``fit`` records it without a CM-step.
+    """
+    return result.iterations + 1 - int(result.changed_labels[-1] == 0)
+
+
 class TestLogJointReuse:
-    """The unlabeled block is scored once per model: iterations + 1 times per fit."""
+    """The unlabeled block is scored once per model: once per CM-step and once for the start."""
 
     @pytest.mark.parametrize("family", ["EII", "VVI", "EEE", "VVV"])
     def test_fit_scores_unlabeled_block_once_per_model(self, monkeypatch, family):
@@ -331,17 +340,18 @@ class TestLogJointReuse:
         monkeypatch.setattr(cem, "hard_assign", lambda P: assigned.append(P) or real_assign(P))
         result = fit_dataset(ds, cem.CemConfig(family=family))
         assert result.iterations >= 2
-        assert len(calls) == result.iterations + 1
+        assert result.changed_labels[-1] == 0  # the fit ends on a skipped repeat
+        assert len(calls) == models_built(result)
         assert len({id(model) for model in calls}) == len(calls)
         # the partition is taken once per model, and the last one is returned
-        assert len(assigned) == result.iterations + 1
+        assert len(assigned) == models_built(result)
         assert np.array_equal(real_assign(assigned[-1]), result.hard_labels)
 
     def test_selection_does_not_rescore(self, monkeypatch):
         (ds, _), _ = two_blob_dataset(seed=12, separation=2.0, label_fraction=0.3)
         calls = _count_unlabeled_log_joints(monkeypatch, ds)
         best, _ = model_select.select_model(ds, ["VVI"], cem.CemConfig())
-        assert len(calls) == best.fit.iterations + 1
+        assert len(calls) == models_built(best.fit)
 
 
 class TestLabeledBlockOnce:
@@ -374,10 +384,47 @@ class TestLabeledBlockOnce:
         real = gmm.make_component
         monkeypatch.setattr(gmm, "make_component", lambda *a: made.append(a) or real(*a))
         result = fit_dataset(ds, cem.CemConfig(family=family))
-        assert len(made) == result.iterations + 1
+        assert len(made) == models_built(result)
         covs = [c.covariance for c in result.model.components]
         assert covs[0] is covs[1]
         assert not np.array_equal(result.model.components[0].mean, result.model.components[1].mean)
+
+
+class TestFixedPartitionStop:
+    """A fit that reaches the partition that built its model records the repeat without a CM-step."""
+
+    @staticmethod
+    def assert_same_fit(got, want):
+        for name in ("iterations", "loglik_trace", "observed_trace", "changed_labels",
+                     "converged", "complete_loglik", "observed_loglik"):
+            assert getattr(got, name) == getattr(want, name), name
+        np.testing.assert_array_equal(got.posteriors, want.posteriors)
+        np.testing.assert_array_equal(got.hard_labels, want.hard_labels)
+        np.testing.assert_array_equal(got.model.weights, want.model.weights)
+        assert got.model.family == want.model.family
+        for a, b in zip(got.model.components, want.model.components, strict=True):
+            np.testing.assert_array_equal(a.mean, b.mean)
+            np.testing.assert_array_equal(a.covariance, b.covariance)
+            if a.inv_cholesky is not None:
+                np.testing.assert_array_equal(a.inv_cholesky, b.inv_cholesky)
+            assert a.log_det == b.log_det
+
+    @pytest.mark.parametrize("stopping", cem.STOPPING_RULES)
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_fit_equals_the_reference_loop_bit_for_bit(self, family, stopping):
+        (ds, _), _ = two_blob_dataset(seed=17, separation=2.0, d=4, label_fraction=0.3)
+        config = cem.CemConfig(family=family, stopping=stopping)
+        want = reference_fit(start_for(ds, config), ds.unlabeled_features)
+        assert want.converged and want.changed_labels[-1] == 0  # ends on a repeat
+        self.assert_same_fit(fit_dataset(ds, config), want)
+        # a cap on the repeat iteration still records it; one less leaves it out
+        for cap, converged in ((want.iterations, True), (want.iterations - 1, False)):
+            capped = cem.CemConfig(
+                family=family, stopping=stopping, max_iterations=cap
+            )
+            want_capped = reference_fit(start_for(ds, capped), ds.unlabeled_features)
+            assert want_capped.converged == converged
+            self.assert_same_fit(fit_dataset(ds, capped), want_capped)
 
 
 class TestAitkenStopping:

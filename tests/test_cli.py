@@ -108,6 +108,30 @@ class TestExtract:
         sources = (tmp_path / "data.csv.sources.csv").read_text()
         assert "u1.log,unlabeled" in sources
 
+    def test_nested_logs_are_read_in_path_order(self, tmp_path):
+        # Path order puts a/ before a-b/; string order ('-' < '/') and name
+        # order would both put one.log first.
+        logs = tmp_path / "logs"
+        for sub, name in (("a-b", "one.log"), ("a", "two.log")):
+            (logs / sub).mkdir(parents=True)
+            (logs / sub / name).write_text("java.net.URL.openConnection 1\n")
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text(VOCAB)
+        out = tmp_path / "data.csv"
+        rc = cli.main(
+            [
+                "extract", "--logs", str(logs), "--pattern", "*/*.log",
+                "--vocabulary", str(vocab), "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        with open(tmp_path / "data.csv.sources.csv", newline="") as fh:
+            assert [row["filename"] for row in csv.DictReader(fh)] == ["two.log", "one.log"]
+        manifest = json.loads((tmp_path / "data.csv.manifest.json").read_text())
+        assert {str(logs / "a" / "two.log"), str(logs / "a-b" / "one.log")} <= set(
+            manifest["inputs"]
+        )
+
     def test_sources_table_quotes_file_names(self, tmp_path):
         logs = write_logs(
             tmp_path,

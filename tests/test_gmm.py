@@ -392,10 +392,11 @@ class TestLabeledStatistics:
 
 
 class TestFarFromTheOrigin:
-    """The diagonal kernels expand about the rows' mean, so rows near 1e4 lose no digits.
+    """The kernels keep their digits on rows near 1e4.
 
-    Expanded about the origin instead, these rows agree with the oracles to
-    only about 1e-8.
+    The diagonal kernels expand about the rows' mean; expanded about the
+    origin instead, these rows agree with the oracles to only about 1e-8.
+    The full kernel subtracts the whitened mean from the whitened rows.
     """
 
     @staticmethod
@@ -408,13 +409,36 @@ class TestFarFromTheOrigin:
         w = rng.dirichlet(np.full(K, 5.0))
         return mixture(w / w.sum(), means, covs, family), (w / w.sum(), means, covs), X, y
 
+    @staticmethod
+    def oracle_joint(w, means, covs, X):
+        return np.array([
+            [np.log(w[k]) + direct_log_density(means[k], covs[k], x) for k in range(len(w))]
+            for x in X
+        ])
+
     @pytest.mark.parametrize("family", gmm.DIAGONAL_FAMILIES)
     def test_log_joint_matches_the_oracle(self, family):
         model, (w, means, covs), X, _ = self.far_rows(family)
-        expected = [
-            [np.log(w[k]) + direct_log_density(means[k], covs[k], x) for k in range(len(w))]
-            for x in X
-        ]
+        expected = self.oracle_joint(w, means, covs, X)
+        np.testing.assert_allclose(gmm.log_joint(model, X), expected, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("d", [20, 160])
+    @pytest.mark.parametrize("family", ["EEE", "VVV"])
+    def test_full_kernel_matches_the_oracle(self, family, d):
+        model, (w, means, covs), X, _ = self.far_rows(family, d=d)
+        expected = self.oracle_joint(w, means, covs, X)
+        np.testing.assert_allclose(gmm.log_joint(model, X), expected, rtol=1e-9, atol=0.0)
+        for k, comp in enumerate(model.components):
+            np.testing.assert_allclose(
+                np.log(w[k]) + gmm.log_density(comp, X), expected[:, k], rtol=1e-9, atol=0.0
+            )
+
+    def test_vvv_components_sharing_one_factor_match_the_oracle(self):
+        _, (w, means, covs), X, _ = self.far_rows("EEE")
+        first = gmm.ComponentParams(means[0], covs[0])
+        model = gmm.MixtureModel(w, [first] + [first.with_mean(m) for m in means[1:]], "VVV")
+        assert all(c.inv_cholesky is first.inv_cholesky for c in model.components)
+        expected = self.oracle_joint(w, means, covs, X)
         np.testing.assert_allclose(gmm.log_joint(model, X), expected, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("family", gmm.DIAGONAL_FAMILIES)
