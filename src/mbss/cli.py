@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import sys
 import traceback
@@ -289,12 +288,12 @@ def cmd_extract(args, argv) -> int:
     digests = {}
     for path in files:
         try:
-            with open(path, "rb") as fh:
+            with open(path, "rb", buffering=0) as fh:
                 data = fh.read()
             digests[str(path)] = hashlib.sha256(data).hexdigest()
-            # decoded as a text-mode open() would: UTF-8, errors replaced, universal newlines
-            text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace")
-            result = parse_log(text, vocabulary)
+            # The lines of a text-mode open(): universal newlines, not str.splitlines()
+            text = data.decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
+            result = parse_log(text.split("\n"), vocabulary)
         except (DataFormatError, OSError) as exc:
             failures.append((path.name, str(exc)))
             continue
@@ -303,15 +302,10 @@ def cmd_extract(args, argv) -> int:
         raise DataFormatError("every log file failed to parse")
     labeled = [(n, lab, r) for n, lab, r in parsed if lab is not None]
     unlabeled = [(n, lab, r) for n, lab, r in parsed if lab is None]
-    K = max((lab for _, lab, _ in labeled), default=1)
+    labels = [lab for _, lab, _ in labeled]
     out = _prepare_out(args.out)
-    dataset = Dataset(
-        np.array([r.bits for _, _, r in labeled]).reshape(len(labeled), vocabulary.d),
-        np.array([lab for _, lab, _ in labeled], dtype=np.int64),
-        np.array([r.bits for _, _, r in unlabeled]).reshape(len(unlabeled), vocabulary.d),
-        vocabulary,
-        K,
-    )
+    dataset = Dataset([r.bits for _, _, r in labeled], labels, [r.bits for _, _, r in unlabeled],
+                      vocabulary, max(labels, default=1))
     dataset.save_csv(out)
     sources = Path(str(out) + ".sources.csv")
     with open(sources, "w", encoding="utf-8", newline="") as fh:

@@ -39,29 +39,37 @@ class ApiVocabulary:
     def index(self) -> dict[str, int]:
         return {entry: i for i, entry in enumerate(self.entries)}
 
-    @classmethod
-    def from_lines(cls, lines) -> "ApiVocabulary":
-        """Build from an iterable of lines, keeping first occurrences.
-
-        Blank lines and lines starting with ``#`` are skipped.
-        """
-        seen: dict[str, None] = {}
-        for raw in lines:
-            entry = raw.strip()
-            if not entry or entry.startswith("#"):
-                continue
-            seen.setdefault(entry, None)
-        if not seen:
-            raise DataFormatError("vocabulary source contains no entries")
-        return cls(tuple(seen))
+    @cached_property
+    def token_codes(self) -> "_TokenCodes":
+        """``parse_log``'s cache of the log tokens it has classified."""
+        return _TokenCodes(self.index)
 
     @classmethod
     def from_file(cls, path) -> "ApiVocabulary":
+        """One identity per line, first occurrences kept; blank and ``#`` lines skipped."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_lines(fh)
+                entries = dict.fromkeys(e for e in map(str.strip, fh) if e and e[0] != "#")
         except OSError as exc:
             raise DataFormatError(f"cannot read vocabulary {path}: {exc}") from exc
+        if not entries:
+            raise DataFormatError("vocabulary source contains no entries")
+        return cls(tuple(entries))
+
+
+class _TokenCodes(dict):
+    """Log tokens, each classified on first lookup: its position among the d
+    vocabulary entries, d for another record (a non-empty class path, a dot and
+    a non-empty method name) or d + 1 for a malformed token; it only grows."""
+
+    def __init__(self, index: dict[str, int]) -> None:
+        super().__init__()
+        self.index, self.d = index, len(index)
+
+    def __missing__(self, token: str) -> int:
+        class_path, _, method = token.rpartition(".")
+        code = self[token] = self.index.get(token, self.d) if class_path and method else self.d + 1
+        return code
 
 
 def build_vocabulary(api_list_file) -> ApiVocabulary:
@@ -84,28 +92,21 @@ def parse_log(lines, vocabulary: ApiVocabulary) -> ParseResult:
     ``bits[i]`` is 1 iff vocabulary entry i occurs at least once anywhere in
     the log. Non-blank lines that do not parse as ``Class.method`` records
     are skipped and counted; blank lines are ignored. Raises
-    DataFormatError when zero lines parse.
+    DataFormatError when zero lines parse. A line costs a split and a lookup
+    in ``vocabulary.token_codes``, which classifies each distinct token once.
     """
-    bits = np.zeros(vocabulary.d, dtype=np.float64)
-    n_parsed = 0
-    n_skipped = 0
-    for raw in lines:
-        fields = raw.split(None, 1)
-        if not fields:
-            continue
-        # The record is the first token: a non-empty class path, a dot and a
-        # non-empty method name; the token itself is the API identity.
-        class_name, _, method_name = fields[0].rpartition(".")
-        if not class_name or not method_name:
-            n_skipped += 1
-            continue
-        n_parsed += 1
-        pos = vocabulary.index.get(fields[0])
-        if pos is not None:
-            bits[pos] = 1.0
-    if n_parsed == 0:
+    cache, d = vocabulary.token_codes, vocabulary.d
+    codes = [cache[fields[0]] for line in lines if (fields := line.split(None, 1))]
+    n_skipped = codes.count(d + 1)
+    if n_skipped == len(codes):
         raise DataFormatError("no parseable API records in log")
-    return ParseResult(bits, n_parsed, n_skipped)
+    bits = np.zeros(d + 2)  # the last two slots take the codes of non-entries
+    bits[codes] = 1.0
+    return ParseResult(bits[:d], len(codes) - n_skipped, n_skipped)
+
+
+# Cells per block of rows that ``Dataset.save_csv`` formats at once.
+CSV_BLOCK = 1 << 14
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -177,18 +178,23 @@ class Dataset:
         Labeled rows come first with their class index; unlabeled rows have
         an empty label cell. Binary matrices are written as 0/1, anything
         else with shortest round-trip float text (numpy's ``%s`` of a
-        float64 is ``repr(float(v))``).
+        float64 is ``repr(float(v))``). Rows go out ``CSV_BLOCK`` cells at a
+        time, each distinct bit pattern (-0.0 is not 0.0) formatted once.
         """
         blocks = (self.labeled_features, self.unlabeled_features)
         cell = "%d" if all(np.all((X == 0.0) | (X == 1.0)) for X in blocks) else "%s"
+        step = max(1, CSV_BLOCK // self.d)
+        # A labeled row ends with its label cell; ",\n" leaves an unlabeled one empty.
+        ends = (iter([f",{label}\n" for label in self.labels.tolist()]), itertools.repeat(",\n"))
         with open(path, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow([*self.vocabulary.entries, "label"])
-            np.savetxt(
-                fh, np.column_stack([self.labeled_features, self.labels]),
-                fmt=[cell] * self.d + ["%d"], delimiter=",",
-            )
-            # Ending each row with ",\n" leaves its label cell empty.
-            np.savetxt(fh, self.unlabeled_features, fmt=cell, delimiter=",", newline=",\n")
+            for X, tails in zip(blocks, ends):
+                for start in range(0, len(X), step):
+                    block = X[start:start + step]
+                    patterns, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+                    text = np.array([cell % v for v in patterns.view(np.float64)], dtype=object)
+                    rows = text[inverse.reshape(block.shape)].tolist()
+                    fh.write("".join([",".join(row) + tail for row, tail in zip(rows, tails)]))
 
     @classmethod
     def load_csv(cls, path) -> "Dataset":

@@ -1,14 +1,19 @@
 """Independent brute-force reference implementations used as test oracles.
 
-Everything here deliberately uses explicit inverses, determinants and
-direct-space products, the opposite of the production code paths, so
-agreement between the two is meaningful.
+Everything here deliberately uses explicit inverses, determinants,
+direct-space products, extended precision and per-line or per-row loops,
+the opposite of the production code paths, so agreement between the two is
+meaningful.
 """
+
+import csv
 
 import numpy as np
 
 from mbss import cem, gmm
 from mbss.baselines import TIE_LABEL
+from mbss.dataset import ParseResult
+from mbss.errors import DataFormatError
 
 
 def direct_log_density(mean, cov, x):
@@ -21,6 +26,34 @@ def direct_log_density(mean, cov, x):
     sign, logdet = np.linalg.slogdet(2.0 * np.pi * cov)
     assert sign > 0
     return float(-0.5 * diff @ inv @ diff - 0.5 * logdet)
+
+
+def longdouble_log_joint(weights, means, covariances, X):
+    """log(pi_k) + log f_k(x), accumulated in ``np.longdouble`` from the stored arrays.
+
+    A covariance is a variance vector or a d x d matrix. The quadratic form
+    is taken difference first: x - mu, then, for a matrix, forward
+    substitution against LAPACK's Cholesky factor, never an inverse.
+    """
+    X = np.asarray(X, dtype=np.longdouble)
+    d = X.shape[1]
+    out = np.empty((X.shape[0], len(weights)), dtype=np.longdouble)
+    for k, (mean, cov) in enumerate(zip(means, covariances)):
+        diff = X - np.asarray(mean, dtype=np.longdouble)
+        if np.ndim(cov) == 1:
+            var = np.asarray(cov, dtype=np.longdouble)
+            quad = (diff * diff / var).sum(axis=1)
+            log_det = np.log(var).sum()
+        else:
+            L = np.linalg.cholesky(cov).astype(np.longdouble)
+            Z = np.zeros_like(diff)
+            for j in range(d):
+                Z[:, j] = (diff[:, j] - Z[:, :j] @ L[j, :j]) / L[j, j]
+            quad = (Z * Z).sum(axis=1)
+            log_det = 2.0 * np.log(np.diagonal(L)).sum()
+        log_2pi = np.log(2.0 * np.longdouble(np.pi))
+        out[:, k] = np.log(np.longdouble(weights[k])) - 0.5 * (d * log_2pi + log_det + quad)
+    return out
 
 
 def direct_responsibilities(weights, means, covs, X):
@@ -243,3 +276,38 @@ def mixture(weights, means, covs, family):
         gmm.ComponentParams(m, c) for m, c in zip(np.atleast_2d(means), covs, strict=True)
     ]
     return gmm.MixtureModel(np.asarray(weights, dtype=np.float64), components, family)
+
+
+def direct_parse_log(lines, vocabulary):
+    """``dataset.parse_log`` as a loop over the lines, one classification per line."""
+    bits = np.zeros(vocabulary.d, dtype=np.float64)
+    n_parsed = 0
+    n_skipped = 0
+    for raw in lines:
+        fields = raw.split(None, 1)
+        if not fields:
+            continue
+        class_name, _, method_name = fields[0].rpartition(".")
+        if not class_name or not method_name:
+            n_skipped += 1
+            continue
+        n_parsed += 1
+        if fields[0] in vocabulary.entries:
+            bits[vocabulary.entries.index(fields[0])] = 1.0
+    if n_parsed == 0:
+        raise DataFormatError("no parseable API records in log")
+    return ParseResult(bits, n_parsed, n_skipped)
+
+
+def savetxt_csv(dataset, path):
+    """``Dataset.save_csv`` through two ``np.savetxt`` calls, one row at a time."""
+    blocks = (dataset.labeled_features, dataset.unlabeled_features)
+    cell = "%d" if all(np.all((X == 0.0) | (X == 1.0)) for X in blocks) else "%s"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow([*dataset.vocabulary.entries, "label"])
+        np.savetxt(
+            fh, np.column_stack([dataset.labeled_features, dataset.labels]),
+            fmt=[cell] * dataset.d + ["%d"], delimiter=",",
+        )
+        # Ending each row with ",\n" leaves its label cell empty.
+        np.savetxt(fh, dataset.unlabeled_features, fmt=cell, delimiter=",", newline=",\n")

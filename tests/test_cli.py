@@ -7,8 +7,9 @@ import pytest
 
 from conftest import fit_dataset
 from mbss import cem, cli, gmm, synth
-from mbss.dataset import ApiVocabulary, Dataset, parse_log
+from mbss.dataset import ApiVocabulary, Dataset
 from mbss.evaluation import detection_rate
+from oracles import direct_parse_log
 
 VOCAB = "\n".join(
     [
@@ -197,30 +198,43 @@ class TestExtract:
         assert "data.csv.manifest.json" in first
 
     def test_line_endings_bom_and_invalid_utf8_vectorize_as_text_mode_open(self, tmp_path):
-        # CRLF, a lone CR, a BOM, a byte that is not UTF-8 and a U+2028 that
-        # str.splitlines() would break at but universal newlines do not
-        raw = (
-            "\ufeffjava.net.URL.openConnection 1\r\n".encode()
+        # CRLF, lone CRs, a BOM, bytes that are not UTF-8, and separators
+        # (U+2028, \x85, \v, \f, \x1c-\x1e) that str.splitlines() would
+        # break at but universal newlines do not
+        logs = {
+            "a.log": "\ufeffjava.net.URL.openConnection 1\r\n".encode()
             + b"javax.crypto.Cipher.doFinal 2\rnot a record\r\n"
             + b"android.telephony.TelephonyManager.getDevice\xffId 3\n"
-            + "javax.crypto.Cipher.doFinal\u2028java.net.URL.openConnection 4".encode()
-        )
-        logs = tmp_path / "logs"
-        logs.mkdir()
-        (logs / "a.log").write_bytes(raw)
+            + "javax.crypto.Cipher.doFinal\u2028java.net.URL.openConnection 4".encode(),
+            "b.log": "java.net.URL.openConnection\x85javax.crypto.Cipher.doFinal\r\r\n".encode()
+            + b"x\x0bandroid.telephony.TelephonyManager.getDeviceId\r",
+            "c.log": b"\r\n\r\njavax.crypto.Cipher.doFinal\x0cjava.net.URL.openConnection\r"
+            + b"bad\x1candroid.telephony.TelephonyManager.getDeviceId\r\xff\n"
+            + b"\x1dx.y\x1ejavax.crypto.Cipher.doFinal",
+            "d.log": b"\xef\xbb\xbf\r\xc3java.net.URL.openConnection\n\xe2\x80",
+        }
+        (tmp_path / "logs").mkdir()
+        for name, raw in logs.items():
+            (tmp_path / "logs" / name).write_bytes(raw)
         vocab = tmp_path / "vocab.txt"
         vocab.write_text(VOCAB)
         out = tmp_path / "data.csv"
-        argv = ["extract", "--logs", str(logs), "--vocabulary", str(vocab), "--out", str(out)]
+        argv = ["extract", "--logs", str(tmp_path / "logs"), "--vocabulary", str(vocab),
+                "--out", str(out)]
         assert cli.main(argv) == 0
-        with open(logs / "a.log", "r", encoding="utf-8", errors="replace") as fh:
-            expected = parse_log(fh, ApiVocabulary.from_file(vocab))
-        np.testing.assert_array_equal(Dataset.load_csv(out).unlabeled_features, [expected.bits])
         with open(str(out) + ".sources.csv", newline="") as fh:
-            row = list(csv.DictReader(fh))[0]
-        assert (int(row["parsed_lines"]), int(row["skipped_lines"])) == (
-            expected.n_parsed, expected.n_skipped,
-        )
+            sources = list(csv.DictReader(fh))
+        assert [row["filename"] for row in sources] == sorted(logs)
+        vocabulary = ApiVocabulary.from_file(vocab)
+        expected = []
+        for name, row in zip(sorted(logs), sources):
+            with open(tmp_path / "logs" / name, "r", encoding="utf-8", errors="replace") as fh:
+                result = direct_parse_log(fh, vocabulary)
+            expected.append(result.bits)
+            assert (int(row["parsed_lines"]), int(row["skipped_lines"])) == (
+                result.n_parsed, result.n_skipped,
+            )
+        np.testing.assert_array_equal(Dataset.load_csv(out).unlabeled_features, expected)
 
     def test_each_log_is_opened_once_and_hashed_in_the_manifest(self, tmp_path, monkeypatch):
         logs = write_logs(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
+from mbss import dataset
 from mbss.dataset import (
     ApiVocabulary,
     Dataset,
@@ -15,6 +16,7 @@ from mbss.dataset import (
     stratified_folds,
 )
 from mbss.errors import DataFormatError
+from oracles import direct_parse_log, savetxt_csv
 
 BUNDLED_VOCAB = Path(__file__).parent.parent / "src" / "mbss" / "data" / "default_api_vocabulary.txt"
 
@@ -24,6 +26,29 @@ TWO_API_VOCAB = ApiVocabulary(
         "java.net.URL.openConnection",
     )
 )
+
+
+# Log tokens: identities of the two vocabularies below, identities of
+# neither, and malformed records.
+RECORDS = ("a.b", "com.x.Y.m", "p.q$R.s", "c.d", "a.b.c", "x.y")
+MALFORMED = (".", "a.", ".b", "x")
+# Characters str.split() takes as whitespace, of which universal newlines
+# break a line at none.
+SEPARATORS = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u3000")
+
+_space = st.lists(st.sampled_from(SEPARATORS), max_size=3).map("".join)
+_token = st.sampled_from(RECORDS + MALFORMED)
+_rest = st.one_of(st.just(""), st.tuples(_space.filter(bool), _token | st.just("7")).map("".join))
+_record_line = st.tuples(_space, _token, _rest).map("".join)
+_log = st.lists(st.one_of(_space, _record_line), max_size=12)
+
+
+def _outcome(parse, lines, vocabulary):
+    try:
+        result = parse(lines, vocabulary)
+    except DataFormatError:
+        return None
+    return result.bits.tolist(), result.n_parsed, result.n_skipped
 
 
 class TestApiEvent:
@@ -104,6 +129,19 @@ class TestParseLog:
         base = parse_log(lines, TWO_API_VOCAB).bits
         shuffled = [lines[i] for i in rng.permutation(12)]
         assert np.array_equal(base, parse_log(shuffled, TWO_API_VOCAB).bits)
+
+    @settings(max_examples=100, deadline=None)
+    @given(logs=st.lists(_log, min_size=1, max_size=5))
+    def test_matches_the_per_line_loop(self, logs):
+        # One token under two vocabularies: "a.b" sits at 0 in the first and
+        # at 2 in the second, "c.d" is only in the second, "x" is malformed
+        # in either. Each vocabulary caches tokens across the logs.
+        first = ApiVocabulary(("a.b", "com.x.Y.m", "p.q$R.s"))
+        second = ApiVocabulary(("c.d", "x", "a.b"))
+        for vocabulary in (first, second, first):
+            for lines in logs:
+                expected = _outcome(direct_parse_log, lines, vocabulary)
+                assert _outcome(parse_log, lines, vocabulary) == expected
 
 
 class TestBuildVocabulary:
@@ -234,8 +272,12 @@ class TestDatasetCsv:
                 b"a.b,c.d,e.f,label\n0.1,-0.0,1e+16,1\n5e-324,0.0001,2.5,3\n"
                 b"-1.0,0.3333333333333333,123456789.123,\n",
             ),
+            (
+                [[0.0, -0.0, 0.5]], [1], [[-0.0, 0.0, 0.5]],
+                b"a.b,c.d,e.f,label\n0.0,-0.0,0.5,1\n-0.0,0.0,0.5,\n",
+            ),
         ],
-        ids=["binary", "float"],
+        ids=["binary", "float", "signed_zeros"],
     )
     def test_saves_exact_bytes(self, tmp_path, labeled, labels, unlabeled, expected):
         vocab = ApiVocabulary(("a.b", "c.d", "e.f"))
@@ -263,6 +305,37 @@ class TestDatasetCsv:
         again = path.with_name("again.csv")
         Dataset.load_csv(path).save_csv(again)
         assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        block=st.integers(1, 12),
+        n_size=st.sampled_from(("0", "1", "B-1", "B", "B+1")),
+        m_size=st.sampled_from(("0", "1", "B-1", "B", "B+1")),
+        binary=st.booleans(),
+        data=st.data(),
+    )
+    def test_writes_the_savetxt_bytes(self, tmp_path_factory, d, block, n_size, m_size, binary, data):
+        rows = max(1, block // d)  # B, the rows of one block of CSV_BLOCK cells
+        size = {"0": 0, "1": 1, "B-1": rows - 1, "B": rows, "B+1": rows + 1}
+        n, m = size[n_size], size[m_size]
+        pool = [0.0, -0.0, 1.0] if binary else [
+            0.0, -0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300, 1e-300,
+            0.1, 1 / 3, 1e16, 123456789.123, -2.5,
+        ]
+        cell = st.sampled_from(pool) if binary else st.one_of(
+            st.sampled_from(pool), st.floats(allow_nan=False, allow_infinity=False)
+        )
+        X = np.array(data.draw(st.lists(cell, min_size=(n + m) * d, max_size=(n + m) * d)))
+        labels = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        vocab = ApiVocabulary(tuple(f"c{j}.m" for j in range(d)))
+        ds = Dataset(X[: n * d].reshape(n, d), labels, X[n * d:].reshape(m, d), vocab, 3)
+        folder = tmp_path_factory.mktemp("csv")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset, "CSV_BLOCK", block)
+            ds.save_csv(folder / "blocks.csv")
+        savetxt_csv(ds, folder / "savetxt.csv")
+        assert (folder / "blocks.csv").read_bytes() == (folder / "savetxt.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "body",
