@@ -57,16 +57,21 @@ class ApiVocabulary:
         return cls(tuple(entries))
 
 
+TOKEN_CODES_LIMIT = 1 << 16
+
+
 class _TokenCodes(dict):
     """Log tokens, each classified on first lookup: its position among the d
     vocabulary entries, d for another record (a non-empty class path, a dot and
-    a non-empty method name) or d + 1 for a malformed token; it only grows."""
+    a non-empty method name) or d + 1 for a malformed token; cleared when full."""
 
     def __init__(self, index: dict[str, int]) -> None:
         super().__init__()
         self.index, self.d = index, len(index)
 
     def __missing__(self, token: str) -> int:
+        if len(self) >= TOKEN_CODES_LIMIT:
+            self.clear()
         class_path, _, method = token.rpartition(".")
         code = self[token] = self.index.get(token, self.d) if class_path and method else self.d + 1
         return code
@@ -93,7 +98,7 @@ def parse_log(lines, vocabulary: ApiVocabulary) -> ParseResult:
     the log. Non-blank lines that do not parse as ``Class.method`` records
     are skipped and counted; blank lines are ignored. Raises
     DataFormatError when zero lines parse. A line costs a split and a lookup
-    in ``vocabulary.token_codes``, which classifies each distinct token once.
+    in ``vocabulary.token_codes``, which caches each distinct token's class.
     """
     cache, d = vocabulary.token_codes, vocabulary.d
     codes = [cache[fields[0]] for line in lines if (fields := line.split(None, 1))]
@@ -109,8 +114,10 @@ def parse_log(lines, vocabulary: ApiVocabulary) -> ParseResult:
 CSV_BLOCK = 1 << 14
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64, copy=True)
+def _readonly(rows, d: int) -> np.ndarray:
+    a = np.array(rows, dtype=np.float64, ndmin=2)
+    if a.size == 0:
+        a = np.empty((0, d))
     a.flags.writeable = False
     return a
 
@@ -133,15 +140,10 @@ class Dataset:
     K: int
 
     def __post_init__(self) -> None:
-        lf = _readonly(np.atleast_2d(self.labeled_features))
-        uf = _readonly(np.atleast_2d(self.unlabeled_features))
+        d = self.vocabulary.d
+        lf, uf = _readonly(self.labeled_features, d), _readonly(self.unlabeled_features, d)
         labels = np.array(self.labels, dtype=np.int64, copy=True).reshape(-1)
         labels.flags.writeable = False
-        d = self.vocabulary.d
-        if lf.size == 0:
-            lf = _readonly(np.empty((0, d)))
-        if uf.size == 0:
-            uf = _readonly(np.empty((0, d)))
         if lf.shape[1] != d or uf.shape[1] != d:
             raise ValueError(
                 f"feature rows must match vocabulary dimension {d} "

@@ -21,11 +21,11 @@ The diagonal families read rows through their moments about a shift c
 with two products, (D * D)(1/v)^T - 2 D((mu - c)/v)^T + sum((mu - c)^2/v),
 and ``class_stats`` takes the class sums of D and D * D from one-hot
 products. The shift, the rows' column mean, keeps rows far from the
-origin from cancelling. EEE and VVV share one loop: it whitens X with a
-component's W, O(N d^2), only when W differs from the previous
-component's (once for EEE, whose components share W; K times for VVV),
-and subtracts each component's whitened mean. ``log_density`` is the
-one-component ``log_joint``.
+origin from cancelling. EEE and VVV share one loop: when a component's W
+differs from the previous one's (once for EEE, K times for VVV), it forms
+Z = X W^T - W c about that component's mean c, O(N d^2), and |Z|^2; each
+component then costs one product, |Z|^2 - 2 Z w + |w|^2 for w = W(mu - c).
+``log_density`` is the one-component ``log_joint``.
 The closed-form estimators follow Celeux & Govaert (1995). They and
 ``labeled_log_likelihood`` read rows only through per-class counts, means
 and scatters (``class_stats``), which ``merge_class_stats`` combines
@@ -262,9 +262,9 @@ def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) 
     ``block``, the ``Shifted`` rows of X (``Shifted.of(X)`` unless given; a
     fit builds it once for all its calls): with delta = mu - shift,
     quad = squares (1/v)^T - 2 rows (delta/v)^T + sum(delta^2/v). EEE and
-    VVV take quad = |Z - W mu|^2, where Z = X W^T is formed again only when
-    a component's inverse Cholesky factor W is not the previous one's:
-    once for EEE, K times for VVV.
+    VVV whiten the rows about c, the mean of the first component of each run
+    sharing an inverse Cholesky factor W (one run for EEE, K for VVV), in one
+    N x d buffer Z = X W^T - W c; with w = W (mu - c), quad = |Z|^2 - 2 Z w + |w|^2.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.d:
@@ -279,13 +279,15 @@ def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) 
         quad += (delta * scaled).sum(axis=1, keepdims=True)
         return (logw + _gaussian_log(quad, model.d, model.log_dets[:, None])).T
     out = np.empty((model.K, X.shape[0]))
-    W = None
+    W = Z = None
     for k, comp in enumerate(model.components):
         if comp.inv_cholesky is not W:
-            W = comp.inv_cholesky
-            Z = X @ W.T
-        diff = Z - W @ comp.mean
-        out[k] = logw[k] + _gaussian_log(np.sum(diff * diff, axis=1), comp.d, comp.log_det)
+            W, center = comp.inv_cholesky, comp.mean
+            Z = np.matmul(X, W.T, out=Z)
+            Z -= W @ center
+            norms = np.einsum("ij,ij->i", Z, Z)
+        wd = W @ (comp.mean - center)
+        out[k] = logw[k] + _gaussian_log(norms - 2.0 * (Z @ wd) + wd @ wd, comp.d, comp.log_det)
     return out.T
 
 
@@ -460,32 +462,28 @@ def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str, block: Shifte
     ``estimate_family_covariances`` takes. An empty class gets a NaN mean
     and a zero scatter.
 
-    The diagonal families take every class at once from the products of
-    the one-hot label matrix H with X, D and D * D, where ``block`` holds the
-    ``Shifted`` rows of X (``Shifted.of(X)`` unless given): the means are
-    H^T X / n and the scatters H^T (D * D) - (H^T D)^2 / n.
+    Every family's means are H^T X / n, H the one-hot label matrix. The
+    diagonal families' scatters are H^T (D * D) - (H^T D)^2 / n, where
+    ``block`` holds the ``Shifted`` rows D of X (``Shifted.of(X)`` unless
+    given); EEE and VVV center a copy R of each class's rows on its mean in
+    place and take R^T R, symmetrized.
     """
-    d = X.shape[1]
     counts = np.bincount(y, minlength=K + 1)[1:].astype(np.int64)
+    H = (np.arange(1, K + 1)[:, None] == y).astype(np.float64)
+    n = np.maximum(counts, 1)[:, None]
+    means = H @ X / n
+    means[counts == 0] = np.nan
     if family in DIAGONAL_FAMILIES:
         block = Shifted.of(X) if block is None else block
-        H = (np.arange(1, K + 1)[:, None] == y).astype(np.float64)
-        n = np.maximum(counts, 1)[:, None]
-        means = H @ X / n
-        means[counts == 0] = np.nan
         sums = H @ block.rows
         # a sum of squares: clip the rounding of a constant column at zero
         scatters = np.maximum(H @ block.squares - sums * (sums / n), 0.0)
         return counts, means, scatters
-    means = np.full((K, d), np.nan)
-    scatters = np.zeros((K, d, d))
-    for k in range(K):
-        rows = X[y == k + 1]
-        if rows.shape[0] == 0:
-            continue
-        means[k] = rows.mean(axis=0)
-        diff = rows - means[k]
-        s = diff.T @ diff
+    scatters = np.zeros((K, X.shape[1], X.shape[1]))
+    for k in np.flatnonzero(counts):
+        rows = X[y == k + 1].astype(np.float64, copy=False)
+        rows -= means[k]
+        s = rows.T @ rows
         scatters[k] = 0.5 * (s + s.T)
     return counts, means, scatters
 

@@ -137,19 +137,25 @@ def reference_fit(start, X_u):
     )
 
 
-def direct_class_moments(X, y, K):
-    """Per class 1..K: row count, mean and per-dimension sum of squared deviations, by loops."""
+def direct_class_moments(X, y, K, full=False):
+    """Per class 1..K: row count, mean and scatter about the mean, by loops.
+
+    The scatter is the per-dimension sum of squared deviations (K x d), or
+    with ``full`` the sum of their outer products (K x d x d).
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    d = X.shape[1]
     counts = np.zeros(K, dtype=np.int64)
-    means = np.full((K, X.shape[1]), np.nan)
-    scatters = np.zeros((K, X.shape[1]))
+    means = np.full((K, d), np.nan)
+    scatters = np.zeros((K, d, d) if full else (K, d))
     for k in range(K):
         rows = [x for x, label in zip(X, y) if label == k + 1]
         counts[k] = len(rows)
         if rows:
             means[k] = sum(rows) / len(rows)
             for x in rows:
-                scatters[k] += (x - means[k]) ** 2
+                diff = x - means[k]
+                scatters[k] += np.outer(diff, diff) if full else diff * diff
     return counts, means, scatters
 
 

@@ -130,6 +130,17 @@ class TestParseLog:
         shuffled = [lines[i] for i in rng.permutation(12)]
         assert np.array_equal(base, parse_log(shuffled, TWO_API_VOCAB).bits)
 
+    def test_token_codes_stay_bounded_and_correct_after_a_clear(self):
+        # Timestamps first: every line but the last three has its own malformed token.
+        lines = [f"{1600000000 + i} a.b pid=1" for i in range(10**5)] + ["c.d", "x.y", "a.b"]
+        vocabulary = ApiVocabulary(("a.b", "c.d"))
+        expected = _outcome(direct_parse_log, lines, vocabulary)
+        assert expected == ([1.0, 1.0], 3, 10**5)
+        for _ in range(2):
+            assert _outcome(parse_log, lines, vocabulary) == expected
+            assert len(vocabulary.token_codes) <= dataset.TOKEN_CODES_LIMIT
+        assert [vocabulary.token_codes[t] for t in ("a.b", "c.d", "x.y", "7")] == [0, 1, 2, 3]
+
     @settings(max_examples=100, deadline=None)
     @given(logs=st.lists(_log, min_size=1, max_size=5))
     def test_matches_the_per_line_loop(self, logs):
@@ -424,6 +435,17 @@ class TestDatasetValidation:
         vocab = ApiVocabulary(("a.x", "b.y"))
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 3)), [1, 2], np.empty((0, 3)), vocab, 2)
+
+    def test_features_are_copies_and_a_vector_is_one_row(self):
+        rows = np.array([[0.0, 1.0], [1.0, 0.0]])
+        vector = np.array([1.0, 1.0])
+        vector.flags.writeable = False
+        ds = Dataset(rows, [1, 2], vector, ApiVocabulary(("a.x", "b.y")), 2)
+        assert not np.shares_memory(ds.labeled_features, rows)
+        assert not np.shares_memory(ds.unlabeled_features, vector)
+        rows[0, 0] = 5.0
+        assert ds.labeled_features.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert ds.unlabeled_features.tolist() == [[1.0, 1.0]]
 
     def test_arrays_are_immutable(self):
         ds = make_dataset([[0.0, 1.0], [1.0, 0.0]], [1, 2], np.empty((0, 2)))

@@ -385,6 +385,14 @@ class TestLabeledStatistics:
         assert np.array_equal(means[1], a[1][1]) and np.array_equal(scatters[1], a[2][1])
         assert np.array_equal(means[2], b[1][2]) and np.array_equal(scatters[2], b[2][2])
 
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_integer_rows_give_the_statistics_of_their_floats(self, family):
+        X = np.array([[0, 1], [1, 0], [1, 1], [0, 0], [1, 1]])
+        y = np.array([1, 1, 1, 2, 2])
+        want = gmm.class_stats(X.astype(np.float64), y, 3, family)
+        for got, expected in zip(gmm.class_stats(X, y, 3, family), want):
+            np.testing.assert_array_equal(got, expected)
+
     def test_merge_with_an_empty_block_changes_nothing(self):
         rng = np.random.default_rng(171)
         X = rng.standard_normal((10, 3))
@@ -401,13 +409,18 @@ class TestFarFromTheOrigin:
 
     The diagonal kernels expand about the rows' mean; expanded about the
     origin instead, these rows agree with the oracles to only about 1e-8.
-    The full kernel subtracts the whitened mean from the whitened rows.
+    The full kernel centers the whitened rows on the first mean that shares
+    their factor, and ``class_stats`` centers each class's rows on its mean
+    before taking their scatter. With two components 1e3 sd apart, EEE
+    scores the second about the first's mean.
     """
 
     @staticmethod
-    def far_rows(family, seed=190, d=40, K=3):
+    def far_rows(family, seed=190, d=40, K=3, separation=0.0):
         rng = np.random.default_rng(seed)
         means = 1e4 + rng.standard_normal((K, d))
+        # consecutive means ``separation`` unit-noise sd further apart
+        means += separation / np.sqrt(d) * np.arange(K)[:, None]
         covs = random_family_covariances(rng, family, K, d) / d
         y = np.repeat(np.arange(1, K + 1), 40)
         X = means[y - 1] + rng.standard_normal((len(y), d))
@@ -420,6 +433,23 @@ class TestFarFromTheOrigin:
             [np.log(w[k]) + direct_log_density(means[k], covs[k], x) for k in range(len(w))]
             for x in X
         ])
+
+    def check_class_stats(self, family, **inputs):
+        model, (w, means, covs), X, y = self.far_rows(family, **inputs)
+        K = len(w)
+        counts, got_means, got_scatters = gmm.class_stats(X, y, K, family)
+        full = family not in gmm.DIAGONAL_FAMILIES
+        want_counts, want_means, want_scatters = direct_class_moments(X, y, K, full)
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_allclose(got_means, want_means, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(got_scatters, want_scatters, rtol=1e-9, atol=0.0)
+        if full:
+            np.testing.assert_array_equal(got_scatters, got_scatters.transpose(0, 2, 1))
+        for other in gmm.FAMILIES:
+            np.testing.assert_array_equal(gmm.class_stats(X, y, K, other)[1], got_means)
+        expected = direct_complete_ll(w, means, covs, X, y, np.empty((0, X.shape[1])), [])
+        got = gmm.labeled_log_likelihood(model, (counts, got_means, got_scatters))
+        assert got == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("family", gmm.DIAGONAL_FAMILIES)
     def test_log_joint_matches_the_oracle(self, family):
@@ -446,17 +476,16 @@ class TestFarFromTheOrigin:
         expected = self.oracle_joint(w, means, covs, X)
         np.testing.assert_allclose(gmm.log_joint(model, X), expected, rtol=1e-9, atol=0.0)
 
-    @pytest.mark.parametrize("family", gmm.DIAGONAL_FAMILIES)
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
     def test_class_stats_and_labeled_likelihood_match_the_oracles(self, family):
-        model, (w, means, covs), X, y = self.far_rows(family)
-        counts, got_means, got_scatters = gmm.class_stats(X, y, 3, family)
-        want_counts, want_means, want_scatters = direct_class_moments(X, y, 3)
-        np.testing.assert_array_equal(counts, want_counts)
-        np.testing.assert_allclose(got_means, want_means, rtol=1e-9, atol=0.0)
-        np.testing.assert_allclose(got_scatters, want_scatters, rtol=1e-9, atol=0.0)
-        expected = direct_complete_ll(w, means, covs, X, y, np.empty((0, X.shape[1])), [])
-        got = gmm.labeled_log_likelihood(model, (counts, got_means, got_scatters))
-        assert got == pytest.approx(expected, rel=1e-9)
+        self.check_class_stats(family)
+
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_two_components_1e3_sd_apart_match_the_oracles(self, family):
+        model, (w, means, covs), X, _ = self.far_rows(family, K=2, separation=1e3)
+        expected = self.oracle_joint(w, means, covs, X)
+        np.testing.assert_allclose(gmm.log_joint(model, X), expected, rtol=1e-9, atol=0.0)
+        self.check_class_stats(family, K=2, separation=1e3)
 
 
 class TestEstimate:
