@@ -254,21 +254,29 @@ def build_parser():
     return parser, subparsers
 
 
+def _text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; one that is not UTF-8 is a DataFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _load_labels_file(path) -> dict[str, int]:
     """filename,label rows, CSV-quoted as ``<out>.sources.csv`` writes names."""
     out: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.lower() == "filename,label":
-                continue
-            parts = [p.strip() for p in next(csv.reader([line]))]
-            if len(parts) != 2:
-                raise DataFormatError(f"{path}:{lineno}: expected 'filename,label'")
-            try:
-                out[parts[0]] = int(parts[1])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad label {parts[1]!r}") from exc
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#") or line.lower() == "filename,label":
+            continue
+        parts = [p.strip() for p in next(csv.reader([line]))]
+        if len(parts) != 2:
+            raise DataFormatError(f"{path}:{lineno}: expected 'filename,label'")
+        try:
+            out[parts[0]] = int(parts[1])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad label {parts[1]!r}") from exc
     return out
 
 
@@ -387,29 +395,28 @@ def _load_external_predictions(path, expected: int):
     preds = np.full(expected, evaluation.TIE_LABEL, dtype=np.int64)
     scores = np.full(expected, np.nan)
     seen = np.zeros(expected, dtype=bool)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("sample_id"):
-                continue
-            parts = line.split(",")
-            if len(parts) not in (2, 3):
-                raise DataFormatError(f"{path}:{lineno}: expected 2 or 3 cells")
-            try:
-                idx = int(parts[0])
-                label = int(parts[1])
-                score = float(parts[2]) if len(parts) == 3 and parts[2] != "" else np.nan
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad id, label or score") from exc
-            if not 0 <= idx < expected:
-                raise DataFormatError(
-                    f"{path}:{lineno}: sample_id {idx} outside 0..{expected - 1}"
-                )
-            if seen[idx]:
-                raise DataFormatError(f"{path}:{lineno}: sample_id {idx} given twice")
-            preds[idx] = label
-            seen[idx] = True
-            scores[idx] = score
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#") or line.startswith("sample_id"):
+            continue
+        parts = line.split(",")
+        if len(parts) not in (2, 3):
+            raise DataFormatError(f"{path}:{lineno}: expected 2 or 3 cells")
+        try:
+            idx = int(parts[0])
+            label = int(parts[1])
+            score = float(parts[2]) if len(parts) == 3 and parts[2] != "" else np.nan
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad id, label or score") from exc
+        if not 0 <= idx < expected:
+            raise DataFormatError(
+                f"{path}:{lineno}: sample_id {idx} outside 0..{expected - 1}"
+            )
+        if seen[idx]:
+            raise DataFormatError(f"{path}:{lineno}: sample_id {idx} given twice")
+        preds[idx] = label
+        seen[idx] = True
+        scores[idx] = score
     if not seen.all():
         missing = int((~seen).sum())
         raise DataFormatError(f"{path}: predictions missing for {missing} sample ids")
@@ -570,7 +577,7 @@ def _apply_config_defaults(config_path, sub) -> None:
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             values = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{config_path}: not valid JSON: {exc}") from exc
     if not isinstance(values, dict):
         raise DataFormatError(f"{config_path}: config must be a JSON object")

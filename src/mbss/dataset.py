@@ -10,6 +10,7 @@ ordering of calls are discarded.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,7 +51,7 @@ class ApiVocabulary:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 entries = dict.fromkeys(e for e in map(str.strip, fh) if e and e[0] != "#")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataFormatError(f"cannot read vocabulary {path}: {exc}") from exc
         if not entries:
             raise DataFormatError("vocabulary source contains no entries")
@@ -110,16 +111,117 @@ def parse_log(lines, vocabulary: ApiVocabulary) -> ParseResult:
     return ParseResult(bits[:d], len(codes) - n_skipped, n_skipped)
 
 
-# Cells per block of rows that ``Dataset.save_csv`` formats at once.
+# Cells per block of rows that ``Dataset.save_csv`` writes, and
+# ``Dataset.load_csv`` builds, at once.
 CSV_BLOCK = 1 << 14
 
+NEWLINE, COMMA, ZERO = b"\n"[0], b","[0], b"0"[0]
+ONE_BITS = np.float64(1.0).view(np.uint64)
+# A cell byte and the comma after it, read as one little-endian uint16, with bit 0 set.
+CELL_AND_COMMA = int.from_bytes(b"1,", "little")
+# Label cells longer than this are read as text; no int64 sum of their digits overflows.
+MAX_LABEL_DIGITS = 18
 
-def _readonly(rows, d: int) -> np.ndarray:
+
+def _float_block(rows, d: int) -> np.ndarray:
+    """A float64 copy of ``rows`` with at least two dimensions; no rows give 0 x d."""
     a = np.array(rows, dtype=np.float64, ndmin=2)
     if a.size == 0:
         a = np.empty((0, d))
-    a.flags.writeable = False
     return a
+
+
+def _is_binary(X: np.ndarray) -> bool:
+    """Every cell is +0.0 or 1.0 by bit pattern, so -0.0 is not binary."""
+    bits = X.view(np.uint64)
+    return bool(np.all((bits == 0) | (bits == ONE_BITS)))
+
+
+def _binary_lines(X: np.ndarray, tails) -> bytes:
+    """0/1 rows as ``c,c,...,c`` bytes, each followed by the next of ``tails``."""
+    n, d = X.shape
+    text = np.full((n, 2 * d - 1), COMMA, dtype=np.uint8)
+    np.add(X, ZERO, out=text[:, ::2], casting="unsafe")
+    return b"".join(map(bytes.__add__, text.view(f"S{2 * d - 1}").ravel().tolist(), tails))
+
+
+def _binary_rows(body: np.ndarray, d: int):
+    """Features and label cells (NaN when empty) of a 0/1 body, or None.
+
+    ``body`` is the bytes after the header line. It is a 0/1 body when every
+    line is d cells of one byte ``0`` or ``1``, each followed by a comma, then
+    a label of up to ``MAX_LABEL_DIGITS`` digits without a leading zero or no
+    label, then a newline. Newlines are found ``2 * CSV_BLOCK`` bytes at a
+    time, and rows are built ``CSV_BLOCK`` cells at a time from a window of
+    2d bytes at each line start, so the only arrays beyond the body and the
+    features are a few numbers per row. (A body-sized temporary left heap
+    holes that a later N x d array did not fit: a first ``classify`` then
+    peaked 2-3 MB higher in RSS.)
+    """
+    if body.size == 0:
+        return np.empty((0, d)), np.empty(0)
+    if body[-1] != NEWLINE:
+        return None
+    chunk = 2 * CSV_BLOCK
+    ends = np.concatenate(
+        [np.flatnonzero(body[i:i + chunk] == NEWLINE) + i for i in range(0, body.size, chunk)]
+    )
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    digits = ends - starts - 2 * d
+    if digits.min() < 0 or digits.max() > MAX_LABEL_DIGITS:
+        return None
+    features = np.empty((ends.size, d))
+    cells = np.lib.stride_tricks.sliding_window_view(body, 2 * d)
+    step = max(1, CSV_BLOCK // d)
+    for i in range(0, ends.size, step):
+        pairs = cells[starts[i:i + step]].view("<u2")
+        if not np.all((pairs | 1) == CELL_AND_COMMA):
+            return None
+        np.bitwise_and(pairs, 1, out=features[i:i + step], casting="unsafe")
+    label_cells = np.full(ends.size, np.nan)
+    for width in range(1, int(digits.max()) + 1):
+        rows = np.flatnonzero(digits == width)
+        text = np.lib.stride_tricks.sliding_window_view(body, width)[starts[rows] + 2 * d] - ZERO
+        if np.any(text > 9) or not np.all(text[:, 0]):
+            return None
+        label_cells[rows] = text @ 10 ** np.arange(width - 1, -1, -1)
+    return features, label_cells
+
+
+def _vocabulary(path, header) -> ApiVocabulary:
+    if header is None:
+        raise DataFormatError(f"{path}: empty file")
+    if not header or header[-1] != "label":
+        raise DataFormatError(f"{path}: last header column must be 'label'")
+    try:
+        return ApiVocabulary(tuple(header[:-1]))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: header: {exc}") from exc
+
+
+def _text_rows(path):
+    """Vocabulary, features and label cells (NaN when empty) of any dataset CSV, via loadtxt."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        vocabulary = _vocabulary(path, next(csv.reader(fh), None))
+        width = vocabulary.d + 1
+        # loadtxt warns on a body without rows, so it starts at the
+        # first non-empty line; it reads the file's lines, not a copy.
+        first = next((line for line in fh if line.strip("\r\n")), None)
+        try:
+            rows = np.loadtxt(
+                itertools.chain([first], fh), delimiter=",", quotechar='"',
+                comments=None, ndmin=2,
+                # numpy < 2 passes a converter bytes, numpy 2 str; int() takes both.
+                converters={width - 1: lambda cell: int(cell) if cell else np.nan},
+            ) if first else np.empty((0, width))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
+    if rows.shape[1] != width:
+        raise DataFormatError(f"{path}: expected {width} cells per row, got {rows.shape[1]}")
+    features = rows[:, :-1]
+    if not np.isfinite(features).all():
+        raise DataFormatError(f"{path}: feature cells must be finite numbers")
+    return vocabulary, features, rows[:, -1]
 
 
 @dataclass(frozen=True)
@@ -141,9 +243,22 @@ class Dataset:
 
     def __post_init__(self) -> None:
         d = self.vocabulary.d
-        lf, uf = _readonly(self.labeled_features, d), _readonly(self.unlabeled_features, d)
-        labels = np.array(self.labels, dtype=np.int64, copy=True).reshape(-1)
-        labels.flags.writeable = False
+        lf, uf = _float_block(self.labeled_features, d), _float_block(self.unlabeled_features, d)
+        self._hold(lf, self.labels, uf)
+
+    @classmethod
+    def _of_blocks(cls, labeled_features, labels, unlabeled_features, vocabulary, K) -> "Dataset":
+        """A Dataset that holds two float64 feature blocks as they are, without copying them."""
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "vocabulary", vocabulary)
+        object.__setattr__(dataset, "K", K)
+        dataset._hold(labeled_features, labels, unlabeled_features)
+        return dataset
+
+    def _hold(self, lf: np.ndarray, labels, uf: np.ndarray) -> None:
+        """Check the blocks against the vocabulary and K, and store them read-only."""
+        d = self.vocabulary.d
+        labels = np.array(labels, dtype=np.int64, copy=True).reshape(-1)
         if lf.shape[1] != d or uf.shape[1] != d:
             raise ValueError(
                 f"feature rows must match vocabulary dimension {d} "
@@ -155,9 +270,9 @@ class Dataset:
             raise ValueError("K must be a positive integer")
         if labels.size and (labels.min() < 1 or labels.max() > self.K):
             raise ValueError(f"labels must lie in 1..{self.K}")
-        object.__setattr__(self, "labeled_features", lf)
-        object.__setattr__(self, "unlabeled_features", uf)
-        object.__setattr__(self, "labels", labels)
+        for name, a in (("labeled_features", lf), ("labels", labels), ("unlabeled_features", uf)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
@@ -178,66 +293,64 @@ class Dataset:
         """Write header (API identities + 'label') and one row per sample.
 
         Labeled rows come first with their class index; unlabeled rows have
-        an empty label cell. Binary matrices are written as 0/1, anything
-        else with shortest round-trip float text (numpy's ``%s`` of a
-        float64 is ``repr(float(v))``). Rows go out ``CSV_BLOCK`` cells at a
-        time, each distinct bit pattern (-0.0 is not 0.0) formatted once.
+        an empty label cell. A matrix whose every cell is +0.0 or 1.0 (by
+        bit pattern, so -0.0 is not) is written as 0/1 bytes, a whole
+        ``CSV_BLOCK`` of cells at a time, with no per-cell Python. Anything
+        else gets shortest round-trip float text (numpy's ``%s`` of a
+        float64 is ``repr(float(v))``), each distinct bit pattern of a block
+        formatted once.
         """
         blocks = (self.labeled_features, self.unlabeled_features)
-        cell = "%d" if all(np.all((X == 0.0) | (X == 1.0)) for X in blocks) else "%s"
+        binary = all(_is_binary(X) for X in blocks)
         step = max(1, CSV_BLOCK // self.d)
+        header = io.StringIO()
+        csv.writer(header, lineterminator="\n").writerow([*self.vocabulary.entries, "label"])
         # A labeled row ends with its label cell; ",\n" leaves an unlabeled one empty.
         ends = (iter([f",{label}\n" for label in self.labels.tolist()]), itertools.repeat(",\n"))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerow([*self.vocabulary.entries, "label"])
+        with open(path, "wb") as fh:
+            fh.write(header.getvalue().encode("utf-8"))
             for X, tails in zip(blocks, ends):
                 for start in range(0, len(X), step):
                     block = X[start:start + step]
+                    if binary:
+                        fh.write(_binary_lines(block, map(str.encode, tails)))
+                        continue
                     patterns, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-                    text = np.array([cell % v for v in patterns.view(np.float64)], dtype=object)
+                    text = np.array(["%s" % v for v in patterns.view(np.float64)], dtype=object)
                     rows = text[inverse.reshape(block.shape)].tolist()
-                    fh.write("".join([",".join(row) + tail for row, tail in zip(rows, tails)]))
+                    lines = "".join([",".join(row) + tail for row, tail in zip(rows, tails)])
+                    fh.write(lines.encode("utf-8"))
 
     @classmethod
     def load_csv(cls, path) -> "Dataset":
-        """Read a dataset CSV as ``save_csv`` writes it; K is the largest label.
+        """Read a dataset CSV; K is the largest label.
 
-        Cells may be CSV-quoted, so an API identity may hold a comma. A body
-        row is one finite number per identity and an integer or empty
-        (unlabeled) label cell, from 1 to the number of labeled rows; empty
-        lines are skipped.
+        A file as ``save_csv`` writes a 0/1 matrix (a header line without
+        quotes or carriage returns, then body lines as ``_binary_rows``
+        reads them) is parsed from its bytes into one float64 array. When
+        its labeled rows come first, as ``save_csv`` writes them, the two
+        feature blocks are read-only slices of that array. Any other file
+        goes through ``np.loadtxt``: cells may be CSV-quoted, so an API
+        identity may hold a comma; a body row is one finite number per
+        identity and an integer or empty (unlabeled) label cell; empty
+        lines are skipped. Either way labels lie in 1 to the number of
+        labeled rows, and a file that is not UTF-8 is a DataFormatError.
         """
         try:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                header = next(csv.reader(fh), None)
-                if header is None:
-                    raise DataFormatError(f"{path}: empty file")
-                if not header or header[-1] != "label":
-                    raise DataFormatError(f"{path}: last header column must be 'label'")
-                try:
-                    vocabulary = ApiVocabulary(tuple(header[:-1]))
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}: header: {exc}") from exc
-                width = len(header)
-                # loadtxt warns on a body without rows, so it starts at the
-                # first non-empty line; it reads the file's lines, not a copy.
-                first = next((line for line in fh if line.strip("\r\n")), None)
-                try:
-                    rows = np.loadtxt(
-                        itertools.chain([first], fh), delimiter=",", quotechar='"',
-                        comments=None, ndmin=2,
-                        # numpy < 2 passes a converter bytes, numpy 2 str; int() takes both.
-                        converters={width - 1: lambda cell: int(cell) if cell else np.nan},
-                    ) if first else np.empty((0, width))
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}: {exc}") from exc
-        except OSError as exc:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            header = data[:data.find(b"\n") + 1]
+            rows = None
+            if header and b'"' not in header and b"\r" not in header:
+                vocabulary = _vocabulary(path, next(csv.reader([header.decode("utf-8")])))
+                rows = _binary_rows(np.frombuffer(data, np.uint8, offset=len(header)), vocabulary.d)
+            del data
+            if rows is None:
+                vocabulary, features, label_cells = _text_rows(path)
+            else:
+                features, label_cells = rows
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataFormatError(f"cannot read dataset {path}: {exc}") from exc
-        if rows.shape[1] != width:
-            raise DataFormatError(f"{path}: expected {width} cells per row, got {rows.shape[1]}")
-        features, label_cells = rows[:, :-1], rows[:, -1]
-        if not np.isfinite(features).all():
-            raise DataFormatError(f"{path}: feature cells must be finite numbers")
         labeled = ~np.isnan(label_cells)
         labels = label_cells[labeled]
         # Labels lie in 1..n for n labeled rows: a larger one names a class without rows.
@@ -246,12 +359,15 @@ class Dataset:
             raise DataFormatError(
                 f"{path}: label {outside[0]:.0f} is outside 1..{labels.size} (labeled rows)"
             )
-        labels = labels.astype(np.int64)
+        labels, n = labels.astype(np.int64), labels.size
+        if labeled[:n].all() and features.flags.c_contiguous:
+            features.flags.writeable = False
+            blocks = features[:n], features[n:]
+        else:
+            blocks = features[labeled], features[~labeled]
         try:
-            return cls(
-                features[labeled], labels, features[~labeled], vocabulary,
-                int(labels.max(initial=1)),
-            )
+            K = int(labels.max(initial=1))
+            return cls._of_blocks(blocks[0], labels, blocks[1], vocabulary, K)
         except ValueError as exc:
             raise DataFormatError(f"{path}: {exc}") from exc
 

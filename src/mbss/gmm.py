@@ -536,7 +536,7 @@ def load_model(path) -> MixtureModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != "mbss-model":
         raise DataFormatError(f"{path}: not a serialized mixture model")

@@ -7,12 +7,13 @@ meaningful.
 """
 
 import csv
+import itertools
 
 import numpy as np
 
 from mbss import cem, gmm
 from mbss.baselines import TIE_LABEL
-from mbss.dataset import ParseResult
+from mbss.dataset import ApiVocabulary, Dataset, ParseResult
 from mbss.errors import DataFormatError
 
 
@@ -308,7 +309,9 @@ def direct_parse_log(lines, vocabulary):
 def savetxt_csv(dataset, path):
     """``Dataset.save_csv`` through two ``np.savetxt`` calls, one row at a time."""
     blocks = (dataset.labeled_features, dataset.unlabeled_features)
-    cell = "%d" if all(np.all((X == 0.0) | (X == 1.0)) for X in blocks) else "%s"
+    # Binary means every cell is +0.0 or 1.0: a -0.0 takes the "%s" cell.
+    binary = all(np.all(((X == 0.0) & ~np.signbit(X)) | (X == 1.0)) for X in blocks)
+    cell = "%d" if binary else "%s"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow([*dataset.vocabulary.entries, "label"])
         np.savetxt(
@@ -317,3 +320,49 @@ def savetxt_csv(dataset, path):
         )
         # Ending each row with ",\n" leaves its label cell empty.
         np.savetxt(fh, dataset.unlabeled_features, fmt=cell, delimiter=",", newline=",\n")
+
+
+def loadtxt_csv(path):
+    """``Dataset.load_csv`` of any dataset CSV through one ``np.loadtxt`` of its text."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise DataFormatError(f"{path}: empty file")
+            if not header or header[-1] != "label":
+                raise DataFormatError(f"{path}: last header column must be 'label'")
+            try:
+                vocabulary = ApiVocabulary(tuple(header[:-1]))
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: header: {exc}") from exc
+            width = len(header)
+            first = next((line for line in fh if line.strip("\r\n")), None)
+            try:
+                rows = np.loadtxt(
+                    itertools.chain([first], fh), delimiter=",", quotechar='"',
+                    comments=None, ndmin=2,
+                    converters={width - 1: lambda cell: int(cell) if cell else np.nan},
+                ) if first else np.empty((0, width))
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise DataFormatError(f"cannot read dataset {path}: {exc}") from exc
+    if rows.shape[1] != width:
+        raise DataFormatError(f"{path}: expected {width} cells per row, got {rows.shape[1]}")
+    features, label_cells = rows[:, :-1], rows[:, -1]
+    if not np.isfinite(features).all():
+        raise DataFormatError(f"{path}: feature cells must be finite numbers")
+    labeled = ~np.isnan(label_cells)
+    labels = label_cells[labeled]
+    outside = labels[(labels < 1) | (labels > labels.size)]
+    if outside.size:
+        raise DataFormatError(
+            f"{path}: label {outside[0]:.0f} is outside 1..{labels.size} (labeled rows)"
+        )
+    labels = labels.astype(np.int64)
+    try:
+        return Dataset(
+            features[labeled], labels, features[~labeled], vocabulary, int(labels.max(initial=1))
+        )
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc

@@ -729,6 +729,60 @@ def test_bad_label_or_header_is_data_error(tmp_path, capsys, command, text, mess
     assert not (tmp_path / "o.csv").exists()
 
 
+def _spoil(path: Path, at: int) -> Path:
+    """A copy of ``path`` with byte ``at`` (negative counts from the end) made 0xff."""
+    data = bytearray(path.read_bytes())
+    data[at] = 0xFF
+    bad = path.with_name("bad-" + path.name)
+    bad.write_bytes(bytes(data))
+    return bad
+
+
+@pytest.mark.parametrize(
+    "spoiled, at, argv",
+    [
+        ("floats", 2, ["fit", "--data", "{bad}"]),
+        ("binary", -3, ["fit", "--data", "{bad}"]),
+        ("floats", -3, ["fit", "--data", "{bad}"]),
+        ("vocab", 3, ["extract", "--logs", "{logs}", "--vocabulary", "{bad}"]),
+        ("labels", -3, ["extract", "--logs", "{logs}", "--labels", "{bad}"]),
+        ("model", 3, ["classify", "--model", "{bad}", "--data", "{floats}"]),
+        ("predictions", 0, ["evaluate", "--data", "{floats}", "--protocol", "cv", "--classifiers",
+                            "lda", "--seed", "1", "--external-predictions", "{bad}"]),
+        ("config", 2, ["fit", "--data", "{floats}", "--config", "{bad}"]),
+    ],
+    ids=["header", "binary-body", "float-body", "vocabulary", "labels", "model", "predictions",
+         "config"],
+)
+def test_invalid_utf8_input_is_data_error(tmp_path, capsys, spoiled, at, argv):
+    paths = {
+        "floats": synth_csv(tmp_path, n=40, seed=32),
+        "binary": synth_csv(tmp_path, "binary.csv", n=40, seed=32, extra=["--binarize-at", "0"]),
+        "model": tmp_path / "model.json",
+        "logs": write_logs(tmp_path, {"a.log": "java.net.URL.openConnection 1\n"}),
+        "vocab": tmp_path / "vocab.txt",
+        "labels": tmp_path / "labels.csv",
+        "predictions": tmp_path / "predictions.csv",
+        "config": tmp_path / "config.json",
+    }
+    fit = ["fit", "--data", str(paths["floats"]), "--families", "EII", "--out", str(paths["model"])]
+    assert cli.main(fit) == 0
+    paths["vocab"].write_text(VOCAB)
+    paths["labels"].write_text("filename,label\na.log,1\n")
+    n = Dataset.load_csv(paths["floats"]).n
+    paths["predictions"].write_text("".join(f"{i},1\n" for i in range(n)))
+    paths["config"].write_text('{"families": "EII"}')
+    bad = _spoil(paths[spoiled], at)
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    rc = cli.main([arg.format(bad=bad, **paths) for arg in argv] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 65, err
+    assert err.startswith("data error: ") and str(bad) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestSynth:
     def test_rerun_byte_identical_and_truth_emitted(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -1,9 +1,10 @@
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
@@ -16,7 +17,7 @@ from mbss.dataset import (
     stratified_folds,
 )
 from mbss.errors import DataFormatError
-from oracles import direct_parse_log, savetxt_csv
+from oracles import direct_parse_log, loadtxt_csv, savetxt_csv
 
 BUNDLED_VOCAB = Path(__file__).parent.parent / "src" / "mbss" / "data" / "default_api_vocabulary.txt"
 
@@ -41,6 +42,25 @@ _token = st.sampled_from(RECORDS + MALFORMED)
 _rest = st.one_of(st.just(""), st.tuples(_space.filter(bool), _token | st.just("7")).map("".join))
 _record_line = st.tuples(_space, _token, _rest).map("".join)
 _log = st.lists(st.one_of(_space, _record_line), max_size=12)
+
+
+# Ways a dataset CSV can differ from the 0/1 form that ``save_csv`` writes.
+NEAR_MISSES = (
+    None, "cell", "separator", "label", "crlf", "no final newline", "blank line",
+    "unlabeled first", "extra cell", "missing cell",
+)
+CELL_MISSES = ("-0", "0.0", " 1", "+1", '"1"', "1e0")
+LABEL_MISSES = ("+2", "02", " 3")
+
+
+def _load_outcome(load, path):
+    """A loaded dataset's arrays (as bytes), K and vocabulary, or its error message."""
+    try:
+        ds = load(path)
+    except DataFormatError as exc:
+        return "error", str(exc)
+    arrays = (ds.labeled_features, ds.labels, ds.unlabeled_features)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays], ds.K, ds.vocabulary
 
 
 def _outcome(parse, lines, vocabulary):
@@ -287,8 +307,12 @@ class TestDatasetCsv:
                 [[0.0, -0.0, 0.5]], [1], [[-0.0, 0.0, 0.5]],
                 b"a.b,c.d,e.f,label\n0.0,-0.0,0.5,1\n-0.0,0.0,0.5,\n",
             ),
+            (
+                [[1.0, -0.0, 0.0]], [1], [[0.0, 1.0, 1.0]],
+                b"a.b,c.d,e.f,label\n1.0,-0.0,0.0,1\n0.0,1.0,1.0,\n",
+            ),
         ],
-        ids=["binary", "float", "signed_zeros"],
+        ids=["binary", "float", "signed_zeros", "binary_but_a_negative_zero"],
     )
     def test_saves_exact_bytes(self, tmp_path, labeled, labels, unlabeled, expected):
         vocab = ApiVocabulary(("a.b", "c.d", "e.f"))
@@ -307,7 +331,7 @@ class TestDatasetCsv:
         ds = make_dataset(X[:n].reshape(n, d), [1] * n, X[n:], K=1)
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         ds.save_csv(path)
-        binary = bool(np.all((X == 0.0) | (X == 1.0)))
+        binary = bool(np.all(((X == 0.0) & ~np.signbit(X)) | (X == 1.0)))
         cell = (lambda v: str(int(v))) if binary else (lambda v: repr(float(v)))
         rows = [[cell(v) for v in row] for row in X]
         expected = [",".join(ds.vocabulary.entries + ("label",))]
@@ -330,6 +354,7 @@ class TestDatasetCsv:
         rows = max(1, block // d)  # B, the rows of one block of CSV_BLOCK cells
         size = {"0": 0, "1": 1, "B-1": rows - 1, "B": rows, "B+1": rows + 1}
         n, m = size[n_size], size[m_size]
+        # A -0.0 among 0/1 cells makes the matrix not binary: it takes the float cells.
         pool = [0.0, -0.0, 1.0] if binary else [
             0.0, -0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300, 1e-300,
             0.1, 1 / 3, 1e16, 123456789.123, -2.5,
@@ -422,6 +447,105 @@ class TestDatasetCsv:
         assert ds.labeled_features.tolist() == [[0.0, 1.0], [1.0, 1.0]]
         assert ds.labels.tolist() == [2, 1]
         assert ds.unlabeled_features.tolist() == [[1.0, 0.0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        n=st.sampled_from((0, 1, 14)),
+        m=st.sampled_from((0, 1, 9)),
+        K=st.integers(1, 12),
+        miss=st.sampled_from(NEAR_MISSES),
+        data=st.data(),
+    )
+    def test_byte_path_reads_as_the_loadtxt_path(self, tmp_path_factory, d, n, m, K, miss, data):
+        X = data.draw(st.lists(st.sampled_from("01"), min_size=(n + m) * d, max_size=(n + m) * d))
+        rows = [X[i * d:(i + 1) * d] for i in range(n + m)]
+        labels = [str(k) for k in data.draw(st.lists(st.integers(1, K), min_size=n, max_size=n))]
+
+        def pick(count):
+            return data.draw(st.integers(0, count - 1))
+
+        if miss not in (None, "label", "crlf", "unlabeled first"):
+            assume(n + m > 0)
+        if miss in ("label", "unlabeled first"):
+            assume(n > 0 and (m > 0 or miss == "label"))
+        row = pick(n + m) if n + m else 0
+        if miss == "cell":
+            rows[row][pick(d)] = data.draw(st.sampled_from(CELL_MISSES))
+        elif miss == "label":
+            labels[pick(n)] = data.draw(st.sampled_from(LABEL_MISSES))
+        elif miss == "extra cell":
+            rows[row].append("0")
+        elif miss == "missing cell":
+            rows[row].pop()
+        lines = [",".join(cells + [label]) + "\n" for cells, label in zip(rows, labels + [""] * m)]
+        if miss == "separator":  # one of the row's d commas becomes a semicolon
+            cut = [i for i, c in enumerate(lines[row]) if c == ","][pick(d)]
+            lines[row] = lines[row][:cut] + ";" + lines[row][cut + 1:]
+        if miss == "unlabeled first":
+            lines = lines[n:] + lines[:n]
+        if miss == "blank line":
+            lines.insert(pick(len(lines) + 1), "\n")
+        text = ",".join([f"c{j}.m" for j in range(d)] + ["label"]) + "\n" + "".join(lines)
+        if miss == "crlf":
+            text = text.replace("\n", "\r\n")
+        if miss == "no final newline":
+            text = text[:-1]
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(text.encode())
+        read, binary_rows = [], dataset._binary_rows
+
+        def spy(*args):  # records what the byte parser returned: None means the loadtxt path
+            read.append(binary_rows(*args))
+            return read[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset, "_binary_rows", spy)
+            got = _load_outcome(Dataset.load_csv, path)
+        assert got == _load_outcome(loadtxt_csv, path)
+        assert (len(read) == 1 and read[0] is not None) == (miss in (None, "unlabeled first"))
+        if miss == "unlabeled first" and got[0] != "error":
+            ds = Dataset.load_csv(path)
+            assert ds.labeled_features.base is None or (
+                ds.labeled_features.base is not ds.unlabeled_features.base
+            )
+
+    def test_labeled_first_file_holds_one_array(self, tmp_path):
+        rng = np.random.default_rng(5)
+        vocab = ApiVocabulary(("a.b", "c.d", "e.f"))
+        X = rng.integers(0, 2, (9, 3)).astype(float)
+        Dataset(X[:4], [1, 2, 2, 1], X[4:], vocab, 2).save_csv(tmp_path / "d.csv")
+        ds = Dataset.load_csv(tmp_path / "d.csv")
+        assert ds.labeled_features.base is ds.unlabeled_features.base
+        assert ds.labeled_features.base.shape == (9, 3)
+        assert not ds.labeled_features.base.flags.writeable
+        np.testing.assert_array_equal(np.vstack([ds.labeled_features, ds.unlabeled_features]), X)
+        with pytest.raises(ValueError):
+            ds.unlabeled_features.flags.writeable = True
+        # Unlabeled rows first: the blocks are copies of their rows.
+        lines = (tmp_path / "d.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "u.csv").write_text("".join(lines[:1] + lines[5:] + lines[1:5]))
+        ds = Dataset.load_csv(tmp_path / "u.csv")
+        assert ds.labeled_features.base is None or (
+            ds.labeled_features.base is not ds.unlabeled_features.base
+        )
+        assert ds.labeled_features.tolist() == X[:4].tolist()
+        assert ds.unlabeled_features.tolist() == X[4:].tolist()
+
+    def test_loading_holds_the_features_about_once(self, tmp_path):
+        rng = np.random.default_rng(6)
+        X = rng.integers(0, 2, (20_000, 160)).astype(float)
+        vocab = ApiVocabulary(tuple(f"c{j}.m" for j in range(160)))
+        labels = rng.integers(1, 3, 2_000)
+        Dataset(X[:2_000], labels, X[2_000:], vocab, 2).save_csv(tmp_path / "d.csv")
+        tracemalloc.start()
+        try:
+            ds = Dataset.load_csv(tmp_path / "d.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(ds.unlabeled_features, X[2_000:])
+        assert peak <= 1.5 * X.nbytes
 
 
 class TestDatasetValidation:
