@@ -274,9 +274,12 @@ def _load_labels_file(path) -> dict[str, int]:
         if len(parts) != 2:
             raise DataFormatError(f"{path}:{lineno}: expected 'filename,label'")
         try:
-            out[parts[0]] = int(parts[1])
+            label = int(parts[1])
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: bad label {parts[1]!r}") from exc
+        if label < 1:
+            raise DataFormatError(f"{path}:{lineno}: label {label} is not a class index >= 1")
+        out[parts[0]] = label
     return out
 
 

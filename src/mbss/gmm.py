@@ -22,9 +22,10 @@ with two products, (D * D)(1/v)^T - 2 D((mu - c)/v)^T + sum((mu - c)^2/v),
 and ``class_stats`` takes the class sums of D and D * D from one-hot
 products. The shift, the rows' column mean, keeps rows far from the
 origin from cancelling. EEE and VVV share one loop: when a component's W
-differs from the previous one's (once for EEE, K times for VVV), it forms
-Z = X W^T - W c about that component's mean c, O(N d^2), and |Z|^2; each
-component then costs one product, |Z|^2 - 2 Z w + |w|^2 for w = W(mu - c).
+differs from the previous one's (once for EEE, K times for VVV), it fills
+one C-ordered d x N buffer Z^T = W X^T - W c about that component's mean c,
+O(N d^2) with W's zero upper-right block skipped, and |Z|^2; each component
+then costs one product, |Z|^2 - 2 w^T Z^T + |w|^2 for w = W(mu - c).
 ``log_density`` is the one-component ``log_joint``.
 The closed-form estimators follow Celeux & Govaert (1995). They and
 ``labeled_log_likelihood`` read rows only through per-class counts, means
@@ -69,8 +70,10 @@ class ComponentParams:
     ``covariance`` is either a vector of d variances (the spherical and
     diagonal families; ``inv_cholesky`` is None) or a symmetric d x d matrix
     whose lower Cholesky factor L is cached as its inverse W = L^-1, so that
-    Sigma^-1 = W^T W. ``log_det`` is computed once either way, from the
-    variances or from diag(L).
+    Sigma^-1 = W^T W. W is exactly lower-triangular: its strict upper
+    triangle holds zeros, not the inverse's rounding noise, because
+    ``log_joint`` skips that block. ``log_det`` is computed once either way,
+    from the variances or from diag(L).
     """
 
     mean: np.ndarray
@@ -102,6 +105,9 @@ class ComponentParams:
         self.mean = mean
         self.covariance = cov
         self.inv_cholesky = None if chol is None else np.linalg.inv(chol)
+        if chol is not None:
+            # inv leaves rounding noise above W's diagonal, and log_joint skips that block
+            np.copyto(self.inv_cholesky, 0.0, where=~np.tri(d, dtype=bool))
 
     @property
     def d(self) -> int:
@@ -264,7 +270,10 @@ def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) 
     quad = squares (1/v)^T - 2 rows (delta/v)^T + sum(delta^2/v). EEE and
     VVV whiten the rows about c, the mean of the first component of each run
     sharing an inverse Cholesky factor W (one run for EEE, K for VVV), in one
-    N x d buffer Z = X W^T - W c; with w = W (mu - c), quad = |Z|^2 - 2 Z w + |w|^2.
+    C-ordered d x N buffer Z^T = W X^T - W c; with w = W (mu - c),
+    quad = |Z|^2 - 2 w^T Z^T + |w|^2. W is lower-triangular, so with
+    h = d // 2 two products fill Z^T without its zero upper-right block and
+    without copying either operand.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.d:
@@ -279,15 +288,19 @@ def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) 
         quad += (delta * scaled).sum(axis=1, keepdims=True)
         return (logw + _gaussian_log(quad, model.d, model.log_dets[:, None])).T
     out = np.empty((model.K, X.shape[0]))
-    W = Z = None
+    Zt = np.empty((model.d, X.shape[0]))
+    h = model.d // 2
+    W = None
     for k, comp in enumerate(model.components):
         if comp.inv_cholesky is not W:
             W, center = comp.inv_cholesky, comp.mean
-            Z = np.matmul(X, W.T, out=Z)
-            Z -= W @ center
-            norms = np.einsum("ij,ij->i", Z, Z)
+            # W's upper-right h x (d - h) block is zero: skip it
+            np.matmul(W[:h, :h], X[:, :h].T, out=Zt[:h])
+            np.matmul(W[h:], X.T, out=Zt[h:])
+            Zt -= (W @ center)[:, None]
+            norms = np.einsum("ij,ij->j", Zt, Zt)
         wd = W @ (comp.mean - center)
-        out[k] = logw[k] + _gaussian_log(norms - 2.0 * (Z @ wd) + wd @ wd, comp.d, comp.log_det)
+        out[k] = logw[k] + _gaussian_log(norms - 2.0 * (wd @ Zt) + wd @ wd, comp.d, comp.log_det)
     return out.T
 
 

@@ -184,6 +184,25 @@ class TestExtract:
         assert rc == 65
         assert f"labels.csv:2: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, where",
+        [("a.log,0", "2: label 0"), ("a.log,-3", "2: label -3"), ("b.log,2\na.log,0", "3: label 0")],
+    )
+    def test_label_below_one_is_data_error(self, tmp_path, capsys, rows, where):
+        logs = write_logs(
+            tmp_path,
+            {"a.log": "java.net.URL.openConnection 1\n", "b.log": "javax.crypto.Cipher.doFinal 1\n"},
+        )
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"filename,label\n{rows}\n")
+        rc = cli.main(
+            ["extract", "--logs", str(logs), "--labels", str(labels), "--out", str(tmp_path / "d.csv")]
+        )
+        assert rc == 65
+        err = capsys.readouterr().err
+        assert f"labels.csv:{where} is not a class index >= 1" in err
+        assert "Traceback" not in err
+
     def test_rerun_is_byte_identical(self, tmp_path):
         logs = write_logs(tmp_path, {"a.log": "java.net.URL.openConnection 1\n"})
         vocab = tmp_path / "vocab.txt"

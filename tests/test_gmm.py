@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,49 @@ class TestLogJointKernels:
     def test_no_rows(self):
         model = binary_model(np.random.default_rng(162), "VVI", K=2, d=4)
         assert gmm.log_joint(model, np.empty((0, 4))).shape == (0, 2)
+
+    @pytest.mark.parametrize("family", ["EEE", "VVV"])
+    def test_full_factors_are_exactly_lower_triangular(self, family):
+        # log_joint skips W's upper-right block, which is exact only if it is zero
+        rng = np.random.default_rng(163)
+        models = [binary_model(rng, family, K=2) for _ in range(3)]
+        for _ in range(3):
+            models.append(mixture(*random_model_arrays(rng, 2, 160, family=family), family))
+        for model in models:
+            for comp in model.components:
+                assert not np.triu(comp.inv_cholesky, 1).any()
+        B = (rng.random((160, 40)) < 0.3).astype(float)
+        ridged = gmm.make_component(B.mean(axis=1), np.cov(B))
+        assert not np.triu(ridged.inv_cholesky, 1).any()
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("d", [1, 2, 3, 161])
+    @pytest.mark.parametrize("family", ["EEE", "VVV"])
+    def test_full_branch_edge_sizes_match_the_oracle(self, family, d, n):
+        # d = 1 leaves W's upper-left block empty; odd d splits W unevenly
+        rng = np.random.default_rng(164 + d)
+        w, means, covs = random_model_arrays(rng, 3, d, family=family)
+        model = mixture(w, means, covs, family)
+        X = means[0] + rng.standard_normal((n, d))
+        expected = longdouble_log_joint(w, means, covs, X).astype(np.float64)
+        got = gmm.log_joint(model, X)
+        assert got.shape == (n, 3)
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
+        one = longdouble_log_joint([1.0], means[1:2], covs[1:2], X)[:, 0].astype(np.float64)
+        np.testing.assert_allclose(gmm.log_density(model.components[1], X), one, rtol=1e-9, atol=0.0)
+
+    def test_vvv_scoring_copies_no_operand(self):
+        # the whitened rows and the K x N output are the only large allocations
+        model = binary_model(np.random.default_rng(165), "VVV", K=2)
+        X = (np.random.default_rng(166).random((5000, 160)) < 0.3).astype(float)
+        buffers = (160 + model.K) * 5000 * X.itemsize
+        tracemalloc.start()
+        try:
+            gmm.log_joint(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * buffers
 
 
 class TestLogResponsibilities:
