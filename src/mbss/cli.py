@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, cem, evaluation, gmm, model_select
 # Bound by name for perfbench/spans.py, which patches all three here.
-from .dataset import Dataset, build_vocabulary, parse_log, stratified_folds
+from .dataset import Dataset, build_vocabulary, parse_log, stratified_folds, write_csv
 from .errors import DataFormatError, MbssError
 from .synth import binarize, sample_mixture, two_class_spec
 
@@ -264,8 +264,9 @@ def _text_lines(path) -> list[str]:
 
 
 def _load_labels_file(path) -> dict[str, int]:
-    """filename,label rows, CSV-quoted as ``<out>.sources.csv`` writes names."""
+    """filename,label rows, one per file name, CSV-quoted as ``<out>.sources.csv`` writes names."""
     out: dict[str, int] = {}
+    first_lines: dict[str, int] = {}
     for lineno, raw in enumerate(_text_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.lower() == "filename,label":
@@ -279,6 +280,11 @@ def _load_labels_file(path) -> dict[str, int]:
             raise DataFormatError(f"{path}:{lineno}: bad label {parts[1]!r}") from exc
         if label < 1:
             raise DataFormatError(f"{path}:{lineno}: label {label} is not a class index >= 1")
+        first = first_lines.setdefault(parts[0], lineno)
+        if first != lineno:
+            raise DataFormatError(
+                f"{path}:{lineno}: filename {parts[0]} given twice (first on line {first})"
+            )
         out[parts[0]] = label
     return out
 
@@ -319,14 +325,12 @@ def cmd_extract(args, argv) -> int:
                       vocabulary, max(labels, default=1))
     dataset.save_csv(out)
     sources = Path(str(out) + ".sources.csv")
-    with open(sources, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["filename", "block", "row_in_block", "label", "parsed_lines", "skipped_lines"]
-        )
-        for block, rows in (("labeled", labeled), ("unlabeled", unlabeled)):
-            for i, (name, lab, r) in enumerate(rows):
-                writer.writerow([name, block, i, lab, r.n_parsed, r.n_skipped])
+    header = ["filename", "block", "row_in_block", "label", "parsed_lines", "skipped_lines"]
+    write_csv(sources, header, (
+        [name, block, i, lab, r.n_parsed, r.n_skipped]
+        for block, rows in (("labeled", labeled), ("unlabeled", unlabeled))
+        for i, (name, lab, r) in enumerate(rows)
+    ))
     inputs = [args.vocabulary] + ([args.labels] if args.labels else []) + files
     if args.config:
         inputs.insert(0, args.config)
@@ -379,10 +383,9 @@ def cmd_classify(args, argv) -> int:
         )
     labels, posteriors = cem.predict(model, dataset.unlabeled_features)
     out = _prepare_out(args.out)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("sample_id,predicted_label,score\n")
-        for i, (lab, score) in enumerate(zip(labels, posteriors[:, args.positive_label - 1])):
-            fh.write(f"{i},{int(lab)},{repr(float(score))}\n")
+    scores = posteriors[:, args.positive_label - 1].tolist()
+    write_csv(out, ["sample_id", "predicted_label", "score"],
+              zip(range(len(scores)), labels.tolist(), scores))
     inputs = ([args.config] if args.config else []) + [args.model, args.data]
     _write_manifest(out, "classify", argv, inputs, [out])
     print(f"classify: wrote {len(labels)} predictions to {out}")
@@ -456,6 +459,8 @@ def cmd_evaluate(args, argv) -> int:
                 f"dimension mismatch: training data has d={dataset.d}, "
                 f"out-of-sample data has d={oos_ds.d}"
             )
+        if oos_ds.n + oos_ds.m == 0:
+            raise DataFormatError(f"{args.oos_data}: out-of-sample data has no rows")
         pool = np.vstack([oos_ds.labeled_features, oos_ds.unlabeled_features])
         inputs.append(args.oos_data)
         train_rows = dataset.n
@@ -548,10 +553,7 @@ def cmd_synth(args, argv) -> int:
     out = _prepare_out(args.out)
     dataset.save_csv(out)
     truth_path = Path(str(out) + ".truth.csv")
-    with open(truth_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("sample_id,true_label\n")
-        for i, lab in enumerate(truth):
-            fh.write(f"{i},{int(lab)}\n")
+    write_csv(truth_path, ["sample_id", "true_label"], enumerate(truth.tolist()))
     inputs = [args.config] if args.config else []
     _write_manifest(out, "synth", argv, inputs, [out, truth_path], seed=args.seed)
     print(f"synth: wrote {dataset.n} labeled + {dataset.m} unlabeled rows to {out}")

@@ -10,7 +10,6 @@ ordering of calls are discarded.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -137,11 +136,13 @@ def _is_binary(X: np.ndarray) -> bool:
     return bool(np.all((bits == 0) | (bits == ONE_BITS)))
 
 
-def _binary_lines(X: np.ndarray, tails) -> bytes:
-    """0/1 rows as ``c,c,...,c`` bytes, each followed by the next of ``tails``."""
+def _binary_lines(X: np.ndarray, labels) -> bytes:
+    """0/1 rows as ``c,c,...,c,label`` lines, each label the next of ``labels``."""
     n, d = X.shape
     text = np.full((n, 2 * d - 1), COMMA, dtype=np.uint8)
     np.add(X, ZERO, out=text[:, ::2], casting="unsafe")
+    # A label of None, an unlabeled row's, leaves its cell empty.
+    tails = (b",\n" if label is None else b",%d\n" % label for label in labels)
     return b"".join(map(bytes.__add__, text.view(f"S{2 * d - 1}").ravel().tolist(), tails))
 
 
@@ -224,6 +225,22 @@ def _text_rows(path):
     return vocabulary, features, rows[:, -1]
 
 
+def write_csv(path, header, rows) -> None:
+    """Write ``header``, then ``rows``, as UTF-8 CSV lines that end in ``\\n``.
+
+    Every table mbss writes has this format. Cells are as ``csv.writer``
+    writes them: ``None`` is an empty cell, a float is its shortest
+    round-trip ``repr``, and a cell that holds a comma, a quote or a line
+    break is quoted.
+    Callers pass Python scalars (``tolist()``, ``int()``, ``float()``), so
+    the text never depends on how a numpy version prints its own scalars.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Labeled block (features + class labels in 1..K) plus unlabeled block.
@@ -296,30 +313,25 @@ class Dataset:
         an empty label cell. A matrix whose every cell is +0.0 or 1.0 (by
         bit pattern, so -0.0 is not) is written as 0/1 bytes, a whole
         ``CSV_BLOCK`` of cells at a time, with no per-cell Python. Anything
-        else gets shortest round-trip float text (numpy's ``%s`` of a
-        float64 is ``repr(float(v))``), each distinct bit pattern of a block
-        formatted once.
+        else goes through ``write_csv`` as shortest round-trip float text,
+        from the ``tolist()`` of one ``CSV_BLOCK`` of cells at a time.
         """
-        blocks = (self.labeled_features, self.unlabeled_features)
-        binary = all(_is_binary(X) for X in blocks)
+        header = [*self.vocabulary.entries, "label"]
         step = max(1, CSV_BLOCK // self.d)
-        header = io.StringIO()
-        csv.writer(header, lineterminator="\n").writerow([*self.vocabulary.entries, "label"])
-        # A labeled row ends with its label cell; ",\n" leaves an unlabeled one empty.
-        ends = (iter([f",{label}\n" for label in self.labels.tolist()]), itertools.repeat(",\n"))
-        with open(path, "wb") as fh:
-            fh.write(header.getvalue().encode("utf-8"))
-            for X, tails in zip(blocks, ends):
-                for start in range(0, len(X), step):
-                    block = X[start:start + step]
-                    if binary:
-                        fh.write(_binary_lines(block, map(str.encode, tails)))
-                        continue
-                    patterns, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-                    text = np.array(["%s" % v for v in patterns.view(np.float64)], dtype=object)
-                    rows = text[inverse.reshape(block.shape)].tolist()
-                    lines = "".join([",".join(row) + tail for row, tail in zip(rows, tails)])
-                    fh.write(lines.encode("utf-8"))
+        # Blocks of rows, each with the iterator of its rows' labels: None for an unlabeled row.
+        labeled = (self.labeled_features, iter(self.labels.tolist()))
+        unlabeled = (self.unlabeled_features, itertools.repeat(None))
+        blocks = [(X[i:i + step], labels) for X, labels in (labeled, unlabeled)
+                  for i in range(0, len(X), step)]
+        if not (_is_binary(self.labeled_features) and _is_binary(self.unlabeled_features)):
+            write_csv(path, header, (
+                row + [label] for X, labels in blocks for row, label in zip(X.tolist(), labels)
+            ))
+            return
+        write_csv(path, header, ())
+        with open(path, "ab") as fh:
+            for X, labels in blocks:
+                fh.write(_binary_lines(X, labels))
 
     @classmethod
     def load_csv(cls, path) -> "Dataset":

@@ -14,7 +14,6 @@ an ambiguous tie; ties count as incorrect and are tallied separately.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ import numpy as np
 from . import baselines, cem
 from .baselines import TIE_LABEL
 # ``stratified_folds`` stays bound here by name: perfbench/spans.py patches it.
-from .dataset import Dataset, stratified_folds
+from .dataset import Dataset, stratified_folds, write_csv
 
 DEFAULT_FRACTIONS = (0.1, 1.0, 20.0, 50.0, 90.0, 100.0)
 DEFAULT_REPLICATES = (50, 30, 20, 10, 5, 1)
@@ -400,69 +399,35 @@ def pca_project(
 
 
 def write_pca_csv(path, projection: PcaProjection) -> None:
-    n_comp = projection.components.shape[0]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"PC{i + 1}" for i in range(n_comp)] + ["cohort"])
-        for row, cohort in zip(projection.in_projection, projection.in_cohorts):
-            writer.writerow([repr(float(v)) for v in row] + [cohort])
-        for row in projection.oos_projection:
-            writer.writerow([repr(float(v)) for v in row] + ["oos"])
+    header = [f"PC{i + 1}" for i in range(projection.components.shape[0])] + ["cohort"]
+    rows = projection.in_projection.tolist() + projection.oos_projection.tolist()
+    cohorts = projection.in_cohorts + ["oos"] * len(projection.oos_projection)
+    write_csv(path, header, (row + [cohort] for row, cohort in zip(rows, cohorts)))
 
 
 def write_roc_csv(path, roc_points: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for thr, fpr, tpr in roc_points:
-            writer.writerow([repr(float(thr)), repr(float(fpr)), repr(float(tpr))])
+    write_csv(path, ["threshold", "fpr", "tpr"], roc_points.tolist())
 
 
 def write_cv_csv(path, reports: list[EvalReport]) -> None:
     """Machine-readable CV results: per-fold rows then a summary row each."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["classifier", "fold", "accuracy", "fpr", "ties"])
-        for report in reports:
-            for f, (acc, fpr, tie) in enumerate(
-                zip(report.fold_accuracy, report.fold_fpr, report.fold_ties), start=1
-            ):
-                writer.writerow(
-                    [report.classifier, f, repr(float(acc)), repr(float(fpr)), int(tie)]
-                )
-            writer.writerow(
-                [
-                    report.classifier,
-                    "mean",
-                    repr(report.acc_mean),
-                    repr(report.fpr_mean),
-                    int(report.fold_ties.sum()),
-                ]
-            )
-            writer.writerow(
-                [report.classifier, "sd", repr(report.acc_sd), repr(report.fpr_sd), ""]
-            )
+    rows = []
+    for r in reports:
+        folds = zip(r.fold_accuracy.tolist(), r.fold_fpr.tolist(), r.fold_ties.tolist())
+        rows += [[r.classifier, f, *cells] for f, cells in enumerate(folds, start=1)]
+        rows.append([r.classifier, "mean", r.acc_mean, r.fpr_mean, int(r.fold_ties.sum())])
+        rows.append([r.classifier, "sd", r.acc_sd, r.fpr_sd, None])
+    write_csv(path, ["classifier", "fold", "accuracy", "fpr", "ties"], rows)
 
 
 def write_dr_csv(path, rows_by_classifier: dict[str, list[DrRow]]) -> None:
     """Detection-rate sweep table, one row per classifier and fraction."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["classifier", "fraction_pct", "replicates", "subsample_size", "dr_mean", "dr_sd"]
-        )
-        for name, rows in rows_by_classifier.items():
-            for row in rows:
-                writer.writerow(
-                    [
-                        name,
-                        repr(row.fraction_pct),
-                        row.replicates,
-                        row.subsample_size,
-                        repr(row.dr_mean),
-                        "" if np.isnan(row.dr_sd) else repr(row.dr_sd),
-                    ]
-                )
+    header = ["classifier", "fraction_pct", "replicates", "subsample_size", "dr_mean", "dr_sd"]
+    write_csv(path, header, (
+        [name, r.fraction_pct, r.replicates, r.subsample_size, r.dr_mean,
+         None if np.isnan(r.dr_sd) else r.dr_sd]
+        for name, rows in rows_by_classifier.items() for r in rows
+    ))
 
 
 def format_cv_table(reports: list[EvalReport]) -> str:

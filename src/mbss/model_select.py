@@ -8,14 +8,13 @@ reported alongside for diagnostics.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cem, gmm
-from .dataset import Dataset
+from .dataset import Dataset, write_csv
 from .errors import MbssError
 
 
@@ -84,32 +83,10 @@ def select_model(dataset: Dataset, families, config: cem.CemConfig):
 
 def write_selection_report(path, scores, best: ModelScore) -> None:
     """CSV report: one row per candidate family, the winner flagged."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "family",
-                "converged",
-                "iterations",
-                "loglik",
-                "params",
-                "bic",
-                "selected",
-                "observed_loglik",
-                "observed_bic",
-            ]
-        )
-        for score in scores:
-            writer.writerow(
-                [
-                    score.family,
-                    int(score.fit.converged),
-                    score.fit.iterations,
-                    repr(score.fit.complete_loglik),
-                    score.param_count,
-                    repr(score.bic),
-                    int(score is best),
-                    repr(score.fit.observed_loglik),
-                    repr(score.observed_bic),
-                ]
-            )
+    header = ["family", "converged", "iterations", "loglik", "params", "bic", "selected",
+              "observed_loglik", "observed_bic"]
+    write_csv(path, header, (
+        [s.family, int(s.fit.converged), s.fit.iterations, s.fit.complete_loglik, s.param_count,
+         s.bic, int(s is best), s.fit.observed_loglik, s.observed_bic]
+        for s in scores
+    ))

@@ -203,6 +203,18 @@ class TestExtract:
         assert f"labels.csv:{where} is not a class index >= 1" in err
         assert "Traceback" not in err
 
+    def test_file_named_twice_is_data_error(self, tmp_path, capsys):
+        logs = write_logs(tmp_path, {"a.log": "java.net.URL.openConnection 1\n"})
+        labels = tmp_path / "labels.csv"
+        labels.write_text("filename,label\na.log,1\n# comment\na.log,2\n")
+        out = tmp_path / "d.csv"
+        rc = cli.main(["extract", "--logs", str(logs), "--labels", str(labels), "--out", str(out)])
+        assert rc == 65
+        err = capsys.readouterr().err
+        assert "labels.csv:4: filename a.log given twice (first on line 2)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         logs = write_logs(tmp_path, {"a.log": "java.net.URL.openConnection 1\n"})
         vocab = tmp_path / "vocab.txt"
@@ -361,6 +373,19 @@ class TestClassify:
             ["classify", "--model", str(model_path), "--data", str(data), "--out", str(preds_path)]
         ) == 0
         assert preds_path.read_text() == "sample_id,predicted_label,score\n"
+
+    def test_predictions_exact_bytes(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        # Components 40 apart in each coordinate: each row's posteriors are exactly 0 and 1.
+        model_path.write_text(json.dumps(model_payload("EII", means=((0.0,) * 3, (40.0,) * 3))))
+        data = tmp_path / "data.csv"
+        rows = [[0.0, 0.0, 0.0], [40.0, 40.0, 40.0]]
+        Dataset(np.empty((0, 3)), [], rows, synth.feature_names(3), 2).save_csv(data)
+        preds_path = tmp_path / "preds.csv"
+        assert cli.main(
+            ["classify", "--model", str(model_path), "--data", str(data), "--out", str(preds_path)]
+        ) == 0
+        assert preds_path.read_bytes() == b"sample_id,predicted_label,score\n0,1,0.0\n1,2,1.0\n"
 
     def test_dimension_mismatch_is_data_error(self, tmp_path, capsys):
         data3 = synth_csv(tmp_path, "d3.csv", seed=16)
@@ -813,6 +838,14 @@ class TestSynth:
         assert out.read_bytes() == first
         assert (tmp_path / "s.csv.truth.csv").read_bytes() == truth_first
 
+    def test_truth_exact_bytes(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert cli.main(["synth", "--n", "60", "--d", "2", "--seed", "9", "--out", str(out)]) == 0
+        text = (tmp_path / "s.csv.truth.csv").read_bytes().decode()
+        truth = [int(line.split(",")[1]) for line in text.splitlines()[1:]]
+        assert len(truth) == Dataset.load_csv(out).m and set(truth) <= {1, 2}
+        assert text == "sample_id,true_label\n" + "".join(f"{i},{t}\n" for i, t in enumerate(truth))
+
     def test_binarize_flag_yields_binary_cells(self, tmp_path):
         out = tmp_path / "b.csv"
         rc = cli.main(
@@ -1053,6 +1086,23 @@ class TestOosExternalPredictions:
         assert rc == 0
         ext_rows = [l for l in out.read_text().splitlines() if l.startswith("external,")]
         assert float(ext_rows[0].split(",")[4]) == 0.5
+
+    def test_oos_data_without_rows_is_data_error(self, tmp_path, capsys):
+        train = synth_csv(tmp_path, "train.csv", n=200, seed=36)
+        oos = tmp_path / "oos.csv"
+        oos.write_text(train.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "dr.csv"
+        rc = cli.main(
+            [
+                "evaluate", "--data", str(train), "--protocol", "oos", "--oos-data", str(oos),
+                "--classifiers", "lda", "--seed", "6", "--out", str(out),
+            ]
+        )
+        assert rc == 65
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(oos) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_repeated_sample_id_is_data_error(self, tmp_path, capsys):
         data = synth_csv(tmp_path, n=120, seed=20)

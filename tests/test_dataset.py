@@ -304,6 +304,10 @@ class TestDatasetCsv:
                 b"-1.0,0.3333333333333333,123456789.123,\n",
             ),
             (
+                [[-0.0, 5e-324, 1e16]], [2], [[1e-05, 0.1, 1.0]],
+                b"a.b,c.d,e.f,label\n-0.0,5e-324,1e+16,2\n1e-05,0.1,1.0,\n",
+            ),
+            (
                 [[0.0, -0.0, 0.5]], [1], [[-0.0, 0.0, 0.5]],
                 b"a.b,c.d,e.f,label\n0.0,-0.0,0.5,1\n-0.0,0.0,0.5,\n",
             ),
@@ -312,7 +316,7 @@ class TestDatasetCsv:
                 b"a.b,c.d,e.f,label\n1.0,-0.0,0.0,1\n0.0,1.0,1.0,\n",
             ),
         ],
-        ids=["binary", "float", "signed_zeros", "binary_but_a_negative_zero"],
+        ids=["binary", "float", "float_edges", "signed_zeros", "binary_but_a_negative_zero"],
     )
     def test_saves_exact_bytes(self, tmp_path, labeled, labels, unlabeled, expected):
         vocab = ApiVocabulary(("a.b", "c.d", "e.f"))

@@ -397,6 +397,52 @@ class TestWriters:
         body = path.read_text().strip().splitlines()[1]
         assert body == "mbss,100.0,1,40,0.9,"
 
+    @pytest.mark.parametrize(
+        "write, table, expected",
+        [
+            (
+                evaluation.write_cv_csv,
+                [evaluation.EvalReport(
+                    "mbss", fold_accuracy=np.array([1.0, 0.5]), fold_fpr=np.array([0.0, np.nan]),
+                    fold_ties=np.array([0, 2]), acc_mean=0.75, acc_sd=0.3535533905932738,
+                    fpr_mean=np.nan, fpr_sd=np.nan,
+                )],
+                "classifier,fold,accuracy,fpr,ties\nmbss,1,1.0,0.0,0\nmbss,2,0.5,nan,2\n"
+                "mbss,mean,0.75,nan,2\nmbss,sd,0.3535533905932738,nan,\n",
+            ),
+            (
+                evaluation.write_dr_csv,
+                {
+                    "mbss": [evaluation.DrRow(0.1, 50, 6, 0.98, 0.1414213562373095),
+                             evaluation.DrRow(100.0, 1, 60, 1.0, float("nan"))],
+                    "lda": [evaluation.DrRow(100.0, 1, 60, 0.5, float("nan"))],
+                },
+                "classifier,fraction_pct,replicates,subsample_size,dr_mean,dr_sd\n"
+                "mbss,0.1,50,6,0.98,0.1414213562373095\nmbss,100.0,1,60,1.0,\nlda,100.0,1,60,0.5,\n",
+            ),
+            (
+                evaluation.write_roc_csv,
+                np.array([[np.inf, 0.0, 0.0], [0.9, 0.0, 0.5], [0.1, 1 / 3, 1.0], [-2.5, 1.0, 1.0]]),
+                "threshold,fpr,tpr\ninf,0.0,0.0\n0.9,0.0,0.5\n0.1,0.3333333333333333,1.0\n"
+                "-2.5,1.0,1.0\n",
+            ),
+            (
+                evaluation.write_pca_csv,
+                evaluation.PcaProjection(
+                    mean=np.zeros(2), components=np.eye(2), explained_variance=np.ones(2),
+                    in_projection=np.array([[1.0, -0.0], [1e-05, 2.5]]),
+                    in_cohorts=["benign-in", "malicious-in"],
+                    oos_projection=np.array([[1e16, 0.1]]),
+                ),
+                "PC1,PC2,cohort\n1.0,-0.0,benign-in\n1e-05,2.5,malicious-in\n1e+16,0.1,oos\n",
+            ),
+        ],
+        ids=["cv", "dr", "roc", "pca"],
+    )
+    def test_writes_exact_bytes(self, tmp_path, write, table, expected):
+        write(tmp_path / "table.csv", table)
+        assert (tmp_path / "table.csv").read_bytes() == expected.encode()
+
     def test_cv_table_formatting(self):
         ds = labeled_synthetic(seed=11, n=100)
         report = cross_validate(ds, "constant", constant(2), folds=5, seed=0)

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -123,3 +124,19 @@ class TestReport:
         selected = [line for line in lines[1:] if line.split(",")[6] == "1"]
         assert len(selected) == 1
         assert selected[0].startswith(best.family)
+
+    def test_report_exact_bytes(self, tmp_path):
+        def score(family, fit, bic, params, observed_bic):
+            return model_select.ModelScore(family, bic, params, SimpleNamespace(**fit), observed_bic)
+
+        best = score("EII", dict(converged=True, iterations=12, complete_loglik=-1234.5,
+                                 observed_loglik=-1200.25), -2500.123, 7, -2431.625)
+        other = score("VVV", dict(converged=False, iterations=200, complete_loglik=-0.1,
+                                  observed_loglik=-1e-05), -1e16, 19, 1 / 3)
+        path = tmp_path / "report.csv"
+        model_select.write_selection_report(path, [best, other], best)
+        assert path.read_bytes() == (
+            b"family,converged,iterations,loglik,params,bic,selected,observed_loglik,observed_bic\n"
+            b"EII,1,12,-1234.5,7,-2500.123,1,-1200.25,-2431.625\n"
+            b"VVV,0,200,-0.1,19,-1e+16,0,-1e-05,0.3333333333333333\n"
+        )
