@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled API vocabulary and the 50-log toy trace corpus.
+"""Regenerate the 50-log toy trace corpus from the bundled API vocabulary.
 
-The vocabulary is a representative union of the Android APIs monitored by
-public dynamic-analysis hook lists (AndroidEagleEye, Droidmon, Droidbox).
-It is NOT any project's canonical list; it exists so the extraction
-pipeline runs out of the box. The toy corpus is synthetic: benign-profile
-and malicious-profile logs drawn deterministically from two API usage
-distributions.
+The vocabulary, src/mbss/data/default_api_vocabulary.txt, is a
+representative union of the Android APIs monitored by public
+dynamic-analysis hook lists (AndroidEagleEye, Droidmon, Droidbox). It is
+NOT any project's canonical list; it exists so the extraction pipeline runs
+out of the box. The toy corpus is synthetic: benign-profile and
+malicious-profile logs drawn deterministically from two API usage
+distributions, plus a copy of the vocabulary's identities in
+data/toy_corpus/api_vocabulary.txt.
 
 Run from the repository root:  python3 scripts/make_toy_corpus.py
 """
@@ -19,185 +21,11 @@ ROOT = Path(__file__).resolve().parent.parent
 VOCAB_PACKAGE_PATH = ROOT / "src" / "mbss" / "data" / "default_api_vocabulary.txt"
 CORPUS_DIR = ROOT / "data" / "toy_corpus"
 
+# One API identity per line; blank and "#" lines are skipped.
 API_LIST = [
-    # telephony / device identity
-    "android.telephony.TelephonyManager.getDeviceId",
-    "android.telephony.TelephonyManager.getSubscriberId",
-    "android.telephony.TelephonyManager.getLine1Number",
-    "android.telephony.TelephonyManager.getSimSerialNumber",
-    "android.telephony.TelephonyManager.getSimOperatorName",
-    "android.telephony.TelephonyManager.getSimCountryIso",
-    "android.telephony.TelephonyManager.getNetworkOperator",
-    "android.telephony.TelephonyManager.getNetworkOperatorName",
-    "android.telephony.TelephonyManager.getCellLocation",
-    "android.telephony.TelephonyManager.getDeviceSoftwareVersion",
-    "android.telephony.TelephonyManager.listen",
-    # SMS
-    "android.telephony.SmsManager.sendTextMessage",
-    "android.telephony.SmsManager.sendMultipartTextMessage",
-    "android.telephony.SmsManager.sendDataMessage",
-    "android.telephony.gsm.SmsManager.sendTextMessage",
-    "android.telephony.SmsMessage.createFromPdu",
-    # context / services / broadcasts
-    "android.content.ContextWrapper.registerReceiver",
-    "android.content.ContextWrapper.startService",
-    "android.content.ContextWrapper.stopService",
-    "android.content.ContextWrapper.startActivity",
-    "android.content.ContextWrapper.sendBroadcast",
-    "android.content.ContextWrapper.sendOrderedBroadcast",
-    "android.content.ContextWrapper.openFileOutput",
-    "android.content.ContextWrapper.openFileInput",
-    "android.content.ContextWrapper.deleteFile",
-    "android.content.ContextWrapper.getSystemService",
-    "android.content.BroadcastReceiver.abortBroadcast",
-    "android.content.Intent.setDataAndType",
-    # package management
-    "android.app.ApplicationPackageManager.getInstalledPackages",
-    "android.app.ApplicationPackageManager.getInstalledApplications",
-    "android.app.ApplicationPackageManager.setComponentEnabledSetting",
-    "android.app.ApplicationPackageManager.getPackageInfo",
-    "android.app.ApplicationPackageManager.queryIntentActivities",
-    "android.content.pm.PackageManager.getInstalledPackages",
-    "android.content.pm.PackageManager.checkPermission",
-    # process / task inspection
-    "android.app.ActivityManager.getRunningTasks",
-    "android.app.ActivityManager.getRunningAppProcesses",
-    "android.app.ActivityManager.getRunningServices",
-    "android.app.ActivityManager.killBackgroundProcesses",
-    "android.app.ActivityManager.getRecentTasks",
-    "android.os.Process.killProcess",
-    # crypto
-    "javax.crypto.Cipher.getInstance",
-    "javax.crypto.Cipher.init",
-    "javax.crypto.Cipher.doFinal",
-    "javax.crypto.Cipher.update",
-    "javax.crypto.spec.SecretKeySpec.<init>",
-    "javax.crypto.spec.IvParameterSpec.<init>",
-    "javax.crypto.Mac.getInstance",
-    "javax.crypto.Mac.doFinal",
-    "javax.crypto.KeyGenerator.generateKey",
-    "java.security.MessageDigest.getInstance",
-    "java.security.MessageDigest.digest",
-    "java.security.MessageDigest.update",
-    "java.security.KeyPairGenerator.generateKeyPair",
-    # dynamic code loading / reflection
-    "dalvik.system.DexClassLoader.<init>",
-    "dalvik.system.DexClassLoader.loadClass",
-    "dalvik.system.PathClassLoader.<init>",
-    "dalvik.system.BaseDexClassLoader.findLibrary",
-    "dalvik.system.DexFile.loadDex",
-    "dalvik.system.DexFile.loadClass",
-    "java.lang.Class.forName",
-    "java.lang.Class.getMethod",
-    "java.lang.Class.getDeclaredMethod",
-    "java.lang.Class.getDeclaredField",
-    "java.lang.reflect.Method.invoke",
-    "java.lang.reflect.Field.setAccessible",
-    # runtime / native
-    "java.lang.Runtime.exec",
-    "java.lang.Runtime.loadLibrary",
-    "java.lang.Runtime.load",
-    "java.lang.ProcessBuilder.start",
-    "java.lang.System.loadLibrary",
-    "java.lang.System.load",
-    "java.lang.System.exit",
-    # network
-    "java.net.URL.openConnection",
-    "java.net.URL.openStream",
-    "java.net.HttpURLConnection.connect",
-    "java.net.HttpURLConnection.getInputStream",
-    "java.net.HttpURLConnection.getOutputStream",
-    "java.net.HttpURLConnection.setRequestMethod",
-    "java.net.HttpURLConnection.setRequestProperty",
-    "java.net.Socket.<init>",
-    "java.net.Socket.connect",
-    "java.net.Socket.getOutputStream",
-    "java.net.DatagramSocket.send",
-    "java.net.InetAddress.getByName",
-    "java.net.InetAddress.getAllByName",
-    "org.apache.http.impl.client.AbstractHttpClient.execute",
-    "org.apache.http.client.methods.HttpPost.<init>",
-    "org.apache.http.client.methods.HttpGet.<init>",
-    # content providers / databases
-    "android.content.ContentResolver.query",
-    "android.content.ContentResolver.insert",
-    "android.content.ContentResolver.update",
-    "android.content.ContentResolver.delete",
-    "android.content.ContentResolver.registerContentObserver",
-    "android.content.ContentResolver.openInputStream",
-    "android.database.sqlite.SQLiteDatabase.execSQL",
-    "android.database.sqlite.SQLiteDatabase.rawQuery",
-    "android.database.sqlite.SQLiteDatabase.insert",
-    "android.database.sqlite.SQLiteDatabase.query",
-    "android.database.sqlite.SQLiteDatabase.openOrCreateDatabase",
-    # location
-    "android.location.LocationManager.getLastKnownLocation",
-    "android.location.LocationManager.requestLocationUpdates",
-    "android.location.LocationManager.getBestProvider",
-    "android.location.LocationManager.isProviderEnabled",
-    "android.location.Location.getLatitude",
-    # accounts / personal data / settings
-    "android.accounts.AccountManager.getAccounts",
-    "android.accounts.AccountManager.getAccountsByType",
-    "android.accounts.AccountManager.getAuthToken",
-    "android.provider.Settings$Secure.getString",
-    "android.content.ClipboardManager.getText",
-    "android.content.ClipboardManager.setText",
-    # media / camera / audio
-    "android.media.AudioRecord.<init>",
-    "android.media.AudioRecord.startRecording",
-    "android.media.MediaRecorder.start",
-    "android.media.MediaRecorder.setAudioSource",
-    "android.media.MediaRecorder.setOutputFile",
-    "android.media.MediaPlayer.setDataSource",
-    "android.hardware.Camera.open",
-    "android.hardware.Camera.takePicture",
-    # wifi / connectivity / bluetooth
-    "android.net.wifi.WifiManager.getConnectionInfo",
-    "android.net.wifi.WifiManager.getScanResults",
-    "android.net.wifi.WifiManager.setWifiEnabled",
-    "android.net.wifi.WifiInfo.getMacAddress",
-    "android.net.ConnectivityManager.getActiveNetworkInfo",
-    "android.net.ConnectivityManager.getAllNetworkInfo",
-    "android.bluetooth.BluetoothAdapter.getAddress",
-    "android.bluetooth.BluetoothAdapter.enable",
-    # webview
-    "android.webkit.WebView.loadUrl",
-    "android.webkit.WebView.loadData",
-    "android.webkit.WebView.addJavascriptInterface",
-    "android.webkit.WebView.setWebViewClient",
-    "android.webkit.WebView.postUrl",
-    "android.webkit.WebSettings.setJavaScriptEnabled",
-    # encoding / files / archives
-    "android.util.Base64.decode",
-    "android.util.Base64.encode",
-    "android.util.Base64.encodeToString",
-    "java.io.FileOutputStream.write",
-    "java.io.FileInputStream.read",
-    "java.io.File.delete",
-    "java.io.File.mkdirs",
-    "java.io.File.renameTo",
-    "java.util.zip.ZipInputStream.getNextEntry",
-    "java.util.zip.ZipFile.<init>",
-    # preferences
-    "android.app.SharedPreferencesImpl.getString",
-    "android.app.SharedPreferencesImpl$EditorImpl.putString",
-    "android.app.SharedPreferencesImpl$EditorImpl.commit",
-    "android.app.SharedPreferencesImpl$EditorImpl.apply",
-    # system / device admin / UI
-    "android.os.SystemProperties.get",
-    "android.os.PowerManager$WakeLock.acquire",
-    "android.os.PowerManager$WakeLock.release",
-    "android.app.NotificationManager.notify",
-    "android.app.KeyguardManager.newKeyguardLock",
-    "android.app.admin.DevicePolicyManager.lockNow",
-    "android.app.admin.DevicePolicyManager.resetPassword",
-    "android.view.WindowManagerImpl.addView",
-    "android.os.Vibrator.vibrate",
-    "android.net.Uri.parse",
-    "android.net.Uri.fromFile",
-    "android.app.AlarmManager.set",
-    "android.app.AlarmManager.setRepeating",
+    api
+    for api in map(str.strip, VOCAB_PACKAGE_PATH.read_text(encoding="utf-8").splitlines())
+    if api and not api.startswith("#")
 ]
 
 # Index ranges used to shape the two usage profiles.
@@ -238,17 +66,6 @@ BENIGN_HEAVY = [
         )
     )
 ]
-
-
-def write_vocabulary() -> None:
-    VOCAB_PACKAGE_PATH.parent.mkdir(parents=True, exist_ok=True)
-    with open(VOCAB_PACKAGE_PATH, "w", encoding="utf-8") as fh:
-        fh.write("# Representative dynamic-analysis API watchlist (160 entries).\n")
-        fh.write("# Assembled as a union in the spirit of the public hook lists of\n")
-        fh.write("# AndroidEagleEye, Droidmon and Droidbox; NOT a canonical list from\n")
-        fh.write("# any single project. Replace with your own list for real analyses.\n")
-        for api in API_LIST:
-            fh.write(api + "\n")
 
 
 def write_log(path: Path, rng: np.random.Generator, profile: str) -> None:
@@ -293,12 +110,8 @@ def write_corpus() -> None:
 
 
 def main() -> None:
-    assert len(API_LIST) == len(set(API_LIST)), "duplicate API identities"
-    assert len(API_LIST) == 160, f"expected 160 entries, have {len(API_LIST)}"
-    write_vocabulary()
     write_corpus()
-    print(f"vocabulary: {VOCAB_PACKAGE_PATH}")
-    print(f"corpus:     {CORPUS_DIR} (50 logs, 30 labeled)")
+    print(f"corpus: {CORPUS_DIR} (50 logs, 30 labeled)")
 
 
 if __name__ == "__main__":

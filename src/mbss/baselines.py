@@ -135,7 +135,7 @@ class LdaModel:
         return self.mixture.d
 
 
-def lda_fit(features: np.ndarray, labels: np.ndarray, regularization: float = 1e-6) -> LdaModel:
+def lda_fit(features: np.ndarray, labels: np.ndarray) -> LdaModel:
     """Fit class means, priors and the pooled within-class covariance.
 
     The model is ``gmm.estimate`` of the class statistics under EEE, the
@@ -152,7 +152,7 @@ def lda_fit(features: np.ndarray, labels: np.ndarray, regularization: float = 1e
     stats = gmm.class_stats(X, y, int(y.max()), "EEE")
     if stats[0].min() < 2:
         raise ValueError("every class needs at least 2 samples")
-    return LdaModel(gmm.estimate(stats, "EEE", regularization))
+    return LdaModel(gmm.estimate(stats, "EEE"))
 
 
 def lda_predict_all(model: LdaModel, X: np.ndarray):

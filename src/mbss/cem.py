@@ -6,7 +6,10 @@ is committed to its maximum-posterior class, then weights, means and
 family-constrained covariances are re-estimated from labeled plus
 hard-labeled rows). Labeled rows keep their true classes in every
 iteration. The complete-data log-likelihood is recorded per iteration and
-is nondecreasing up to the covariance regularization ridge.
+is nondecreasing up to the covariance regularization ridge; the fit stops
+when Aitken's extrapolation of that trace (a plain difference where the
+extrapolation is undefined) comes within the tolerance, or at the
+iteration cap.
 
 The labeled block enters a fit only through its per-class counts, means
 and centered scatters, which ``initialize`` computes once together with
@@ -26,18 +29,18 @@ import numpy as np
 from . import gmm
 from .gmm import MixtureModel
 
-STOPPING_RULES = ("aitken", "delta")
-
 
 @dataclass(frozen=True)
 class CemConfig:
-    """Fit settings: covariance family, stopping rule and regularization."""
+    """Fit settings: covariance family, Aitken tolerance and iteration cap.
+
+    The covariance ridge (``gmm.REGULARIZATION``) and the stopping rule
+    (``_stop_reached``) are fixed.
+    """
 
     family: str = "VVV"
     tolerance: float = 1e-5
     max_iterations: int = 1000
-    regularization: float = 1e-6
-    stopping: str = "aitken"
 
     def __post_init__(self) -> None:
         if self.family not in gmm.FAMILIES:
@@ -46,10 +49,6 @@ class CemConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.regularization > 0.0:
-            raise ValueError("regularization must be positive")
-        if self.stopping not in STOPPING_RULES:
-            raise ValueError(f"stopping must be one of {STOPPING_RULES}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ def initialize(X: np.ndarray, y: np.ndarray, K: int, config: CemConfig) -> Start
     lacking = (np.flatnonzero(stats[0] < 2) + 1).tolist()
     if lacking:
         raise ValueError(f"classes {lacking} have fewer than 2 labeled samples")
-    return Start(stats, gmm.estimate(stats, config.family, config.regularization), config)
+    return Start(stats, gmm.estimate(stats, config.family), config)
 
 
 def e_step(model: MixtureModel, unlabeled: np.ndarray) -> np.ndarray:
@@ -149,22 +148,22 @@ def cm_step(
     family = start.config.family
     unlabeled_stats = gmm.class_stats(unlabeled, hard, K, family, block)
     stats = gmm.merge_class_stats(start.stats, unlabeled_stats)
-    return gmm.estimate(stats, family, start.config.regularization, prev_model)
+    return gmm.estimate(stats, family, prev_model)
 
 
-def _stop_reached(trace: list[float], tolerance: float, rule: str) -> bool:
-    """Convergence test on the log-likelihood trace.
+def _stop_reached(trace: list[float], tolerance: float) -> bool:
+    """Aitken convergence test on the log-likelihood trace.
 
-    The Aitken rule extrapolates the asymptotic value l_inf from the last
-    three entries via a = (l2-l1)/(l1-l0), l_inf = l1 + (l2-l1)/(1-a), and
-    stops once l_inf - l1 < tolerance. A plain absolute difference is used
+    It extrapolates the asymptotic value l_inf from the last three entries
+    via a = (l2-l1)/(l1-l0), l_inf = l1 + (l2-l1)/(1-a), and stops once
+    l_inf - l1 < tolerance. A plain absolute difference is used
     until three entries exist and whenever the acceleration ratio is
     degenerate (a >= 1 or a zero denominator).
     """
     if len(trace) < 2:
         return False
     plain = abs(trace[-1] - trace[-2]) < tolerance
-    if rule == "delta" or len(trace) < 3:
+    if len(trace) < 3:
         return plain
     l0, l1, l2 = trace[-3], trace[-2], trace[-1]
     denom = l1 - l0
@@ -195,7 +194,7 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
     Hard labels equal to the partition that built the current model are a
     fixed point: the next CM-step would rebuild that model bit for bit, so
     that iteration repeats the last record, with 0 changed labels, without
-    one; the stopping rule then fires unless the trace is non-finite.
+    one; the Aitken test then fires unless the trace is non-finite.
     """
     config, model = start.config, start.model
     block = gmm.Shifted.of(X_u) if config.family in gmm.DIAGONAL_FAMILIES else None
@@ -224,7 +223,7 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
             changed.append(len(X_u) if prev_hard is None else np.count_nonzero(hard != prev_hard))
             posteriors = np.exp(joint - norm[:, None])
             prev_hard, hard = hard, hard_assign(posteriors)
-        if _stop_reached(trace, config.tolerance, config.stopping):
+        if _stop_reached(trace, config.tolerance):
             converged = True
             break
     return FitResult(

@@ -143,8 +143,6 @@ def _cem_config(args) -> cem.CemConfig:
             family=getattr(args, "family", "EII"),
             tolerance=args.tolerance,
             max_iterations=args.max_iterations,
-            regularization=args.regularization,
-            stopping=args.stopping,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -152,13 +150,9 @@ def _cem_config(args) -> cem.CemConfig:
 
 def _add_fit_flags(parser) -> None:
     parser.add_argument("--tolerance", type=_positive_float, default=1e-5,
-                        help="stopping tolerance on the log-likelihood (default 1e-5)")
+                        help="Aitken stopping tolerance on the log-likelihood (default 1e-5)")
     parser.add_argument("--max-iterations", type=_positive_int, default=1000,
                         help="iteration cap (default 1000)")
-    parser.add_argument("--regularization", type=_positive_float, default=1e-6,
-                        help="covariance ridge epsilon (default 1e-6)")
-    parser.add_argument("--stopping", choices=cem.STOPPING_RULES, default="aitken",
-                        help="convergence rule (default aitken)")
 
 
 def build_parser():
@@ -263,8 +257,11 @@ def _text_lines(path) -> list[str]:
         raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _load_labels_file(path) -> dict[str, int]:
-    """filename,label rows, one per file name, CSV-quoted as ``<out>.sources.csv`` writes names."""
+def _load_labels_file(path, names) -> dict[str, int]:
+    """filename,label rows, one per file name, CSV-quoted as ``<out>.sources.csv`` writes names.
+
+    Every file name must be one of ``names``, the logs found.
+    """
     out: dict[str, int] = {}
     first_lines: dict[str, int] = {}
     for lineno, raw in enumerate(_text_lines(path), start=1):
@@ -285,6 +282,8 @@ def _load_labels_file(path) -> dict[str, int]:
             raise DataFormatError(
                 f"{path}:{lineno}: filename {parts[0]} given twice (first on line {first})"
             )
+        if parts[0] not in names:
+            raise DataFormatError(f"{path}:{lineno}: filename {parts[0]} matches no log file")
         out[parts[0]] = label
     return out
 
@@ -292,7 +291,6 @@ def _load_labels_file(path) -> dict[str, int]:
 def cmd_extract(args, argv) -> int:
     _require_inputs(args.logs, args.vocabulary, args.labels)
     vocabulary = build_vocabulary(args.vocabulary)
-    labels_map = _load_labels_file(args.labels) if args.labels else {}
     log_dir = Path(args.logs)
     if not log_dir.is_dir():
         raise UsageError(f"--logs must be a directory: {log_dir}")
@@ -300,6 +298,7 @@ def cmd_extract(args, argv) -> int:
     files = sorted((p for p in log_dir.glob(args.pattern) if p.is_file()), key=lambda p: p.parts)
     if not files:
         raise DataFormatError(f"no files matching {args.pattern!r} under {log_dir}")
+    labels_map = _load_labels_file(args.labels, {p.name for p in files}) if args.labels else {}
     parsed = []
     failures = []
     digests = {}
@@ -395,12 +394,14 @@ def cmd_classify(args, argv) -> int:
 def _load_external_predictions(path, expected: int):
     """sample_id,predicted_label[,score] keyed by 0-based sample id.
 
-    Every id must appear exactly once. Scores are None when no row gives
-    one. A score on only some rows, or a non-finite one, is a data error.
+    Every id must appear exactly once. Scores are None when no row has a
+    score cell. A score on only some rows, or a non-finite one (``nan``
+    included), is a data error.
     """
     preds = np.full(expected, evaluation.TIE_LABEL, dtype=np.int64)
     scores = np.full(expected, np.nan)
     seen = np.zeros(expected, dtype=bool)
+    given = False
     for lineno, raw in enumerate(_text_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("sample_id"):
@@ -411,7 +412,8 @@ def _load_external_predictions(path, expected: int):
         try:
             idx = int(parts[0])
             label = int(parts[1])
-            score = float(parts[2]) if len(parts) == 3 and parts[2] != "" else np.nan
+            has_score = len(parts) == 3 and parts[2] != ""
+            score = float(parts[2]) if has_score else np.nan
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: bad id, label or score") from exc
         if not 0 <= idx < expected:
@@ -423,16 +425,16 @@ def _load_external_predictions(path, expected: int):
         preds[idx] = label
         seen[idx] = True
         scores[idx] = score
+        given = given or has_score
     if not seen.all():
         missing = int((~seen).sum())
         raise DataFormatError(f"{path}: predictions missing for {missing} sample ids")
-    given = ~np.isnan(scores)
-    if given.any() and not np.isfinite(scores).all():
+    if given and not np.isfinite(scores).all():
         raise DataFormatError(
             f"{path}: {int(np.isfinite(scores).sum())} of {expected} rows have a finite "
             "score; give one for every row or for none"
         )
-    return preds, scores if given.any() else None
+    return preds, scores if given else None
 
 
 def cmd_evaluate(args, argv) -> int:

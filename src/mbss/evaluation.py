@@ -153,14 +153,14 @@ def knn(k: int = 3):
     return train
 
 
-def lda(regularization: float = 1e-6, positive_label: int = 2):
+def lda(positive_label: int = 2):
     """Scores are the positive class's margin over the best other class.
 
     The whole test pool is predicted once, at training time.
     """
 
     def train(train_X, train_y, test_pool):
-        model = baselines.lda_fit(train_X, train_y, regularization)
+        model = baselines.lda_fit(train_X, train_y)
         labels, scores = baselines.lda_predict_all(model, test_pool)
         others = np.delete(scores, positive_label - 1, axis=1)
         margin = scores[:, positive_label - 1] - others.max(axis=1)
@@ -185,7 +185,7 @@ def external(preds, scores=None):
 CLASSIFIERS = {
     "mbss": lambda config, k, positive: ("mbss", mbss(config, positive)),
     "knn": lambda config, k, positive: (f"{k}nn", knn(k)),
-    "lda": lambda config, k, positive: ("lda", lda(config.regularization, positive)),
+    "lda": lambda config, k, positive: ("lda", lda(positive)),
 }
 
 

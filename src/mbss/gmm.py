@@ -26,7 +26,6 @@ differs from the previous one's (once for EEE, K times for VVV), it fills
 one C-ordered d x N buffer Z^T = W X^T - W c about that component's mean c,
 O(N d^2) with W's zero upper-right block skipped, and |Z|^2; each component
 then costs one product, |Z|^2 - 2 w^T Z^T + |w|^2 for w = W(mu - c).
-``log_density`` is the one-component ``log_joint``.
 The closed-form estimators follow Celeux & Govaert (1995). They and
 ``labeled_log_likelihood`` read rows only through per-class counts, means
 and scatters (``class_stats``), which ``merge_class_stats`` combines
@@ -48,7 +47,9 @@ FAMILIES = ("EII", "VII", "EEI", "VVI", "EEE", "VVV")
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Regularization escalates by x10 from the configured epsilon up to this cap.
+# The covariance ridge: eps times the mean variance, eps escalating by x10
+# from REGULARIZATION up to MAX_REGULARIZATION.
+REGULARIZATION = 1e-6
 MAX_REGULARIZATION = 1e-2
 
 
@@ -123,15 +124,14 @@ class ComponentParams:
         return other
 
 
-def make_component(
-    mean: np.ndarray, covariance: np.ndarray, regularization: float = 1e-6
-) -> ComponentParams:
+def make_component(mean: np.ndarray, covariance: np.ndarray) -> ComponentParams:
     """Build a component from an estimated covariance, regularizing it.
 
     ``covariance`` is a variance vector or a d x d matrix. Adds ``eps * t``
-    to the variances where ``t`` is their mean; if the component is still
-    not positive definite, eps escalates by factors of 10 up to
-    ``MAX_REGULARIZATION`` before giving up.
+    to the variances where ``t`` is their mean and eps is
+    ``REGULARIZATION``; if the component is still not positive definite,
+    eps escalates by factors of 10 up to ``MAX_REGULARIZATION`` before
+    giving up.
     """
     cov = np.asarray(covariance, dtype=np.float64)
     t = float(cov.sum() if cov.ndim == 1 else np.trace(cov)) / cov.shape[0]
@@ -139,7 +139,7 @@ def make_component(
         # Zero or degenerate scatter (e.g. identical rows); fall back to an
         # absolute scale so the ridge is nonzero.
         t = 1.0
-    eps = float(regularization)
+    eps = REGULARIZATION
     while True:
         ridge = eps * t
         try:
@@ -246,18 +246,6 @@ class Shifted:
         return cls(shift, rows, rows * rows)
 
 
-def log_density(component: ComponentParams, x: np.ndarray) -> float | np.ndarray:
-    """Log of the Gaussian density at ``x`` (a vector, or a matrix of rows).
-
-    The one-component ``log_joint``: family VVI for a variance vector, VVV
-    for a d x d covariance, so each structure has one kernel.
-    """
-    X = np.asarray(x, dtype=np.float64)
-    family = "VVI" if component.inv_cholesky is None else "VVV"
-    out = log_joint(MixtureModel(np.ones(1), [component], family), X)[:, 0]
-    return float(out[0]) if X.ndim == 1 else out
-
-
 def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) -> np.ndarray:
     """Matrix of log(pi_k) + log f_k(x_j), rows = samples, cols = components.
 
@@ -346,11 +334,6 @@ def labeled_log_likelihood(model, stats) -> float:
     return float((n * logw - 0.5 * (n * (model.d * _LOG_2PI + log_dets) + quad)).sum())
 
 
-def _labeled_stats(model, dataset):
-    """The labeled block's class statistics in the model family's shape."""
-    return class_stats(dataset.labeled_features, dataset.labels, dataset.K, model.family)
-
-
 def assigned_log_likelihood(joint: np.ndarray, hard_labels: np.ndarray) -> float:
     """Sum of each row's ``log_joint`` term under its hard label (1..K)."""
     return float(joint[np.arange(joint.shape[0]), hard_labels - 1].sum())
@@ -369,13 +352,15 @@ def complete_log_likelihood(model, dataset, hard_labels) -> float:
         )
     if hard.size and (hard.min() < 1 or hard.max() > model.K):
         raise ValueError("hard labels must lie in 1..K")
-    labeled = labeled_log_likelihood(model, _labeled_stats(model, dataset))
+    stats = class_stats(dataset.labeled_features, dataset.labels, dataset.K, model.family)
+    labeled = labeled_log_likelihood(model, stats)
     return labeled + assigned_log_likelihood(log_joint(model, dataset.unlabeled_features), hard)
 
 
 def observed_log_likelihood(model, dataset) -> float:
     """Training log-likelihood: labeled joints plus marginalized unlabeled terms."""
-    labeled = labeled_log_likelihood(model, _labeled_stats(model, dataset))
+    stats = class_stats(dataset.labeled_features, dataset.labels, dataset.K, model.family)
+    labeled = labeled_log_likelihood(model, stats)
     return labeled + float(row_logsumexp(log_joint(model, dataset.unlabeled_features)).sum())
 
 
@@ -433,7 +418,7 @@ def estimate_family_covariances(
     return np.broadcast_to(out, expected).copy()
 
 
-def estimate(stats, family: str, regularization: float, previous=None) -> MixtureModel:
+def estimate(stats, family: str, previous=None) -> MixtureModel:
     """The mixture that class statistics estimate: the one way to build a model from them.
 
     ``stats`` is ``class_stats`` in the family's shape. Weights are the class
@@ -455,12 +440,12 @@ def estimate(stats, family: str, regularization: float, previous=None) -> Mixtur
         means = np.where(empty[:, None], previous.means, means)
     covs = estimate_family_covariances(family, scatters, counts, n)
     if family in SHARED_FAMILIES:
-        first = make_component(means[0], covs[0], regularization)
+        first = make_component(means[0], covs[0])
         components = [first] + [first.with_mean(mean) for mean in means[1:]]
     else:
         components = [
             previous.components[k] if empty[k]
-            else make_component(means[k], covs[k], regularization)
+            else make_component(means[k], covs[k])
             for k in range(len(means))
         ]
     weights = np.where(empty, 1.0 / n, counts / n)

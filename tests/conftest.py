@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mbss import cem
+from mbss import cem, gmm
 from mbss.dataset import ApiVocabulary, Dataset
 
 
@@ -32,3 +32,15 @@ def start_for(ds, config):
 def fit_dataset(ds, config):
     """``cem.fit`` of a dataset: its labeled block's start and its unlabeled rows."""
     return cem.fit(start_for(ds, config), ds.unlabeled_features)
+
+
+def log_density(component, x):
+    """Log density of one component at ``x`` (a vector, or a matrix of rows).
+
+    ``gmm.log_joint`` of the one-component mixture: family VVI for a
+    variance vector, VVV for a d x d covariance.
+    """
+    X = np.asarray(x, dtype=np.float64)
+    family = "VVI" if component.inv_cholesky is None else "VVV"
+    out = gmm.log_joint(gmm.MixtureModel(np.ones(1), [component], family), X)[:, 0]
+    return float(out[0]) if X.ndim == 1 else out

@@ -121,7 +121,7 @@ def reference_fit(start, X_u):
         changed.append(len(X_u) if prev_hard is None else np.count_nonzero(hard != prev_hard))
         posteriors = np.exp(joint - norm[:, None])
         prev_hard, hard = hard, cem.hard_assign(posteriors)
-        if cem._stop_reached(trace, config.tolerance, config.stopping):
+        if cem._stop_reached(trace, config.tolerance):
             converged = True
             break
     return cem.FitResult(

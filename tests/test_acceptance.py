@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fit_dataset, make_dataset, start_for
+from conftest import fit_dataset, log_density, make_dataset, start_for
 from mbss import baselines, cem, cli, gmm, model_select, synth
 from mbss.dataset import Dataset
 from mbss.evaluation import CLASSIFIERS, detection_rate, roc_auc, write_dr_csv
@@ -169,7 +169,7 @@ def test_criterion_5_oracle_equivalence():
         mean = rng.standard_normal(d)
         cov = random_spd(rng, d)
         x = mean + rng.standard_normal(d)
-        got = gmm.log_density(gmm.ComponentParams(mean, cov), x)
+        got = log_density(gmm.ComponentParams(mean, cov), x)
         assert got == pytest.approx(direct_log_density(mean, cov, x), abs=1e-9)
         checks["density"] += 1
 

@@ -215,6 +215,28 @@ class TestExtract:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_row_naming_no_log_is_data_error(self, tmp_path, capsys):
+        logs = write_logs(tmp_path, {"a.log": "java.net.URL.openConnection 1\n"})
+        labels = tmp_path / "labels.csv"
+        labels.write_text("filename,label\na.log,1\nmissing.log,2\n")
+        out = tmp_path / "d.csv"
+        rc = cli.main(["extract", "--logs", str(logs), "--labels", str(labels), "--out", str(out)])
+        assert rc == 65
+        err = capsys.readouterr().err
+        assert "labels.csv:3: filename missing.log matches no log file" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("d.csv*"))
+
+    def test_labeled_log_that_fails_to_parse_is_partial_failure(self, tmp_path, capsys):
+        logs = write_logs(tmp_path, {"a.log": "java.net.URL.openConnection 1\n", "bad.log": "\n"})
+        labels = tmp_path / "labels.csv"
+        labels.write_text("filename,label\na.log,1\nbad.log,2\n")
+        out = tmp_path / "d.csv"
+        rc = cli.main(["extract", "--logs", str(logs), "--labels", str(labels), "--out", str(out)])
+        assert rc == 2
+        assert "failed: bad.log" in capsys.readouterr().err
+        assert Dataset.load_csv(out).n == 1
+
     def test_rerun_is_byte_identical(self, tmp_path):
         logs = write_logs(tmp_path, {"a.log": "java.net.URL.openConnection 1\n"})
         vocab = tmp_path / "vocab.txt"
@@ -970,6 +992,32 @@ class TestConfigFile:
         assert rc == 64
 
 
+@pytest.mark.parametrize(
+    "command, flags, config",
+    [
+        ("fit", ["--regularization", "1e-3"], None),
+        ("evaluate", ["--stopping", "delta"], None),
+        ("fit", [], {"regularization": 1e-3}),
+        ("evaluate", [], {"stopping": "delta"}),
+    ],
+    ids=["fit-flag", "evaluate-flag", "fit-config", "evaluate-config"],
+)
+def test_ridge_and_stopping_rule_are_not_options(tmp_path, capsys, command, flags, config):
+    data = synth_csv(tmp_path, seed=33)
+    name = flags[0][2:] if flags else next(iter(config))
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        flags = ["--config", str(cfg)]
+    extra = ["--protocol", "cv", "--seed", "1"] if command == "evaluate" else []
+    out = tmp_path / "o.csv"
+    rc = cli.main([command, "--data", str(data), *flags, *extra, "--out", str(out)])
+    assert rc == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and name in err
+    assert not out.exists()
+
+
 class TestSweepLadder:
     @pytest.mark.parametrize(
         "flags, named",
@@ -1135,3 +1183,18 @@ class TestOosExternalPredictions:
         )
         assert rc == 65
         assert "score" in capsys.readouterr().err
+
+    def test_nan_score_on_every_row_is_data_error(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, n=120, seed=20)
+        n = Dataset.load_csv(data).n
+        ext = tmp_path / "external.csv"
+        ext.write_text("".join(f"{i},1,nan\n" for i in range(n)))
+        rc = cli.main(
+            [
+                "evaluate", "--data", str(data), "--protocol", "cv", "--classifiers", "lda",
+                "--external-predictions", str(ext), "--seed", "2",
+                "--out", str(tmp_path / "cv.csv"),
+            ]
+        )
+        assert rc == 65
+        assert f"0 of {n} rows have a finite score" in capsys.readouterr().err

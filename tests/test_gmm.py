@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fit_dataset, make_dataset
+from conftest import fit_dataset, log_density, make_dataset
 from mbss import baselines, cem, gmm
 from mbss.errors import DataFormatError, SingularCovarianceError
 from oracles import (
@@ -56,7 +56,7 @@ class TestComponentParams:
 class TestMakeComponent:
     def test_ridge_is_trace_scaled(self):
         cov = np.diag([4.0, 0.0])
-        comp = gmm.make_component(np.zeros(2), cov, regularization=1e-6)
+        comp = gmm.make_component(np.zeros(2), cov)
         t = np.trace(cov) / 2
         assert comp.covariance[0, 0] == pytest.approx(4.0 + 1e-6 * t)
         assert comp.covariance[1, 1] == pytest.approx(1e-6 * t)
@@ -70,28 +70,28 @@ class TestMakeComponent:
         v = np.array([1.0, 1.0, -1e-5])
         t = v.mean()
         # 1e-6 t and 1e-5 t fall short of 1e-5; 1e-4 t lifts it
-        comp = gmm.make_component(np.zeros(3), v, regularization=1e-6)
+        comp = gmm.make_component(np.zeros(3), v)
         assert comp.inv_cholesky is None
         np.testing.assert_allclose(comp.covariance, v + 1e-4 * t, rtol=1e-12)
         with pytest.raises(SingularCovarianceError):
             gmm.make_component(np.zeros(2), np.array([1.0, -0.9]))
 
     def test_zero_trace_falls_back_to_absolute_ridge(self):
-        comp = gmm.make_component(np.zeros(2), np.zeros((2, 2)), regularization=1e-6)
+        comp = gmm.make_component(np.zeros(2), np.zeros((2, 2)))
         assert comp.covariance[0, 0] == pytest.approx(1e-6)
 
 
 class TestLogDensity:
     def test_standard_normal_at_mode(self):
         comp = gmm.ComponentParams(np.zeros(1), np.eye(1))
-        assert gmm.log_density(comp, np.zeros(1)) == pytest.approx(
+        assert log_density(comp, np.zeros(1)) == pytest.approx(
             -0.9189385332046727, abs=1e-12
         )
 
     def test_isotropic_2d(self):
         comp = gmm.ComponentParams(np.zeros(2), np.eye(2))
         expected = -math.log(2 * math.pi) - 1.0
-        assert gmm.log_density(comp, np.array([1.0, 1.0])) == pytest.approx(
+        assert log_density(comp, np.array([1.0, 1.0])) == pytest.approx(
             expected, abs=1e-12
         )
         assert expected == pytest.approx(-2.8378770664093453, abs=1e-12)
@@ -101,7 +101,7 @@ class TestLogDensity:
         cov = np.diag([4.0, 9.0])
         x = np.array([3.0, 5.0])
         comp = gmm.ComponentParams(mean, cov)
-        got = gmm.log_density(comp, x)
+        got = log_density(comp, x)
         assert got == pytest.approx(direct_log_density(mean, cov, x), abs=1e-12)
         assert got == pytest.approx(-4.62963653563740, abs=1e-10)
 
@@ -113,7 +113,7 @@ class TestLogDensity:
             mean = rng.standard_normal(d)
             x = mean + rng.standard_normal(d)
             comp = gmm.ComponentParams(mean, v)
-            assert gmm.log_density(comp, x) == pytest.approx(
+            assert log_density(comp, x) == pytest.approx(
                 direct_log_density(mean, np.diag(v), x), abs=1e-9
             )
             # the same bits as the Cholesky factor of diag(v)
@@ -127,7 +127,7 @@ class TestLogDensity:
             mean = rng.standard_normal(d)
             x = mean + rng.standard_normal(d)
             comp = gmm.ComponentParams(mean, cov)
-            assert gmm.log_density(comp, x) == pytest.approx(
+            assert log_density(comp, x) == pytest.approx(
                 direct_log_density(mean, cov, x), abs=1e-9
             )
 
@@ -135,14 +135,14 @@ class TestLogDensity:
         rng = np.random.default_rng(11)
         comp = gmm.ComponentParams(rng.standard_normal(3), random_spd(rng, 3))
         X = rng.standard_normal((6, 3))
-        rows = gmm.log_density(comp, X)
+        rows = log_density(comp, X)
         for i in range(6):
-            assert rows[i] == pytest.approx(gmm.log_density(comp, X[i]), abs=1e-12)
+            assert rows[i] == pytest.approx(log_density(comp, X[i]), abs=1e-12)
 
     def test_dimension_mismatch(self):
         comp = gmm.ComponentParams(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):
-            gmm.log_density(comp, np.zeros(3))
+            log_density(comp, np.zeros(3))
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(12)
@@ -152,8 +152,8 @@ class TestLogDensity:
             cov = random_spd(rng, d)
             x = rng.standard_normal(d)
             R = random_orthogonal(rng, d)
-            base = gmm.log_density(gmm.ComponentParams(mean, cov), x)
-            rotated = gmm.log_density(
+            base = log_density(gmm.ComponentParams(mean, cov), x)
+            rotated = log_density(
                 gmm.ComponentParams(R @ mean, R @ cov @ R.T), R @ x
             )
             assert rotated == pytest.approx(base, abs=1e-9)
@@ -231,7 +231,7 @@ class TestLogJointKernels:
         assert got.shape == (n, 3)
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
         one = longdouble_log_joint([1.0], means[1:2], covs[1:2], X)[:, 0].astype(np.float64)
-        np.testing.assert_allclose(gmm.log_density(model.components[1], X), one, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(log_density(model.components[1], X), one, rtol=1e-9, atol=0.0)
 
     def test_vvv_scoring_copies_no_operand(self):
         # the whitened rows and the K x N output are the only large allocations
@@ -323,7 +323,7 @@ class TestLikelihoods:
             [1.0], np.zeros((1, 2)), np.eye(2)[None], "VVV"
         )
         ds = make_dataset([[0.5, 0.5]], [1], [[1.0, -1.0]], K=1)
-        expected = gmm.log_density(model.components[0], np.array([0.5, 0.5])) + gmm.log_density(
+        expected = log_density(model.components[0], np.array([0.5, 0.5])) + log_density(
             model.components[0], np.array([1.0, -1.0])
         )
         assert gmm.complete_log_likelihood(model, ds, [1]) == pytest.approx(expected, abs=1e-12)
@@ -509,7 +509,7 @@ class TestFarFromTheOrigin:
         np.testing.assert_allclose(gmm.log_joint(model, X), expected, rtol=1e-9, atol=0.0)
         for k, comp in enumerate(model.components):
             np.testing.assert_allclose(
-                np.log(w[k]) + gmm.log_density(comp, X), expected[:, k], rtol=1e-9, atol=0.0
+                np.log(w[k]) + log_density(comp, X), expected[:, k], rtol=1e-9, atol=0.0
             )
 
     def test_vvv_components_sharing_one_factor_match_the_oracle(self):
@@ -542,14 +542,14 @@ class TestEstimate:
             [0.2, 0.3, 0.5], np.array([[9.0, 9.0], [8.0, 8.0], [7.0, 7.0]]),
             np.stack([np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)]), "VII",
         )
-        model = gmm.estimate(stats, "VII", 1e-6, previous)
+        model = gmm.estimate(stats, "VII", previous)
         # counts (3, 2, 0) over n = 5: (3/5, 2/5, 1/5) renormalized
         np.testing.assert_allclose(model.weights, [0.5, 1 / 3, 1 / 6], rtol=1e-15)
         np.testing.assert_array_equal(model.components[0].mean, X[:3].mean(axis=0))
         np.testing.assert_array_equal(model.components[1].mean, X[3:].mean(axis=0))
         assert model.components[2] is previous.components[2]
         with pytest.raises(ValueError, match=r"classes \[3\] received no members"):
-            gmm.estimate(stats, "VII", 1e-6)
+            gmm.estimate(stats, "VII")
 
     @pytest.mark.parametrize("family", gmm.SHARED_FAMILIES)
     def test_shared_family_builds_one_component(self, monkeypatch, family):
@@ -560,7 +560,7 @@ class TestEstimate:
         monkeypatch.setattr(
             gmm.ComponentParams, "__post_init__", lambda self: built.append(1) or real(self)
         )
-        model = gmm.estimate(stats, family, 1e-6)
+        model = gmm.estimate(stats, family)
         assert len(built) == 1
         assert all(c.covariance is model.components[0].covariance for c in model.components)
 
