@@ -188,8 +188,8 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
     model, and its row log-sum-exp gives the posteriors and the observed
     log-likelihood; the hard labels are taken once per model and drive
     the next CM-step, so the last model's are the returned ones. For the
-    diagonal families the unlabeled rows are shifted and squared once
-    (``gmm.Shifted``), and every scoring and CM-step reads them so.
+    diagonal families the unlabeled rows are taken as ``gmm.Shifted`` once
+    (in place for 0/1 rows), and every scoring and CM-step reads them so.
 
     Hard labels equal to the partition that built the current model are a
     fixed point: the next CM-step would rebuild that model bit for bit, so

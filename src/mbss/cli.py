@@ -298,7 +298,13 @@ def cmd_extract(args, argv) -> int:
     files = sorted((p for p in log_dir.glob(args.pattern) if p.is_file()), key=lambda p: p.parts)
     if not files:
         raise DataFormatError(f"no files matching {args.pattern!r} under {log_dir}")
-    labels_map = _load_labels_file(args.labels, {p.name for p in files}) if args.labels else {}
+    # Rows are keyed by file name, in the labels file and in <out>.sources.csv
+    by_name: dict[str, Path] = {}
+    for path in files:
+        first = by_name.setdefault(path.name, path)
+        if first is not path:
+            raise DataFormatError(f"logs {first} and {path} share the file name {path.name}")
+    labels_map = _load_labels_file(args.labels, by_name) if args.labels else {}
     parsed = []
     failures = []
     digests = {}

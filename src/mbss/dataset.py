@@ -84,7 +84,7 @@ def build_vocabulary(api_list_file) -> ApiVocabulary:
 
 @dataclass(frozen=True)
 class ParseResult:
-    """Presence vector for one trace plus line accounting for reports."""
+    """One trace's ``bool`` presence vector plus line accounting for reports."""
 
     bits: np.ndarray
     n_parsed: int
@@ -92,9 +92,9 @@ class ParseResult:
 
 
 def parse_log(lines, vocabulary: ApiVocabulary) -> ParseResult:
-    """Vectorize one trace log into a {0,1} presence vector.
+    """Vectorize one trace log into a ``bool`` presence vector.
 
-    ``bits[i]`` is 1 iff vocabulary entry i occurs at least once anywhere in
+    ``bits[i]`` is True iff vocabulary entry i occurs at least once anywhere in
     the log. Non-blank lines that do not parse as ``Class.method`` records
     are skipped and counted; blank lines are ignored. Raises
     DataFormatError when zero lines parse. A line costs a split and a lookup
@@ -105,8 +105,8 @@ def parse_log(lines, vocabulary: ApiVocabulary) -> ParseResult:
     n_skipped = codes.count(d + 1)
     if n_skipped == len(codes):
         raise DataFormatError("no parseable API records in log")
-    bits = np.zeros(d + 2)  # the last two slots take the codes of non-entries
-    bits[codes] = 1.0
+    bits = np.zeros(d + 2, dtype=bool)  # the last two slots take the codes of non-entries
+    bits[codes] = True
     return ParseResult(bits[:d], len(codes) - n_skipped, n_skipped)
 
 
@@ -130,8 +130,10 @@ def _float_block(rows, d: int) -> np.ndarray:
     return a
 
 
-def _is_binary(X: np.ndarray) -> bool:
-    """Every cell is +0.0 or 1.0 by bit pattern, so -0.0 is not binary."""
+def is_binary(X: np.ndarray) -> bool:
+    """X is float64 and every cell is +0.0 or 1.0 by bit pattern, so -0.0 is not binary."""
+    if X.dtype != np.float64:
+        return False
     bits = X.view(np.uint64)
     return bool(np.all((bits == 0) | (bits == ONE_BITS)))
 
@@ -323,7 +325,7 @@ class Dataset:
         unlabeled = (self.unlabeled_features, itertools.repeat(None))
         blocks = [(X[i:i + step], labels) for X, labels in (labeled, unlabeled)
                   for i in range(0, len(X), step)]
-        if not (_is_binary(self.labeled_features) and _is_binary(self.unlabeled_features)):
+        if not (is_binary(self.labeled_features) and is_binary(self.unlabeled_features)):
             write_csv(path, header, (
                 row + [label] for X, labels in blocks for row, label in zip(X.tolist(), labels)
             ))

@@ -20,12 +20,15 @@ The diagonal families read rows through their moments about a shift c
 (``Shifted``): D = X - c and D * D. ``log_joint`` scores all K components
 with two products, (D * D)(1/v)^T - 2 D((mu - c)/v)^T + sum((mu - c)^2/v),
 and ``class_stats`` takes the class sums of D and D * D from one-hot
-products. The shift, the rows' column mean, keeps rows far from the
-origin from cancelling. EEE and VVV share one loop: when a component's W
-differs from the previous one's (once for EEE, K times for VVV), it fills
-one C-ordered d x N buffer Z^T = W X^T - W c about that component's mean c,
-O(N d^2) with W's zero upper-right block skipped, and |Z|^2; each component
-then costs one product, |Z|^2 - 2 w^T Z^T + |w|^2 for w = W(mu - c).
+products. 0/1 rows are read in place: c = 0 and D = D * D = X, the same
+array, since x^2 = x for them. Other rows are shifted by their column
+mean, which keeps rows far from the origin from cancelling. EEE and VVV
+share one loop: when a component's W differs from the previous one's
+(once for EEE, K times for VVV), it fills one C-ordered d x N buffer
+Z^T = W X^T - W c about that component's mean c, O(N d^2) with W's zero
+upper-right block skipped, and |Z|^2, which is that component's quad;
+each further component sharing W costs one product,
+|Z|^2 - 2 w^T Z^T + |w|^2 for w = W(mu - c).
 The closed-form estimators follow Celeux & Govaert (1995). They and
 ``labeled_log_likelihood`` read rows only through per-class counts, means
 and scatters (``class_stats``), which ``merge_class_stats`` combines
@@ -41,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import is_binary
 from .errors import DataFormatError, SingularCovarianceError
 
 FAMILIES = ("EII", "VII", "EEI", "VVI", "EEE", "VVV")
@@ -229,10 +233,13 @@ def _gaussian_log(quad: np.ndarray, d: int, log_det) -> np.ndarray:
 class Shifted:
     """Rows X as the diagonal kernels read them: ``rows`` = X - ``shift``, and their ``squares``.
 
-    ``Shifted.of(X)`` shifts by the column means. Expanded about the origin,
-    rows near 1e4 + N(0, 1) lose about eight digits to cancellation in
+    ``Shifted.of(X)`` reads 0/1 rows (``dataset.is_binary``) in place: the
+    shift is 0 and ``rows`` and ``squares`` are X itself, not copies, since
+    x^2 = x exactly for them. It shifts any other rows by their column
+    means. Expanded about the origin, rows near 1e4 + N(0, 1) lose about
+    eight digits to cancellation in
     sum((x - mu)^2 / v) = sum(x^2 / v) - 2 sum(x mu / v) + sum(mu^2 / v);
-    about their mean they lose none.
+    about their mean they lose none. 0/1 rows cannot lie far from the origin.
     """
 
     shift: np.ndarray
@@ -241,6 +248,8 @@ class Shifted:
 
     @classmethod
     def of(cls, X: np.ndarray) -> "Shifted":
+        if is_binary(X):
+            return cls(np.zeros(X.shape[1]), X, X)
         shift = X.mean(axis=0) if X.shape[0] else np.zeros(X.shape[1])
         rows = X - shift
         return cls(shift, rows, rows * rows)
@@ -261,7 +270,8 @@ def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) 
     C-ordered d x N buffer Z^T = W X^T - W c; with w = W (mu - c),
     quad = |Z|^2 - 2 w^T Z^T + |w|^2. W is lower-triangular, so with
     h = d // 2 two products fill Z^T without its zero upper-right block and
-    without copying either operand.
+    without copying either operand. The first component of a run has w = 0,
+    so its quad is |Z|^2 with no product.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.d:
@@ -286,9 +296,11 @@ def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) 
             np.matmul(W[:h, :h], X[:, :h].T, out=Zt[:h])
             np.matmul(W[h:], X.T, out=Zt[h:])
             Zt -= (W @ center)[:, None]
-            norms = np.einsum("ij,ij->j", Zt, Zt)
-        wd = W @ (comp.mean - center)
-        out[k] = logw[k] + _gaussian_log(norms - 2.0 * (wd @ Zt) + wd @ wd, comp.d, comp.log_det)
+            quad = norms = np.einsum("ij,ij->j", Zt, Zt)
+        else:
+            wd = W @ (comp.mean - center)
+            quad = norms - 2.0 * (wd @ Zt) + wd @ wd
+        out[k] = logw[k] + _gaussian_log(quad, comp.d, comp.log_det)
     return out.T
 
 

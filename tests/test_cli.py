@@ -133,6 +133,26 @@ class TestExtract:
             manifest["inputs"]
         )
 
+    @pytest.mark.parametrize("with_labels", [False, True])
+    def test_logs_sharing_a_file_name_are_a_data_error(self, tmp_path, capsys, with_labels):
+        # sources rows and labels-file rows are keyed by file name alone
+        logs = tmp_path / "logs"
+        for sub in ("a", "b"):
+            (logs / sub).mkdir(parents=True)
+            (logs / sub / "x.log").write_text("java.net.URL.openConnection 1\n")
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text(VOCAB)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("x.log,2\n")
+        out = tmp_path / "data.csv"
+        argv = ["extract", "--logs", str(logs), "--pattern", "**/*.log",
+                "--vocabulary", str(vocab), "--out", str(out)]
+        rc = cli.main(argv + (["--labels", str(labels)] if with_labels else []))
+        assert rc == 65
+        err = capsys.readouterr().err
+        assert str(logs / "a" / "x.log") in err and str(logs / "b" / "x.log") in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.csv", "logs", "vocab.txt"]
+
     def test_sources_table_quotes_file_names(self, tmp_path):
         logs = write_logs(
             tmp_path,

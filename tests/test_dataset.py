@@ -102,6 +102,10 @@ class TestParseLog:
         assert result.bits.tolist() == [1.0, 0.0]
         assert result.n_parsed == 2
 
+    def test_bits_are_one_bool_per_vocabulary_entry(self):
+        bits = parse_log(["java.net.URL.openConnection", "x.y"], TWO_API_VOCAB).bits
+        assert bits.dtype == bool and bits.tolist() == [False, True]
+
     def test_empty_log_is_an_error(self):
         with pytest.raises(DataFormatError):
             parse_log([], TWO_API_VOCAB)

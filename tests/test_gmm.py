@@ -247,6 +247,68 @@ class TestLogJointKernels:
         assert peak <= 1.1 * buffers
 
 
+class TestBinaryRowsInPlace:
+    """``Shifted.of`` reads 0/1 rows as they are: shift 0, rows = squares = X."""
+
+    @staticmethod
+    def binary_rows(n=400, d=160, seed=170):
+        return (np.random.default_rng(seed).random((n, d)) < 0.3).astype(float)
+
+    def test_binary_rows_are_not_copied(self):
+        X = self.binary_rows()
+        block = gmm.Shifted.of(X)
+        assert block.rows is X and block.squares is X
+        np.testing.assert_array_equal(block.shift, np.zeros(X.shape[1]))
+        assert gmm.Shifted.of(np.empty((0, 3))).shift.tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "cell", [-0.0, 2.0, np.nan, "float32", "int64"],
+        ids=["negative-zero", "two", "nan", "float32", "int64"],
+    )
+    def test_other_rows_take_the_mean_shift(self, cell):
+        X = self.binary_rows(n=50, d=6)
+        if isinstance(cell, str):
+            X = X.astype(cell)
+        else:
+            X[7, 2] = cell
+        block = gmm.Shifted.of(X)
+        assert not np.shares_memory(block.rows, X) and not np.shares_memory(block.squares, X)
+        np.testing.assert_array_equal(block.shift, X.mean(axis=0))
+        np.testing.assert_array_equal(block.rows, X - X.mean(axis=0))
+
+    @pytest.mark.parametrize("family", gmm.DIAGONAL_FAMILIES)
+    def test_kernels_agree_with_the_mean_shifted_block(self, family):
+        rng = np.random.default_rng(171)
+        model = binary_model(rng, family)
+        X = self.binary_rows()
+        y = rng.integers(1, model.K + 1, size=X.shape[0])
+        shift = X.mean(axis=0)
+        rows = X - shift
+        shifted = gmm.Shifted(shift, rows, rows * rows)
+        np.testing.assert_allclose(
+            gmm.log_joint(model, X), gmm.log_joint(model, X, shifted), rtol=1e-9, atol=0.0
+        )
+        got = gmm.class_stats(X, y, model.K, family)
+        want = gmm.class_stats(X, y, model.K, family, shifted)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-9, atol=0.0)
+
+    def test_vvi_fit_allocates_less_than_one_copy_of_the_rows(self):
+        # a mean-shifted block would hold two more copies of X for the whole fit
+        X = self.binary_rows(n=20000, seed=172)
+        labeled = self.binary_rows(n=200, seed=173)
+        config = cem.CemConfig(family="VVI", max_iterations=3)
+        start = cem.initialize(labeled, np.arange(200) % 2 + 1, 2, config)
+        tracemalloc.start()
+        try:
+            cem.fit(start, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes
+
+
 class TestLogResponsibilities:
     def test_identical_components_give_uniform(self):
         model = mixture(
