@@ -110,8 +110,8 @@ def parse_log(lines, vocabulary: ApiVocabulary) -> ParseResult:
     return ParseResult(bits[:d], len(codes) - n_skipped, n_skipped)
 
 
-# Cells per block of rows that ``Dataset.save_csv`` writes, and
-# ``Dataset.load_csv`` builds, at once.
+# Cells per block of rows that ``Dataset.save_csv`` writes, ``Dataset.load_csv``
+# builds and ``is_binary`` checks at once.
 CSV_BLOCK = 1 << 14
 
 NEWLINE, COMMA, ZERO = b"\n"[0], b","[0], b"0"[0]
@@ -131,11 +131,19 @@ def _float_block(rows, d: int) -> np.ndarray:
 
 
 def is_binary(X: np.ndarray) -> bool:
-    """X is float64 and every cell is +0.0 or 1.0 by bit pattern, so -0.0 is not binary."""
+    """X is float64 and every cell is +0.0 or 1.0 by bit pattern, so -0.0 is not binary.
+
+    The cells are checked ``CSV_BLOCK`` at a time, in blocks of whole rows,
+    up to the first block holding a cell that is neither.
+    """
     if X.dtype != np.float64:
         return False
     bits = X.view(np.uint64)
-    return bool(np.all((bits == 0) | (bits == ONE_BITS)))
+    step = max(1, CSV_BLOCK // max(1, X.shape[-1]))
+    return all(
+        np.all((block == 0) | (block == ONE_BITS))
+        for block in (bits[start:start + step] for start in range(0, len(bits), step))
+    )
 
 
 def _binary_lines(X: np.ndarray, labels) -> bytes:

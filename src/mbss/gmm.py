@@ -23,12 +23,14 @@ and ``class_stats`` takes the class sums of D and D * D from one-hot
 products. 0/1 rows are read in place: c = 0 and D = D * D = X, the same
 array, since x^2 = x for them. Other rows are shifted by their column
 mean, which keeps rows far from the origin from cancelling. EEE and VVV
-share one loop: when a component's W differs from the previous one's
-(once for EEE, K times for VVV), it fills one C-ordered d x N buffer
-Z^T = W X^T - W c about that component's mean c, O(N d^2) with W's zero
-upper-right block skipped, and |Z|^2, which is that component's quad;
-each further component sharing W costs one product,
-|Z|^2 - 2 w^T Z^T + |w|^2 for w = W(mu - c).
+share one loop over blocks of B = ROW_BLOCK // d rows: when a component's
+W differs from the previous one's (once for EEE, K times for VVV), it
+fills one C-ordered d x B buffer Z^T = W X^T - W c about that component's
+mean c, O(B d^2) with W's zero upper-right block skipped, and |Z|^2, which
+is that component's quad; each further component sharing W costs one
+product, |Z|^2 - 2 w^T Z^T + |w|^2 for w = W(mu - c). Their scatters are
+summed over the same row blocks, so a full-covariance fit's working
+memory is O(K d^2 + d B), not O(N d).
 The closed-form estimators follow Celeux & Govaert (1995). They and
 ``labeled_log_likelihood`` read rows only through per-class counts, means
 and scatters (``class_stats``), which ``merge_class_stats`` combines
@@ -55,6 +57,10 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # from REGULARIZATION up to MAX_REGULARIZATION.
 REGULARIZATION = 1e-6
 MAX_REGULARIZATION = 1e-2
+
+# EEE and VVV read rows ROW_BLOCK // d at a time (1 MiB of float64 cells),
+# so their working memory does not grow with N.
+ROW_BLOCK = 1 << 17
 
 
 def row_logsumexp(joint: np.ndarray) -> np.ndarray:
@@ -265,13 +271,16 @@ def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) 
     ``block``, the ``Shifted`` rows of X (``Shifted.of(X)`` unless given; a
     fit builds it once for all its calls): with delta = mu - shift,
     quad = squares (1/v)^T - 2 rows (delta/v)^T + sum(delta^2/v). EEE and
-    VVV whiten the rows about c, the mean of the first component of each run
-    sharing an inverse Cholesky factor W (one run for EEE, K for VVV), in one
-    C-ordered d x N buffer Z^T = W X^T - W c; with w = W (mu - c),
-    quad = |Z|^2 - 2 w^T Z^T + |w|^2. W is lower-triangular, so with
-    h = d // 2 two products fill Z^T without its zero upper-right block and
-    without copying either operand. The first component of a run has w = 0,
-    so its quad is |Z|^2 with no product.
+    VVV take the rows B = max(1, ROW_BLOCK // d) at a time. They whiten a
+    block about c, the mean of the first component of each run sharing an
+    inverse Cholesky factor W (one run for EEE, K for VVV), into one
+    C-ordered d x B buffer Z^T = W X^T - W c, allocated once per call and
+    reused for every block and run; with w = W (mu - c),
+    quad = |Z|^2 - 2 w^T Z^T + |w|^2 goes straight into the block's slice
+    of the output. W is lower-triangular, so with h = d // 2 two products
+    fill Z^T without its zero upper-right block and without copying either
+    operand. The first component of a run has w = 0, so its quad is |Z|^2
+    with no product.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.d:
@@ -285,22 +294,27 @@ def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) 
         quad = inv @ block.squares.T + (-2.0 * scaled) @ block.rows.T
         quad += (delta * scaled).sum(axis=1, keepdims=True)
         return (logw + _gaussian_log(quad, model.d, model.log_dets[:, None])).T
-    out = np.empty((model.K, X.shape[0]))
-    Zt = np.empty((model.d, X.shape[0]))
-    h = model.d // 2
-    W = None
-    for k, comp in enumerate(model.components):
-        if comp.inv_cholesky is not W:
-            W, center = comp.inv_cholesky, comp.mean
-            # W's upper-right h x (d - h) block is zero: skip it
-            np.matmul(W[:h, :h], X[:, :h].T, out=Zt[:h])
-            np.matmul(W[h:], X.T, out=Zt[h:])
-            Zt -= (W @ center)[:, None]
-            quad = norms = np.einsum("ij,ij->j", Zt, Zt)
-        else:
-            wd = W @ (comp.mean - center)
-            quad = norms - 2.0 * (wd @ Zt) + wd @ wd
-        out[k] = logw[k] + _gaussian_log(quad, comp.d, comp.log_det)
+    n, d = X.shape
+    out = np.empty((model.K, n))
+    step = max(1, ROW_BLOCK // d)
+    buffer = np.empty(d * min(step, n))
+    h = d // 2
+    for start in range(0, n, step):
+        rows = X[start:start + step]
+        Zt = buffer[: d * rows.shape[0]].reshape(d, rows.shape[0])
+        W = None
+        for k, comp in enumerate(model.components):
+            if comp.inv_cholesky is not W:
+                W, center = comp.inv_cholesky, comp.mean
+                # W's upper-right h x (d - h) block is zero: skip it
+                np.matmul(W[:h, :h], rows[:, :h].T, out=Zt[:h])
+                np.matmul(W[h:], rows.T, out=Zt[h:])
+                Zt -= (W @ center)[:, None]
+                quad = norms = np.einsum("ij,ij->j", Zt, Zt)
+            else:
+                wd = W @ (comp.mean - center)
+                quad = norms - 2.0 * (wd @ Zt) + wd @ wd
+            out[k, start:start + step] = logw[k] + _gaussian_log(quad, d, comp.log_det)
     return out.T
 
 
@@ -475,8 +489,9 @@ def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str, block: Shifte
     Every family's means are H^T X / n, H the one-hot label matrix. The
     diagonal families' scatters are H^T (D * D) - (H^T D)^2 / n, where
     ``block`` holds the ``Shifted`` rows D of X (``Shifted.of(X)`` unless
-    given); EEE and VVV center a copy R of each class's rows on its mean in
-    place and take R^T R, symmetrized.
+    given). EEE and VVV sum R^T R over blocks of ROW_BLOCK // d rows, R a
+    copy of one block's rows of the class centered on the class mean in
+    place, and symmetrize the sum once.
     """
     counts = np.bincount(y, minlength=K + 1)[1:].astype(np.int64)
     H = (np.arange(1, K + 1)[:, None] == y).astype(np.float64)
@@ -489,12 +504,16 @@ def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str, block: Shifte
         # a sum of squares: clip the rounding of a constant column at zero
         scatters = np.maximum(H @ block.squares - sums * (sums / n), 0.0)
         return counts, means, scatters
-    scatters = np.zeros((K, X.shape[1], X.shape[1]))
-    for k in np.flatnonzero(counts):
-        rows = X[y == k + 1].astype(np.float64, copy=False)
-        rows -= means[k]
-        s = rows.T @ rows
-        scatters[k] = 0.5 * (s + s.T)
+    d = X.shape[1]
+    scatters = np.zeros((K, d, d))
+    step = max(1, ROW_BLOCK // d)
+    for start in range(0, X.shape[0], step):
+        chunk, labels = X[start:start + step], y[start:start + step]
+        for k in np.flatnonzero(counts):
+            rows = chunk[labels == k + 1].astype(np.float64, copy=False)
+            rows -= means[k]
+            scatters[k] += rows.T @ rows
+    scatters = 0.5 * (scatters + scatters.transpose(0, 2, 1))
     return counts, means, scatters
 
 

@@ -556,6 +556,71 @@ class TestDatasetCsv:
         assert peak <= 1.5 * X.nbytes
 
 
+class TestIsBinary:
+    """``is_binary`` checks ``CSV_BLOCK`` cells of whole rows at a time."""
+
+    d = 5
+    B = 3
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(dataset, "CSV_BLOCK", self.B * self.d + 2)
+
+    @staticmethod
+    def one_pass(X):
+        if X.dtype != np.float64:
+            return False
+        bits = X.view(np.uint64)
+        return bool(np.all((bits == 0) | (bits == dataset.ONE_BITS)))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 3 * 3 + 1])
+    @pytest.mark.parametrize("cell", [None, -0.0, np.nan, 2.0])
+    def test_any_bad_cell_in_the_last_block_is_seen(self, n, cell):
+        X = (np.random.default_rng(n).random((n, self.d)) < 0.5).astype(float)
+        if cell is not None and n:
+            X[-1, -1] = cell
+        got = dataset.is_binary(X)
+        assert got is (cell is None or n == 0)
+        assert got == self.one_pass(X)
+
+    @pytest.mark.parametrize("dtype", ["float32", "int64", "bool", "uint64"])
+    def test_other_dtypes_are_not_binary(self, dtype):
+        X = np.ones((4, self.d), dtype=dtype)
+        assert dataset.is_binary(X) is False
+        assert dataset.is_binary(np.empty((0, self.d), dtype=dtype)) is False
+
+    def test_columns_of_a_wider_array_are_checked(self):
+        X = np.zeros((4 * self.B, 2 * self.d))
+        X[-1, 0] = 0.5
+        assert not dataset.is_binary(X[:, : self.d])
+        assert dataset.is_binary(X[:, self.d:])
+
+    def test_stops_at_the_first_block_with_a_bad_cell(self):
+        class Counting(np.ndarray):
+            blocks = 0
+
+            def __getitem__(self, key):
+                Counting.blocks += 1
+                return super().__getitem__(key)
+
+        X = np.zeros((10 * self.B, self.d))
+        X[1, 2] = -0.0
+        assert dataset.is_binary(X.view(Counting)) is False
+        assert Counting.blocks == 1
+
+
+def test_is_binary_holds_no_more_than_a_block_of_temporaries():
+    # three bool temporaries of CSV_BLOCK cells, not of N x d
+    X = (np.random.default_rng(5).random((20000, 160)) < 0.3).astype(float)
+    tracemalloc.start()
+    try:
+        assert dataset.is_binary(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * dataset.CSV_BLOCK
+
+
 class TestDatasetValidation:
     def test_labels_outside_range_rejected(self):
         with pytest.raises(ValueError):

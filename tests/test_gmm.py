@@ -234,17 +234,130 @@ class TestLogJointKernels:
         np.testing.assert_allclose(log_density(model.components[1], X), one, rtol=1e-9, atol=0.0)
 
     def test_vvv_scoring_copies_no_operand(self):
-        # the whitened rows and the K x N output are the only large allocations
+        # the K x N output and one d x B block of whitened rows are the only
+        # large allocations; the slack is a few block-length vectors
         model = binary_model(np.random.default_rng(165), "VVV", K=2)
         X = (np.random.default_rng(166).random((5000, 160)) < 0.3).astype(float)
-        buffers = (160 + model.K) * 5000 * X.itemsize
+        B = gmm.ROW_BLOCK // 160
+        buffers = (model.K * 5000 + (160 + 16) * B) * X.itemsize
         tracemalloc.start()
         try:
             gmm.log_joint(model, X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * buffers
+        assert peak <= buffers
+
+
+def one_pass_log_joint(model, X):
+    """The full branch of ``gmm.log_joint`` with all N rows in one d x N buffer."""
+    out = np.empty((model.K, X.shape[0]))
+    Zt = np.empty((model.d, X.shape[0]))
+    h = model.d // 2
+    W = None
+    for k, comp in enumerate(model.components):
+        if comp.inv_cholesky is not W:
+            W, center = comp.inv_cholesky, comp.mean
+            np.matmul(W[:h, :h], X[:, :h].T, out=Zt[:h])
+            np.matmul(W[h:], X.T, out=Zt[h:])
+            Zt -= (W @ center)[:, None]
+            quad = norms = np.einsum("ij,ij->j", Zt, Zt)
+        else:
+            wd = W @ (comp.mean - center)
+            quad = norms - 2.0 * (wd @ Zt) + wd @ wd
+        out[k] = model.log_weights[k] - 0.5 * (quad + model.d * np.log(2 * np.pi) + comp.log_det)
+    return out.T
+
+
+def one_pass_scatters(X, y, means):
+    """Full-family scatters from one centered copy of each class's rows."""
+    scatters = np.zeros((len(means), X.shape[1], X.shape[1]))
+    for k in range(len(means)):
+        rows = X[y == k + 1].astype(np.float64)
+        if rows.shape[0]:
+            rows -= means[k]
+            s = rows.T @ rows
+            scatters[k] = 0.5 * (s + s.T)
+    return scatters
+
+
+def assert_one_pass_bits(family, n, d):
+    """0/1 rows in one block give the one-pass scatters and scores bit for bit."""
+    X = (np.random.default_rng(188).random((n, d)) < 0.3).astype(float)
+    y = np.arange(n) % 2 + 1
+    stats = gmm.class_stats(X, y, 2, family)
+    np.testing.assert_array_equal(stats[2], one_pass_scatters(X, y, stats[1]))
+    model = gmm.estimate(stats, family)
+    np.testing.assert_array_equal(gmm.log_joint(model, X), one_pass_log_joint(model, X))
+
+
+class TestFullRowBlocks:
+    """EEE and VVV read rows ``gmm.ROW_BLOCK // d`` at a time.
+
+    ``ROW_BLOCK`` is cut to a few rows' worth, so the block edges are cheap
+    to reach.
+    """
+
+    d = 7
+    B = 4
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(gmm, "ROW_BLOCK", self.B * self.d + self.d - 1)
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 7])
+    @pytest.mark.parametrize("family", ["EEE", "VVV"])
+    def test_log_joint_matches_the_oracle_across_block_edges(self, family, n):
+        rng = np.random.default_rng(180 + n)
+        w, means, covs = random_model_arrays(rng, 3, self.d, family=family)
+        model = mixture(w, means, covs, family)
+        X = means[1] + rng.standard_normal((n, self.d))
+        expected = longdouble_log_joint(w, means, covs, X).astype(np.float64)
+        got = gmm.log_joint(model, X)
+        assert got.shape == (n, 3)
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
+        if n <= self.B:
+            np.testing.assert_array_equal(got, one_pass_log_joint(model, X))
+
+    @pytest.mark.parametrize("family", ["EEE", "VVV"])
+    def test_class_stats_match_one_pass_across_block_edges(self, family):
+        rng = np.random.default_rng(186)
+        n = 2 * self.B + 7
+        X = rng.standard_normal((n, self.d)) + 3.0
+        # class 2 lies wholly in the second block, class 4 has no rows
+        y = np.where(np.arange(n) // self.B == 1, 2, rng.choice([1, 3], size=n))
+        counts, means, scatters = gmm.class_stats(X, y, 4, family)
+        assert counts.tolist() == [np.sum(y == k) for k in range(1, 5)]
+        np.testing.assert_allclose(means[:3], [X[y == k].mean(axis=0) for k in (1, 2, 3)])
+        assert np.isnan(means[3]).all()
+        assert not scatters[3].any()
+        np.testing.assert_allclose(
+            scatters, one_pass_scatters(X, y, means), rtol=1e-9, atol=1e-12
+        )
+        np.testing.assert_array_equal(scatters, scatters.transpose(0, 2, 1))
+
+    def test_integer_rows_give_the_float_statistics(self):
+        rng = np.random.default_rng(187)
+        X = rng.integers(0, 5, size=(3 * self.B + 1, self.d))
+        y = rng.integers(1, 3, size=X.shape[0])
+        got = gmm.class_stats(X, y, 2, "VVV")
+        want = gmm.class_stats(X.astype(np.float64), y, 2, "VVV")
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_allclose(
+            got[2], one_pass_scatters(X, y, got[1]), rtol=1e-9, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("family", ["EEE", "VVV"])
+    def test_one_block_is_the_one_pass_formula_bit_for_bit(self, family):
+        assert_one_pass_bits(family, self.B, self.d)
+
+
+@pytest.mark.parametrize("family", ["EEE", "VVV"])
+def test_a_labeled_block_is_one_block_at_the_default_size(family):
+    # 600 labeled 0/1 rows of d = 160 score and estimate as in one pass
+    assert 600 <= gmm.ROW_BLOCK // 160
+    assert_one_pass_bits(family, 600, 160)
 
 
 class TestBinaryRowsInPlace:
@@ -306,7 +419,22 @@ class TestBinaryRowsInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < X.nbytes
+        assert peak < X.nbytes / 8
+
+    @pytest.mark.parametrize("family", ["EEE", "VVV"])
+    def test_full_fit_holds_no_copy_of_the_rows(self, family):
+        # whitening and scatters work on blocks of ROW_BLOCK cells, not N x d buffers
+        X = self.binary_rows(n=20000, seed=172)
+        labeled = self.binary_rows(n=200, seed=173)
+        config = cem.CemConfig(family=family, max_iterations=3)
+        start = cem.initialize(labeled, np.arange(200) % 2 + 1, 2, config)
+        tracemalloc.start()
+        try:
+            cem.fit(start, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 4
 
 
 class TestLogResponsibilities:
