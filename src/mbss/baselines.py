@@ -120,7 +120,7 @@ class LdaModel:
     def __post_init__(self) -> None:
         if self.mixture.family != "EEE":
             raise ValueError(f"LDA needs an EEE mixture, got {self.mixture.family}")
-        means = np.array([c.mean for c in self.mixture.components])
+        means = self.mixture.means
         W = self.mixture.components[0].inv_cholesky
         self._coef = W.T @ (W @ means.T)
         log_priors = np.log(self.mixture.weights)

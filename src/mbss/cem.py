@@ -17,7 +17,9 @@ the starting model; ``fit`` takes that ``Start`` and the unlabeled rows.
 Every iteration touches the unlabeled rows alone: the CM-step merges their
 class statistics into the labeled ones, and the labeled log-likelihood is
 evaluated in closed form from the statistics. The starting model and
-every CM-step's model come from one estimator, ``gmm.estimate``.
+every CM-step's model come from one estimator, ``gmm.estimate``: a
+CM-step's model is a function of its partition alone, and no class is
+ever empty, since each has at least 2 labeled rows.
 """
 
 from __future__ import annotations
@@ -123,32 +125,29 @@ def hard_assign(posteriors: np.ndarray) -> np.ndarray:
 
 def cm_step(
     start: Start,
-    unlabeled: np.ndarray,
+    X_u: np.ndarray,
     hard_labels: np.ndarray,
-    prev_model: MixtureModel | None = None,
     block: gmm.Shifted | None = None,
 ) -> MixtureModel:
     """Hard-assignment maximization step on the partition ``hard_labels``.
 
-    Each unlabeled row belongs to its hard label (1..K, one per row, as
-    ``hard_assign`` gives them); the rows' class statistics are merged into
-    the labeled block's (``start.stats``) and the model is ``gmm.estimate``
-    of the merged statistics. A class with zero members keeps its previous
-    mean (and, in per-component families, covariance) and has its weight
-    floored at 1/(n+m); shared-family covariances always come from the
-    pooled scatter of the populated classes. ``block`` is the unlabeled
-    rows' ``gmm.Shifted`` form, if the caller holds it.
+    Each unlabeled row of ``X_u`` belongs to its hard label (1..K, one per
+    row, as ``hard_assign`` gives them); the rows' class statistics are
+    merged into the labeled block's (``start.stats``) and the model is
+    ``gmm.estimate`` of the merged statistics. A class that no unlabeled
+    row joins keeps its labeled statistics. ``block`` is the unlabeled rows'
+    ``gmm.Shifted`` form, if the caller holds it.
     """
     hard = np.asarray(hard_labels, dtype=np.int64)
-    K, m = start.stats[0].shape[0], unlabeled.shape[0]
+    K, m = start.stats[0].shape[0], X_u.shape[0]
     if hard.shape != (m,):
         raise ValueError(f"hard_labels must hold {m} labels, got shape {hard.shape}")
     if np.any((hard < 1) | (hard > K)):
         raise ValueError(f"hard labels must lie in 1..{K}")
     family = start.config.family
-    unlabeled_stats = gmm.class_stats(unlabeled, hard, K, family, block)
+    unlabeled_stats = gmm.class_stats(X_u, hard, K, family, block)
     stats = gmm.merge_class_stats(start.stats, unlabeled_stats)
-    return gmm.estimate(stats, family, prev_model)
+    return gmm.estimate(stats, family)
 
 
 def _stop_reached(trace: list[float], tolerance: float) -> bool:
@@ -214,7 +213,7 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
             observed.append(observed[-1])
             changed.append(0)
         else:
-            model = cm_step(start, X_u, hard, model, block)
+            model = cm_step(start, X_u, hard, block)
             labeled = gmm.labeled_log_likelihood(model, start.stats)
             joint = gmm.log_joint(model, X_u, block)
             norm = gmm.row_logsumexp(joint)

@@ -110,15 +110,15 @@ def _float_list(text: str) -> list[float]:
 
 def _percent_list(text: str) -> list[float]:
     values = _float_list(text)
-    if not all(0.0 <= v <= 100.0 for v in values):
-        raise argparse.ArgumentTypeError(f"percentages must lie in [0, 100], got {text}")
+    if not values or not all(0.0 <= v <= 100.0 for v in values):
+        raise argparse.ArgumentTypeError(f"need percentages in [0, 100], got {text!r}")
     return values
 
 
 def _positive_int_list(text: str) -> list[int]:
     values = [int(tok) for tok in text.split(",") if tok != ""]
-    if min(values, default=1) < 1:
-        raise argparse.ArgumentTypeError(f"counts must be at least 1, got {text}")
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"need counts of at least 1, got {text!r}")
     return values
 
 
@@ -445,6 +445,10 @@ def _load_external_predictions(path, expected: int):
 
 def cmd_evaluate(args, argv) -> int:
     _require_inputs(args.data, args.oos_data, args.external_predictions)
+    if args.roc_out and args.protocol == "oos":
+        raise UsageError("--roc-out applies to the cv and cv10 protocols only")
+    if args.pca_out and args.protocol != "oos":
+        raise UsageError("--pca-out applies to the oos protocol only")
     config = _cem_config(args)
     dataset = _load_training_set(args.data)
     positive = args.positive_label
@@ -488,12 +492,16 @@ def cmd_evaluate(args, argv) -> int:
     classifiers = [
         evaluation.CLASSIFIERS[name](config, args.knn_k, positive) for name in args.classifiers
     ]
+    scores = None
     if args.external_predictions:
         preds, scores = _load_external_predictions(args.external_predictions, len(pool))
         classifiers.append(
             (Path(args.external_predictions).stem, evaluation.external(preds, scores))
         )
         inputs.append(args.external_predictions)
+    # knn gives no scores, and an external file only with a score column
+    if args.roc_out and set(args.classifiers) == {"knn"} and scores is None:
+        raise UsageError("--roc-out requires a score-producing classifier")
     if args.protocol == "oos":
         rows_by_classifier = {
             name: evaluation.detection_rate(
@@ -520,11 +528,9 @@ def cmd_evaluate(args, argv) -> int:
         ]
         evaluation.write_cv_csv(out, reports)
         if args.roc_out:
-            roc_report = next((r for r in reports if r.roc_points is not None), None)
-            if roc_report is None:
-                raise UsageError("--roc-out requires a score-producing classifier")
             _prepare_out(args.roc_out)
-            evaluation.write_roc_csv(args.roc_out, roc_report.roc_points)
+            roc_points = next(r.roc_points for r in reports if r.roc_points is not None)
+            evaluation.write_roc_csv(args.roc_out, roc_points)
             extra_outputs.append(args.roc_out)
         print(evaluation.format_cv_table(reports))
     _write_manifest(out, "evaluate", argv, inputs, [out] + extra_outputs, seed=args.seed)

@@ -10,11 +10,11 @@ supported, named by the volume/shape/orientation convention:
     EEE  full, shared across components
     VVV  full, per component
 
-Each component stores its covariance in its family's shape: a vector of d
-variances for the spherical and diagonal families, a d x d matrix for EEE
-and VVV, factored once as W = L^-1, the inverse of its lower Cholesky
-factor (Sigma^-1 = W^T W). A model also keeps its means, log-determinants
-and, for the diagonal families, inverse variances stacked K-wise.
+A mixture is weights, K x d means and K components; a shared family holds
+one component K times. A component is one covariance in its family's
+shape: d variances for the spherical and diagonal families, a d x d matrix
+for EEE and VVV, factored once as W = L^-1, the inverse of its lower
+Cholesky factor (Sigma^-1 = W^T W).
 
 The diagonal families read rows through their moments about a shift c
 (``Shifted``): D = X - c and D * D. ``log_joint`` scores all K components
@@ -40,7 +40,6 @@ a mixture: the CEM start, every CM-step and LDA's pooled covariance.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
 
@@ -76,7 +75,7 @@ def row_logsumexp(joint: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ComponentParams:
-    """One Gaussian component: mean vector and positive definite covariance.
+    """One positive definite covariance, factored once; the mixture holds the means.
 
     ``covariance`` is either a vector of d variances (the spherical and
     diagonal families; ``inv_cholesky`` is None) or a symmetric d x d matrix
@@ -87,17 +86,15 @@ class ComponentParams:
     from the variances or from diag(L).
     """
 
-    mean: np.ndarray
     covariance: np.ndarray
     inv_cholesky: np.ndarray | None = field(init=False, repr=False)
     log_det: float = field(init=False)
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
         cov = np.asarray(self.covariance, dtype=np.float64)
-        d = mean.shape[0]
+        d = cov.shape[0] if cov.ndim else 0
         if cov.shape not in ((d,), (d, d)):
-            raise ValueError(f"mean has dimension {d} but covariance has shape {cov.shape}")
+            raise ValueError(f"covariance must be a vector or a square matrix, not {cov.shape}")
         if cov.ndim == 1:
             chol = None
             if not (cov > 0.0).all():
@@ -113,7 +110,6 @@ class ComponentParams:
                 raise SingularCovarianceError("covariance is not positive definite") from exc
         # sqrt(v) is what cholesky(diag(v)) puts on its diagonal, bit for bit.
         self.log_det = 2.0 * float(np.log(np.sqrt(cov) if chol is None else np.diag(chol)).sum())
-        self.mean = mean
         self.covariance = cov
         self.inv_cholesky = None if chol is None else np.linalg.inv(chol)
         if chol is not None:
@@ -122,19 +118,10 @@ class ComponentParams:
 
     @property
     def d(self) -> int:
-        return self.mean.shape[0]
-
-    def with_mean(self, mean: np.ndarray) -> "ComponentParams":
-        """This covariance, its factor and log-determinant around another mean."""
-        mean = np.asarray(mean, dtype=np.float64).reshape(-1)
-        if mean.shape != self.mean.shape:
-            raise ValueError(f"mean has dimension {mean.shape[0]}, expected {self.d}")
-        other = copy.copy(self)
-        other.mean = mean
-        return other
+        return self.covariance.shape[0]
 
 
-def make_component(mean: np.ndarray, covariance: np.ndarray) -> ComponentParams:
+def make_component(covariance: np.ndarray) -> ComponentParams:
     """Build a component from an estimated covariance, regularizing it.
 
     ``covariance`` is a variance vector or a d x d matrix. Adds ``eps * t``
@@ -153,9 +140,7 @@ def make_component(mean: np.ndarray, covariance: np.ndarray) -> ComponentParams:
     while True:
         ridge = eps * t
         try:
-            return ComponentParams(
-                mean, cov + ridge if cov.ndim == 1 else cov + ridge * np.eye(cov.shape[0])
-            )
+            return ComponentParams(cov + (ridge if cov.ndim == 1 else ridge * np.eye(cov.shape[0])))
         except SingularCovarianceError:
             if eps >= MAX_REGULARIZATION:
                 raise SingularCovarianceError(
@@ -172,19 +157,19 @@ SHARED_FAMILIES = ("EII", "EEI", "EEE")
 
 @dataclass
 class MixtureModel:
-    """A K-component Gaussian mixture whose components have its family's shape.
+    """A K-component Gaussian mixture: weights, K x d means, components in its family's shape.
 
-    ``means`` (K x d) and ``log_dets`` (K) stack the components' own,
-    ``log_weights`` is -inf for a zero weight, and ``inverse_variances``
-    (K x d) holds 1/v for the diagonal families (None for EEE and VVV), so
-    the kernels score all components at once.
+    ``log_dets`` (K) stacks the components' own, ``log_weights`` is -inf
+    for a zero weight, and ``inverse_variances`` (K x d) holds 1/v for the
+    diagonal families (None for EEE and VVV), so the kernels score all
+    components at once.
     """
 
     weights: np.ndarray
+    means: np.ndarray
     components: list[ComponentParams]
     family: str
     log_weights: np.ndarray = field(init=False, repr=False, compare=False)
-    means: np.ndarray = field(init=False, repr=False, compare=False)
     log_dets: np.ndarray = field(init=False, repr=False, compare=False)
     inverse_variances: np.ndarray | None = field(init=False, repr=False, compare=False)
 
@@ -202,6 +187,11 @@ class MixtureModel:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
         if len({c.d for c in self.components}) != 1:
             raise ValueError("components disagree on dimension")
+        means = np.array(self.means, dtype=np.float64)
+        if means.shape != (w.shape[0], self.components[0].d):
+            raise ValueError(
+                f"means have shape {means.shape}, expected {(w.shape[0], self.components[0].d)}"
+            )
         covs = [c.covariance for c in self.components]
         diagonal = self.family in DIAGONAL_FAMILIES
         if any(c.ndim != (1 if diagonal else 2) for c in covs):
@@ -217,7 +207,7 @@ class MixtureModel:
         self.weights = w
         with np.errstate(divide="ignore"):
             self.log_weights = np.log(w)
-        self.means = np.array([c.mean for c in self.components])
+        self.means = means
         self.log_dets = np.array([c.log_det for c in self.components])
         self.inverse_variances = None if variances is None else 1.0 / variances
 
@@ -305,14 +295,14 @@ def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) 
         W = None
         for k, comp in enumerate(model.components):
             if comp.inv_cholesky is not W:
-                W, center = comp.inv_cholesky, comp.mean
+                W, center = comp.inv_cholesky, model.means[k]
                 # W's upper-right h x (d - h) block is zero: skip it
                 np.matmul(W[:h, :h], rows[:, :h].T, out=Zt[:h])
                 np.matmul(W[h:], rows.T, out=Zt[h:])
                 Zt -= (W @ center)[:, None]
                 quad = norms = np.einsum("ij,ij->j", Zt, Zt)
             else:
-                wd = W @ (comp.mean - center)
+                wd = W @ (model.means[k] - center)
                 quad = norms - 2.0 * (wd @ Zt) + wd @ wd
             out[k, start:start + step] = logw[k] + _gaussian_log(quad, d, comp.log_det)
     return out.T
@@ -419,10 +409,8 @@ def estimate_family_covariances(
     the centered rows assigned to component k, and the result is a K x d x d
     covariance stack. The spherical and diagonal families need only its
     diagonal: for them ``scatters`` is K x d (per-dimension sums of
-    squares) and the result is K x d variances. ``counts[k]`` is the number
-    of rows of component k. Components with ``counts[k] == 0`` get NaN in
-    per-component families and must be patched by the caller; shared
-    families pool over all components and are unaffected.
+    squares) and the result is K x d variances. ``counts[k]``, the number
+    of rows of component k, is positive.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown covariance family {family!r}")
@@ -440,42 +428,30 @@ def estimate_family_covariances(
     if family == "VII":
         scatters, counts = scatters.sum(axis=1, keepdims=True), d * counts
     counts = counts.reshape((K,) + (1,) * (scatters.ndim - 1))
-    out = np.divide(scatters, counts, out=np.full(scatters.shape, np.nan), where=counts > 0)
-    return np.broadcast_to(out, expected).copy()
+    return np.broadcast_to(scatters / counts, expected).copy()
 
 
-def estimate(stats, family: str, previous=None) -> MixtureModel:
+def estimate(stats, family: str) -> MixtureModel:
     """The mixture that class statistics estimate: the one way to build a model from them.
 
-    ``stats`` is ``class_stats`` in the family's shape. Weights are the class
-    proportions, an empty class floored at 1/n, renormalized; means are the
-    class means; covariances are the family estimates, ridged by
-    ``make_component``. A shared family builds and factors its one
-    covariance once. An empty class keeps ``previous``'s mean and, in a
-    per-component family, its component; without ``previous`` it is an error.
+    ``stats`` is ``class_stats`` in the family's shape, every class with
+    rows; a class without is a ValueError. Weights are the class
+    proportions, renormalized; means are the class means; covariances are
+    the family estimates, ridged by ``make_component``. A shared family
+    builds and factors its one covariance once and holds it K times.
     """
     counts, means, scatters = stats
+    empty = (np.flatnonzero(counts == 0) + 1).tolist()
+    if empty:
+        raise ValueError(f"classes {empty} have no rows")
     n = int(counts.sum())
-    empty = counts == 0
-    if empty.any():
-        if previous is None:
-            raise ValueError(
-                f"classes {(np.flatnonzero(empty) + 1).tolist()} received no members and "
-                "no previous model was supplied to fall back on"
-            )
-        means = np.where(empty[:, None], previous.means, means)
     covs = estimate_family_covariances(family, scatters, counts, n)
     if family in SHARED_FAMILIES:
-        first = make_component(means[0], covs[0])
-        components = [first] + [first.with_mean(mean) for mean in means[1:]]
+        components = [make_component(covs[0])] * len(covs)
     else:
-        components = [
-            previous.components[k] if empty[k]
-            else make_component(means[k], covs[k])
-            for k in range(len(means))
-        ]
-    weights = np.where(empty, 1.0 / n, counts / n)
-    return MixtureModel(weights / weights.sum(), components, family)
+        components = [make_component(cov) for cov in covs]
+    weights = counts / n
+    return MixtureModel(weights / weights.sum(), means, components, family)
 
 
 def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str, block: Shifted | None = None):
@@ -548,7 +524,7 @@ def save_model(model: MixtureModel, path) -> None:
         "version": 2,
         "family": model.family,
         "weights": model.weights.tolist(),
-        "means": [c.mean.tolist() for c in model.components],
+        "means": model.means.tolist(),
         "covariances": [c.covariance.tolist() for c in model.components],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -560,7 +536,7 @@ def load_model(path) -> MixtureModel:
     """Read a ``save_model`` file; a malformed or non-finite one is a DataFormatError.
 
     A shared family's K stored covariances must be equal; it is built and
-    factored once and shared, as ``estimate`` shares it.
+    factored once and held K times, as ``estimate`` holds it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -575,19 +551,17 @@ def load_model(path) -> MixtureModel:
         )
     try:
         weights = np.asarray(payload["weights"], dtype=np.float64)
-        means = [np.asarray(m, dtype=np.float64) for m in payload["means"]]
+        means = np.asarray(payload["means"], dtype=np.float64)
         covs = [np.asarray(c, dtype=np.float64) for c in payload["covariances"]]
-        if not all(np.all(np.isfinite(a)) for a in (weights, *means, *covs)):
+        if not all(np.all(np.isfinite(a)) for a in (weights, means, *covs)):
             raise ValueError("parameters must be finite")
-        pairs = list(zip(means, covs, strict=True))
         family = payload["family"]
-        if family in SHARED_FAMILIES and pairs:
+        if family in SHARED_FAMILIES and covs:
             if any(not np.array_equal(c, covs[0]) for c in covs):
                 raise ValueError(f"family {family} needs one covariance for all components")
-            first = ComponentParams(*pairs[0])
-            components = [first] + [first.with_mean(m) for m in means[1:]]
+            components = [ComponentParams(covs[0])] * len(covs)
         else:
-            components = [ComponentParams(m, c) for m, c in pairs]
-        return MixtureModel(weights, components, family)
+            components = [ComponentParams(c) for c in covs]
+        return MixtureModel(weights, means, components, family)
     except (KeyError, TypeError, ValueError, SingularCovarianceError) as exc:
         raise DataFormatError(f"{path}: malformed model file: {exc}") from exc

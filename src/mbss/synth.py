@@ -36,6 +36,8 @@ class SynthSpec:
         K, d = means.shape
         if w.shape[0] != K or covs.shape != (K, d, d):
             raise ValueError("weights, means and covariances disagree on K or d")
+        if not all(np.isfinite(a).all() for a in (w, means, covs)):
+            raise ValueError("weights, means and covariances must be finite")
         if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1")
         if not 0.0 < self.label_fraction <= 1.0:
@@ -124,6 +126,10 @@ def two_class_spec(
     components share the covariance. ``shift`` optionally displaces
     component 2 by an extra vector, for distribution-shift experiments.
     """
+    # checked as the products the spec is built from, so an overflow counts as an inf
+    offset, variance = float(separation) * float(scale), float(scale) * float(scale)
+    if not np.isfinite([offset, variance, rho]).all():
+        raise ValueError("separation * scale, scale^2 and rho must be finite")
     means = np.zeros((2, d))
     means[1, 0] = separation * scale
     if shift is not None:

@@ -34,13 +34,14 @@ def fit_dataset(ds, config):
     return cem.fit(start_for(ds, config), ds.unlabeled_features)
 
 
-def log_density(component, x):
-    """Log density of one component at ``x`` (a vector, or a matrix of rows).
+def log_density(mean, component, x):
+    """Log density at ``x`` (a vector, or a matrix of rows) of one component about ``mean``.
 
     ``gmm.log_joint`` of the one-component mixture: family VVI for a
     variance vector, VVV for a d x d covariance.
     """
     X = np.asarray(x, dtype=np.float64)
     family = "VVI" if component.inv_cholesky is None else "VVV"
-    out = gmm.log_joint(gmm.MixtureModel(np.ones(1), [component], family), X)[:, 0]
+    model = gmm.MixtureModel(np.ones(1), np.atleast_2d(mean), [component], family)
+    out = gmm.log_joint(model, X)[:, 0]
     return float(out[0]) if X.ndim == 1 else out

@@ -112,7 +112,7 @@ def reference_fit(start, X_u):
     prev_hard = None
     converged = False
     for _ in range(config.max_iterations):
-        model = cem.cm_step(start, X_u, hard, model, block)
+        model = cem.cm_step(start, X_u, hard, block)
         labeled = gmm.labeled_log_likelihood(model, start.stats)
         joint = gmm.log_joint(model, X_u, block)
         norm = gmm.row_logsumexp(joint)
@@ -279,10 +279,8 @@ def mixture(weights, means, covs, family):
         if not np.array_equal(covs, variances[:, :, None] * np.eye(covs.shape[-1])):
             raise ValueError(f"family {family} needs diagonal covariances")
         covs = variances
-    components = [
-        gmm.ComponentParams(m, c) for m, c in zip(np.atleast_2d(means), covs, strict=True)
-    ]
-    return gmm.MixtureModel(np.asarray(weights, dtype=np.float64), components, family)
+    components = [gmm.ComponentParams(c) for c in covs]
+    return gmm.MixtureModel(np.asarray(weights, dtype=np.float64), np.atleast_2d(means), components, family)
 
 
 def direct_parse_log(lines, vocabulary):

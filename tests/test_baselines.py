@@ -132,10 +132,10 @@ class TestLda:
         Q = rng.standard_normal((50, 4)) + 0.5
         labels, _ = baselines.lda_predict_all(model, Q)
         prior = np.log([0.5, 0.5])
-        comps = model.mixture.components
+        means, comps = model.mixture.means, model.mixture.components
         for i, x in enumerate(Q):
             joint = [
-                prior[k] + direct_log_density(comps[k].mean, comps[k].covariance, x)
+                prior[k] + direct_log_density(means[k], comps[k].covariance, x)
                 for k in range(2)
             ]
             assert labels[i] == int(np.argmax(joint)) + 1

@@ -24,8 +24,8 @@ class TestInitialize:
         )
         model = start_for(ds, cem.CemConfig(family="EII")).model
         assert np.allclose(model.weights, [0.5, 0.5])
-        assert np.allclose(model.components[0].mean, [1.0, 0.0])
-        assert np.allclose(model.components[1].mean, [0.0, 5.0])
+        assert np.allclose(model.means[0], [1.0, 0.0])
+        assert np.allclose(model.means[1], [0.0, 5.0])
 
     def test_single_class_reduces_to_one_gaussian(self):
         rng = np.random.default_rng(5)
@@ -34,7 +34,7 @@ class TestInitialize:
         model = start_for(ds, cem.CemConfig(family="VVV")).model
         assert model.K == 1
         assert np.allclose(model.weights, [1.0])
-        assert np.allclose(model.components[0].mean, X.mean(axis=0))
+        assert np.allclose(model.means[0], X.mean(axis=0))
 
     def test_eii_volume_matches_pooled_scatter_oracle(self):
         X = np.array(
@@ -86,7 +86,7 @@ class TestEStep:
         assert P.shape == (0, 1)
 
 
-def cm_step(ds, hard_labels, family, prev_model=None):
+def cm_step(ds, hard_labels, family):
     """``cem.cm_step`` on a dataset: a start of its labeled statistics, and its unlabeled block.
 
     The start is built directly, so a class may lack labeled rows; the
@@ -94,7 +94,7 @@ def cm_step(ds, hard_labels, family, prev_model=None):
     """
     labeled = gmm.class_stats(ds.labeled_features, ds.labels, ds.K, family)
     start = cem.Start(labeled, None, cem.CemConfig(family=family))
-    return cem.cm_step(start, ds.unlabeled_features, hard_labels, prev_model)
+    return cem.cm_step(start, ds.unlabeled_features, hard_labels)
 
 
 class TestCmStep:
@@ -105,8 +105,8 @@ class TestCmStep:
         ds = make_dataset(X, y, np.empty((0, 2)))
         model = cm_step(ds, [], "VVV")
         assert np.allclose(model.weights, [0.5, 0.5])
-        assert np.allclose(model.components[0].mean, X[:5].mean(axis=0))
-        assert np.allclose(model.components[1].mean, X[5:].mean(axis=0))
+        assert np.allclose(model.means[0], X[:5].mean(axis=0))
+        assert np.allclose(model.means[1], X[5:].mean(axis=0))
 
     def test_four_point_instance_hand_evaluated(self):
         ds = make_dataset(
@@ -115,8 +115,8 @@ class TestCmStep:
         model = cm_step(ds, [1, 2], "EII")
         # each class holds one labeled + one unlabeled point
         assert np.allclose(model.weights, [0.5, 0.5])
-        assert np.allclose(model.components[0].mean, [0.5, 0.0])
-        assert np.allclose(model.components[1].mean, [3.5, 0.0])
+        assert np.allclose(model.means[0], [0.5, 0.0])
+        assert np.allclose(model.means[1], [3.5, 0.0])
 
     def test_tie_goes_to_lower_class_index(self):
         assert cem.hard_assign(np.array([[0.5, 0.5]])).tolist() == [1]
@@ -133,24 +133,6 @@ class TestCmStep:
         with pytest.raises(ValueError, match=message):
             cm_step(ds, hard, "EII")
 
-    def test_starved_class_keeps_previous_parameters(self):
-        # class 2 has no labeled rows (relaxed container) and wins no posteriors
-        ds = make_dataset([[0.0, 0.0], [0.5, 0.0]], [1, 1], [[0.2, 0.1]], K=2)
-        prev = mixture(
-            [0.5, 0.5],
-            np.array([[0.0, 0.0], [9.0, 9.0]]),
-            np.stack([np.eye(2), 2.0 * np.eye(2)]),
-            "VII",
-        )
-        model = cm_step(ds, [1], "VII", prev_model=prev)
-        assert np.allclose(model.components[1].mean, [9.0, 9.0])
-        assert np.array_equal(model.components[1].covariance, prev.components[1].covariance)
-        # counts (3, 0) -> raw (1, 0), floored (1, 1/3), renormalized (3/4, 1/4)
-        assert model.weights[1] == pytest.approx(0.25, abs=1e-12)
-        assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            cm_step(ds, [1], "VII")
-
     def test_label_retention_under_posterior_perturbation(self):
         rng = np.random.default_rng(7)
         Xl = rng.standard_normal((8, 2))
@@ -162,8 +144,8 @@ class TestCmStep:
         m1 = cm_step(ds, cem.hard_assign(P1), "VVV")
         m2 = cm_step(ds, cem.hard_assign(P2), "VVV")
         # class 1 statistics come from the labeled rows only
-        assert np.array_equal(m1.components[0].mean, m2.components[0].mean)
-        assert np.allclose(m1.components[0].mean, Xl[:4].mean(axis=0))
+        assert np.array_equal(m1.means[0], m2.means[0])
+        assert np.allclose(m1.means[0], Xl[:4].mean(axis=0))
 
 
 class TestFit:
@@ -187,8 +169,8 @@ class TestFit:
         assert a.loglik_trace == b.loglik_trace
         assert np.array_equal(a.posteriors, b.posteriors)
         assert np.array_equal(a.hard_labels, b.hard_labels)
+        assert np.array_equal(a.model.means, b.model.means)
         for ca, cb in zip(a.model.components, b.model.components):
-            assert np.array_equal(ca.mean, cb.mean)
             assert np.array_equal(ca.covariance, cb.covariance)
 
     @pytest.mark.parametrize("family", gmm.FAMILIES)
@@ -211,8 +193,8 @@ class TestFit:
             result = fit_dataset(ds, cfg)
             assert result.converged
             assert np.array_equal(result.model.weights, init.weights)
+            assert np.array_equal(result.model.means, init.means)
             for ca, cb in zip(result.model.components, init.components):
-                assert np.array_equal(ca.mean, cb.mean)
                 assert np.array_equal(ca.covariance, cb.covariance)
 
     def test_trace_is_nondecreasing(self):
@@ -239,8 +221,8 @@ class TestFit:
         a = fit_dataset(ds, cfg)
         b = fit_dataset(permuted, cfg)
         assert np.array_equal(a.hard_labels[perm], b.hard_labels)
+        assert np.allclose(a.model.means, b.model.means, atol=1e-9)
         for ca, cb in zip(a.model.components, b.model.components):
-            assert np.allclose(ca.mean, cb.mean, atol=1e-9)
             assert np.allclose(ca.covariance, cb.covariance, atol=1e-9)
 
     @pytest.mark.parametrize("family", ["EII", "VVV"])
@@ -269,7 +251,7 @@ class TestFit:
         model, labels = start.model, []
         for _ in range(result.iterations):
             labels.append(cem.predict(model, ds.unlabeled_features)[0])
-            model = cem.cm_step(start, ds.unlabeled_features, labels[-1], model)
+            model = cem.cm_step(start, ds.unlabeled_features, labels[-1])
         moves = [ds.m] + [int(np.sum(a != b)) for a, b in zip(labels, labels[1:])]
         assert result.changed_labels == tuple(moves)
         assert any(moves[1:])
@@ -386,7 +368,7 @@ class TestLabeledBlockOnce:
         assert len(made) == models_built(result)
         covs = [c.covariance for c in result.model.components]
         assert covs[0] is covs[1]
-        assert not np.array_equal(result.model.components[0].mean, result.model.components[1].mean)
+        assert not np.array_equal(result.model.means[0], result.model.means[1])
 
 
 class TestFixedPartitionStop:
@@ -400,9 +382,9 @@ class TestFixedPartitionStop:
         np.testing.assert_array_equal(got.posteriors, want.posteriors)
         np.testing.assert_array_equal(got.hard_labels, want.hard_labels)
         np.testing.assert_array_equal(got.model.weights, want.model.weights)
+        np.testing.assert_array_equal(got.model.means, want.model.means)
         assert got.model.family == want.model.family
         for a, b in zip(got.model.components, want.model.components, strict=True):
-            np.testing.assert_array_equal(a.mean, b.mean)
             np.testing.assert_array_equal(a.covariance, b.covariance)
             if a.inv_cholesky is not None:
                 np.testing.assert_array_equal(a.inv_cholesky, b.inv_cholesky)

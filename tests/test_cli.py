@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fit_dataset
-from mbss import cem, cli, gmm, synth
+from mbss import cem, cli, evaluation, gmm, synth
 from mbss.dataset import ApiVocabulary, Dataset
 from mbss.evaluation import detection_rate
 from oracles import direct_parse_log
@@ -496,10 +496,13 @@ def model_payload(family, means=((0.0, 0.0, 0.0), (4.0, 4.0, 4.0)), covariance=N
         dict(model_payload("EEE"), covariances=[np.eye(3).tolist(), (2.0 * np.eye(3)).tolist()]),
         dict(model_payload("VVV"), weights=[0.25, 0.25, 0.5],
              means=[[0.0] * 3, [4.0] * 3, [8.0] * 3]),
+        model_payload("VVI", means=((0.0, 0.0), (4.0, 4.0))),
+        model_payload("EEE", means=((0.0, 0.0, 0.0), (4.0, 4.0))),
     ],
     ids=["vvi-nan-mean", "vvv-nan-mean", "not-pd", "negative-variance", "inf-variance",
          "null-means", "nan-weight", "one-covariance", "matrix-in-vvi", "vector-in-eee",
-         "unequal-eii-variances", "unequal-eee-covariances", "three-means-two-covariances"],
+         "unequal-eii-variances", "unequal-eee-covariances", "three-means-two-covariances",
+         "means-of-d-2", "ragged-means"],
 )
 def test_bad_model_file_is_data_error(tmp_path, capsys, payload):
     data = synth_csv(tmp_path, seed=19)
@@ -719,6 +722,69 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "--classifiers" in err and "svm" in err
 
+    @pytest.mark.parametrize(
+        "protocol, flag",
+        [("oos", "--roc-out"), ("cv", "--pca-out"), ("cv10", "--pca-out")],
+    )
+    def test_output_flag_outside_its_protocol_is_usage_error_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, protocol, flag
+    ):
+        data = synth_csv(tmp_path, seed=36)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before the output flags were checked")
+
+        monkeypatch.setattr(cem, "fit", no_fit)
+        out = tmp_path / "o.csv"
+        rc = cli.main(
+            ["evaluate", "--data", str(data), "--protocol", protocol, "--oos-data", str(data),
+             "--seed", "1", "--out", str(out), flag, str(tmp_path / "extra.csv")]
+        )
+        assert rc == 64
+        assert flag in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["train.csv", "train.csv.manifest.json", "train.csv.truth.csv"]
+        )
+
+    @pytest.mark.parametrize("external", [None, "sample_id,predicted_label\n"])
+    def test_roc_out_without_a_scoring_classifier_is_usage_error_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, external
+    ):
+        data = synth_csv(tmp_path, seed=37)
+        flags = []
+        if external is not None:
+            ext = tmp_path / "ext.csv"
+            labels = Dataset.load_csv(data).labels
+            ext.write_text(external + "".join(f"{i},{lab}\n" for i, lab in enumerate(labels)))
+            flags = ["--external-predictions", str(ext)]
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a fold ran before --roc-out was checked")
+
+        monkeypatch.setattr(evaluation, "cross_validate", no_run)
+        out, roc = tmp_path / "cv.csv", tmp_path / "roc.csv"
+        rc = cli.main(
+            ["evaluate", "--data", str(data), "--protocol", "cv", "--classifiers", "knn",
+             *flags, "--seed", "1", "--out", str(out), "--roc-out", str(roc)]
+        )
+        assert rc == 64
+        assert "score-producing" in capsys.readouterr().err
+        assert not out.exists() and not roc.exists()
+
+    def test_roc_out_takes_the_scores_of_an_external_file(self, tmp_path):
+        data = synth_csv(tmp_path, seed=37)
+        ext = tmp_path / "ext.csv"
+        labels = Dataset.load_csv(data).labels
+        ext.write_text("".join(f"{i},{lab},{lab - 1.0}\n" for i, lab in enumerate(labels)))
+        roc = tmp_path / "roc.csv"
+        rc = cli.main(
+            ["evaluate", "--data", str(data), "--protocol", "cv", "--classifiers", "knn",
+             "--external-predictions", str(ext), "--seed", "1",
+             "--out", str(tmp_path / "cv.csv"), "--roc-out", str(roc)]
+        )
+        assert rc == 0
+        assert roc.read_text().splitlines()[0] == "threshold,fpr,tpr"
+
     def test_missing_seed_is_usage_error(self, tmp_path):
         data = synth_csv(tmp_path, seed=21)
         rc = cli.main(
@@ -917,6 +983,20 @@ class TestSynth:
         )
         assert rc == 64
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--separation", "nan"), ("--separation", "inf"), ("--rho", "nan"),
+         ("--scale", "inf"), ("--scale", "1e200"), ("--weights", "0.5,nan")],
+    )
+    def test_non_finite_parameter_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out" / "s.csv"
+        rc = cli.main(
+            ["synth", "--n", "20", "--d", "2", "--seed", "0", "--out", str(out), flag, value]
+        )
+        assert rc == 64
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.parent.exists()
+
 
 class TestHelp:
     def test_help_exits_zero(self, capsys):
@@ -1048,6 +1128,9 @@ class TestSweepLadder:
             (["--fractions", "nan", "--replicates", "1"], "--fractions"),
             (["--fractions", "100", "--replicates", "0"], "--replicates"),
             (["--fractions", "50,100", "--replicates", "2,-1"], "--replicates"),
+            (["--fractions", "", "--replicates", ""], "--fractions"),
+            (["--fractions", ",", "--replicates", ","], "--fractions"),
+            (["--replicates", "", "--fractions", ""], "--replicates"),
         ],
     )
     def test_out_of_range_ladder_is_usage_error(self, tmp_path, capsys, flags, named):
@@ -1062,7 +1145,8 @@ class TestSweepLadder:
 
     @pytest.mark.parametrize(
         "values, named",
-        [({"fractions": [150]}, "--fractions"), ({"replicates": [0]}, "--replicates")],
+        [({"fractions": [150]}, "--fractions"), ({"replicates": [0]}, "--replicates"),
+         ({"fractions": [], "replicates": []}, "--fractions")],
     )
     def test_out_of_range_config_ladder_is_usage_error(self, tmp_path, capsys, values, named):
         train = synth_csv(tmp_path, "train.csv", n=100, seed=40)

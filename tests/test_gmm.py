@@ -35,28 +35,29 @@ class TestComponentParams:
         rng = np.random.default_rng(7)
         for _ in range(20):
             cov = random_spd(rng, 4)
-            comp = gmm.ComponentParams(np.zeros(4), cov)
+            comp = gmm.ComponentParams(cov)
             sign, logdet = np.linalg.slogdet(cov)
             assert sign > 0
             assert abs(comp.log_det - logdet) <= 1e-10 * abs(logdet)
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(SingularCovarianceError):
-            gmm.ComponentParams(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+            gmm.ComponentParams(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            gmm.ComponentParams(np.zeros(2), np.array([[1.0, 0.5], [0.1, 1.0]]))
+            gmm.ComponentParams(np.array([[1.0, 0.5], [0.1, 1.0]]))
 
     def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            gmm.ComponentParams(np.zeros(3), np.eye(2))
+        for shape in [(), (2, 3), (2, 2, 2)]:
+            with pytest.raises(ValueError, match="vector or a square matrix"):
+                gmm.ComponentParams(np.ones(shape))
 
 
 class TestMakeComponent:
     def test_ridge_is_trace_scaled(self):
         cov = np.diag([4.0, 0.0])
-        comp = gmm.make_component(np.zeros(2), cov)
+        comp = gmm.make_component(cov)
         t = np.trace(cov) / 2
         assert comp.covariance[0, 0] == pytest.approx(4.0 + 1e-6 * t)
         assert comp.covariance[1, 1] == pytest.approx(1e-6 * t)
@@ -64,34 +65,34 @@ class TestMakeComponent:
     def test_escalates_then_errors(self):
         # trace/d = 0.05, so even the 1e-2 ridge cap cannot lift the -0.9
         with pytest.raises(SingularCovarianceError):
-            gmm.make_component(np.zeros(2), np.diag([1.0, -0.9]))
+            gmm.make_component(np.diag([1.0, -0.9]))
 
     def test_escalates_on_a_vector_with_a_negative_variance(self):
         v = np.array([1.0, 1.0, -1e-5])
         t = v.mean()
         # 1e-6 t and 1e-5 t fall short of 1e-5; 1e-4 t lifts it
-        comp = gmm.make_component(np.zeros(3), v)
+        comp = gmm.make_component(v)
         assert comp.inv_cholesky is None
         np.testing.assert_allclose(comp.covariance, v + 1e-4 * t, rtol=1e-12)
         with pytest.raises(SingularCovarianceError):
-            gmm.make_component(np.zeros(2), np.array([1.0, -0.9]))
+            gmm.make_component(np.array([1.0, -0.9]))
 
     def test_zero_trace_falls_back_to_absolute_ridge(self):
-        comp = gmm.make_component(np.zeros(2), np.zeros((2, 2)))
+        comp = gmm.make_component(np.zeros((2, 2)))
         assert comp.covariance[0, 0] == pytest.approx(1e-6)
 
 
 class TestLogDensity:
     def test_standard_normal_at_mode(self):
-        comp = gmm.ComponentParams(np.zeros(1), np.eye(1))
-        assert log_density(comp, np.zeros(1)) == pytest.approx(
+        comp = gmm.ComponentParams(np.eye(1))
+        assert log_density(np.zeros(1), comp, np.zeros(1)) == pytest.approx(
             -0.9189385332046727, abs=1e-12
         )
 
     def test_isotropic_2d(self):
-        comp = gmm.ComponentParams(np.zeros(2), np.eye(2))
+        comp = gmm.ComponentParams(np.eye(2))
         expected = -math.log(2 * math.pi) - 1.0
-        assert log_density(comp, np.array([1.0, 1.0])) == pytest.approx(
+        assert log_density(np.zeros(2), comp, np.array([1.0, 1.0])) == pytest.approx(
             expected, abs=1e-12
         )
         assert expected == pytest.approx(-2.8378770664093453, abs=1e-12)
@@ -100,8 +101,7 @@ class TestLogDensity:
         mean = np.array([1.0, 2.0])
         cov = np.diag([4.0, 9.0])
         x = np.array([3.0, 5.0])
-        comp = gmm.ComponentParams(mean, cov)
-        got = log_density(comp, x)
+        got = log_density(mean, gmm.ComponentParams(cov), x)
         assert got == pytest.approx(direct_log_density(mean, cov, x), abs=1e-12)
         assert got == pytest.approx(-4.62963653563740, abs=1e-10)
 
@@ -112,12 +112,12 @@ class TestLogDensity:
             v = rng.uniform(0.1, 5.0, d)
             mean = rng.standard_normal(d)
             x = mean + rng.standard_normal(d)
-            comp = gmm.ComponentParams(mean, v)
-            assert log_density(comp, x) == pytest.approx(
+            comp = gmm.ComponentParams(v)
+            assert log_density(mean, comp, x) == pytest.approx(
                 direct_log_density(mean, np.diag(v), x), abs=1e-9
             )
             # the same bits as the Cholesky factor of diag(v)
-            assert comp.log_det == gmm.ComponentParams(mean, np.diag(v)).log_det
+            assert comp.log_det == gmm.ComponentParams(np.diag(v)).log_det
 
     def test_randomized_against_direct_formula(self):
         rng = np.random.default_rng(10)
@@ -126,23 +126,23 @@ class TestLogDensity:
             cov = random_spd(rng, d)
             mean = rng.standard_normal(d)
             x = mean + rng.standard_normal(d)
-            comp = gmm.ComponentParams(mean, cov)
-            assert log_density(comp, x) == pytest.approx(
+            comp = gmm.ComponentParams(cov)
+            assert log_density(mean, comp, x) == pytest.approx(
                 direct_log_density(mean, cov, x), abs=1e-9
             )
 
     def test_matrix_input_matches_rowwise(self):
         rng = np.random.default_rng(11)
-        comp = gmm.ComponentParams(rng.standard_normal(3), random_spd(rng, 3))
+        mean, comp = rng.standard_normal(3), gmm.ComponentParams(random_spd(rng, 3))
         X = rng.standard_normal((6, 3))
-        rows = log_density(comp, X)
+        rows = log_density(mean, comp, X)
         for i in range(6):
-            assert rows[i] == pytest.approx(log_density(comp, X[i]), abs=1e-12)
+            assert rows[i] == pytest.approx(log_density(mean, comp, X[i]), abs=1e-12)
 
     def test_dimension_mismatch(self):
-        comp = gmm.ComponentParams(np.zeros(2), np.eye(2))
+        comp = gmm.ComponentParams(np.eye(2))
         with pytest.raises(ValueError):
-            log_density(comp, np.zeros(3))
+            log_density(np.zeros(2), comp, np.zeros(3))
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(12)
@@ -152,10 +152,8 @@ class TestLogDensity:
             cov = random_spd(rng, d)
             x = rng.standard_normal(d)
             R = random_orthogonal(rng, d)
-            base = log_density(gmm.ComponentParams(mean, cov), x)
-            rotated = log_density(
-                gmm.ComponentParams(R @ mean, R @ cov @ R.T), R @ x
-            )
+            base = log_density(mean, gmm.ComponentParams(cov), x)
+            rotated = log_density(R @ mean, gmm.ComponentParams(R @ cov @ R.T), R @ x)
             assert rotated == pytest.approx(base, abs=1e-9)
 
 
@@ -192,7 +190,7 @@ class TestLogJointKernels:
         X = (rng.random((300, 160)) < 0.3).astype(float)
         got = gmm.log_joint(model, X)
         reference = longdouble_log_joint(
-            model.weights, [c.mean for c in model.components],
+            model.weights, model.means,
             [c.covariance for c in model.components], X,
         )
         for k in range(model.K):
@@ -214,7 +212,7 @@ class TestLogJointKernels:
             for comp in model.components:
                 assert not np.triu(comp.inv_cholesky, 1).any()
         B = (rng.random((160, 40)) < 0.3).astype(float)
-        ridged = gmm.make_component(B.mean(axis=1), np.cov(B))
+        ridged = gmm.make_component(np.cov(B))
         assert not np.triu(ridged.inv_cholesky, 1).any()
 
     @pytest.mark.parametrize("n", [0, 1, 7])
@@ -231,7 +229,8 @@ class TestLogJointKernels:
         assert got.shape == (n, 3)
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
         one = longdouble_log_joint([1.0], means[1:2], covs[1:2], X)[:, 0].astype(np.float64)
-        np.testing.assert_allclose(log_density(model.components[1], X), one, rtol=1e-9, atol=0.0)
+        got = log_density(model.means[1], model.components[1], X)
+        np.testing.assert_allclose(got, one, rtol=1e-9, atol=0.0)
 
     def test_vvv_scoring_copies_no_operand(self):
         # the K x N output and one d x B block of whitened rows are the only
@@ -257,13 +256,13 @@ def one_pass_log_joint(model, X):
     W = None
     for k, comp in enumerate(model.components):
         if comp.inv_cholesky is not W:
-            W, center = comp.inv_cholesky, comp.mean
+            W, center = comp.inv_cholesky, model.means[k]
             np.matmul(W[:h, :h], X[:, :h].T, out=Zt[:h])
             np.matmul(W[h:], X.T, out=Zt[h:])
             Zt -= (W @ center)[:, None]
             quad = norms = np.einsum("ij,ij->j", Zt, Zt)
         else:
-            wd = W @ (comp.mean - center)
+            wd = W @ (model.means[k] - center)
             quad = norms - 2.0 * (wd @ Zt) + wd @ wd
         out[k] = model.log_weights[k] - 0.5 * (quad + model.d * np.log(2 * np.pi) + comp.log_det)
     return out.T
@@ -513,9 +512,8 @@ class TestLikelihoods:
             [1.0], np.zeros((1, 2)), np.eye(2)[None], "VVV"
         )
         ds = make_dataset([[0.5, 0.5]], [1], [[1.0, -1.0]], K=1)
-        expected = log_density(model.components[0], np.array([0.5, 0.5])) + log_density(
-            model.components[0], np.array([1.0, -1.0])
-        )
+        mean, comp = model.means[0], model.components[0]
+        expected = log_density(mean, comp, [0.5, 0.5]) + log_density(mean, comp, [1.0, -1.0])
         assert gmm.complete_log_likelihood(model, ds, [1]) == pytest.approx(expected, abs=1e-12)
 
     def test_complete_against_term_by_term_oracle(self):
@@ -569,7 +567,7 @@ def binary_fit(family, seed=160, d=160):
 def dense(model):
     """Weights, means and d x d covariances of a model, for the oracles."""
     covs = [np.diag(c.covariance) if c.covariance.ndim == 1 else c.covariance for c in model.components]
-    return model.weights, [c.mean for c in model.components], covs
+    return model.weights, model.means, covs
 
 
 class TestLabeledStatistics:
@@ -699,14 +697,12 @@ class TestFarFromTheOrigin:
         np.testing.assert_allclose(gmm.log_joint(model, X), expected, rtol=1e-9, atol=0.0)
         for k, comp in enumerate(model.components):
             np.testing.assert_allclose(
-                np.log(w[k]) + log_density(comp, X), expected[:, k], rtol=1e-9, atol=0.0
+                np.log(w[k]) + log_density(means[k], comp, X), expected[:, k], rtol=1e-9, atol=0.0
             )
 
     def test_vvv_components_sharing_one_factor_match_the_oracle(self):
         _, (w, means, covs), X, _ = self.far_rows("EEE")
-        first = gmm.ComponentParams(means[0], covs[0])
-        model = gmm.MixtureModel(w, [first] + [first.with_mean(m) for m in means[1:]], "VVV")
-        assert all(c.inv_cholesky is first.inv_cholesky for c in model.components)
+        model = gmm.MixtureModel(w, means, [gmm.ComponentParams(covs[0])] * len(w), "VVV")
         expected = self.oracle_joint(w, means, covs, X)
         np.testing.assert_allclose(gmm.log_joint(model, X), expected, rtol=1e-9, atol=0.0)
 
@@ -725,21 +721,20 @@ class TestFarFromTheOrigin:
 class TestEstimate:
     """``gmm.estimate`` is the one path from class statistics to a model."""
 
-    def test_weights_means_and_empty_class_fallback(self):
+    def test_weights_and_means(self):
         X = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0], [5.0, 5.0], [7.0, 5.0]])
-        stats = gmm.class_stats(X, np.array([1, 1, 1, 2, 2]), 3, "VII")
-        previous = mixture(
-            [0.2, 0.3, 0.5], np.array([[9.0, 9.0], [8.0, 8.0], [7.0, 7.0]]),
-            np.stack([np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)]), "VII",
-        )
-        model = gmm.estimate(stats, "VII", previous)
-        # counts (3, 2, 0) over n = 5: (3/5, 2/5, 1/5) renormalized
-        np.testing.assert_allclose(model.weights, [0.5, 1 / 3, 1 / 6], rtol=1e-15)
-        np.testing.assert_array_equal(model.components[0].mean, X[:3].mean(axis=0))
-        np.testing.assert_array_equal(model.components[1].mean, X[3:].mean(axis=0))
-        assert model.components[2] is previous.components[2]
-        with pytest.raises(ValueError, match=r"classes \[3\] received no members"):
-            gmm.estimate(stats, "VII")
+        stats = gmm.class_stats(X, np.array([1, 1, 1, 2, 2]), 2, "VII")
+        model = gmm.estimate(stats, "VII")
+        np.testing.assert_allclose(model.weights, [0.6, 0.4], rtol=1e-15)
+        np.testing.assert_array_equal(model.means[0], X[:3].mean(axis=0))
+        np.testing.assert_array_equal(model.means[1], X[3:].mean(axis=0))
+
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_a_class_without_rows_is_named_in_a_value_error(self, family):
+        X = np.arange(10.0).reshape(5, 2) ** 2
+        stats = gmm.class_stats(X, np.array([1, 1, 3, 3, 3]), 4, family)
+        with pytest.raises(ValueError, match=r"classes \[2, 4\] have no rows"):
+            gmm.estimate(stats, family)
 
     @pytest.mark.parametrize("family", gmm.SHARED_FAMILIES)
     def test_shared_family_builds_one_component(self, monkeypatch, family):
@@ -752,7 +747,8 @@ class TestEstimate:
         )
         model = gmm.estimate(stats, family)
         assert len(built) == 1
-        assert all(c.covariance is model.components[0].covariance for c in model.components)
+        assert model.K == 3
+        assert all(c is model.components[0] for c in model.components)
 
     @pytest.mark.parametrize("caller", ["initialize", "cm_step", "lda_fit"])
     def test_every_model_from_class_statistics_goes_through_it(self, monkeypatch, caller):
@@ -767,7 +763,7 @@ class TestEstimate:
         if caller == "initialize":
             model = cem.initialize(X, y, 2, config).model
         elif caller == "cm_step":
-            model = cem.cm_step(start, X[:4], np.ones(4, dtype=np.int64), start.model)
+            model = cem.cm_step(start, X[:4], np.ones(4, dtype=np.int64))
         else:
             model = baselines.lda_fit(X, y).mixture
         assert len(calls) == 1
@@ -816,10 +812,16 @@ class TestMixtureModelValidation:
 
     def test_family_conformity_enforced(self):
         rng = np.random.default_rng(21)
-        comps = [gmm.ComponentParams(np.zeros(2), random_spd(rng, 2)) for _ in range(2)]
+        comps = [gmm.ComponentParams(random_spd(rng, 2)) for _ in range(2)]
         with pytest.raises(ValueError):
-            gmm.MixtureModel(np.array([0.5, 0.5]), comps, "EII")
-        gmm.MixtureModel(np.array([0.5, 0.5]), comps, "VVV")
+            gmm.MixtureModel(np.array([0.5, 0.5]), np.zeros((2, 2)), comps, "EII")
+        gmm.MixtureModel(np.array([0.5, 0.5]), np.zeros((2, 2)), comps, "VVV")
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 2), (2, 3)])
+    def test_means_must_be_k_by_d(self, shape):
+        comps = [gmm.ComponentParams(np.eye(2))] * 2
+        with pytest.raises(ValueError, match="means have shape"):
+            gmm.MixtureModel(np.array([0.5, 0.5]), np.zeros(shape), comps, "EEE")
 
     @pytest.mark.parametrize(
         "family,covariances",
@@ -833,9 +835,9 @@ class TestMixtureModelValidation:
         ],
     )
     def test_components_must_have_the_family_shape(self, family, covariances):
-        comps = [gmm.ComponentParams(np.zeros(2), c) for c in covariances]
+        comps = [gmm.ComponentParams(c) for c in covariances]
         with pytest.raises(ValueError, match=family):
-            gmm.MixtureModel(np.array([0.5, 0.5]), comps, family)
+            gmm.MixtureModel(np.array([0.5, 0.5]), np.zeros((2, 2)), comps, family)
 
     @pytest.mark.parametrize(
         "family,make_covs",
@@ -870,8 +872,9 @@ class TestSerialization:
         loaded = gmm.load_model(path)
         assert loaded.family == model.family
         assert np.array_equal(loaded.weights, model.weights)
+        assert np.array_equal(loaded.means, model.means)
+        assert np.array_equal(payload["means"], means)
         for a, b in zip(loaded.components, model.components):
-            assert np.array_equal(a.mean, b.mean)
             assert np.array_equal(a.covariance, b.covariance)
             assert a.log_det == b.log_det
 
@@ -905,7 +908,8 @@ class TestSerialization:
         )
         loaded = gmm.load_model(path)
         assert len(built) == 1
-        assert all(c.covariance is loaded.components[0].covariance for c in loaded.components)
+        assert loaded.K == 4
+        assert all(c is loaded.components[0] for c in loaded.components)
 
     def test_unequal_shared_covariances_are_malformed(self, tmp_path):
         rng = np.random.default_rng(25)

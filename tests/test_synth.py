@@ -86,6 +86,24 @@ class TestSampleMixture:
                 seed=0,
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("part", ["weights", "means", "covariances"])
+    def test_non_finite_parameters_are_rejected(self, part, bad):
+        params = {
+            "weights": np.array([0.5, 0.5]),
+            "means": np.zeros((2, 2)),
+            "covariances": np.stack([np.eye(2)] * 2),
+        }
+        params[part].flat[-1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            SynthSpec(**params, n_samples=10, label_fraction=0.5, seed=0)
+
+    @pytest.mark.parametrize("name", ["separation", "scale", "rho"])
+    def test_two_class_spec_rejects_non_finite_geometry(self, name):
+        geometry = {"separation": 1.0, "scale": 1.0, "rho": 0.0, name: np.inf}
+        with pytest.raises(ValueError, match="must be finite"):
+            two_class_spec(d=2, n_samples=10, label_fraction=0.5, seed=0, **geometry)
+
 
 class TestBinarize:
     def test_minus_infinity_threshold_gives_all_ones(self):
