@@ -212,20 +212,18 @@ def build_parser():
                    help="covariance family for the mixture classifier (default EII)")
     _add_fit_flags(p)
     p.add_argument("--knn-k", type=_positive_int, default=3, help="neighbors for knn (default 3)")
-    p.add_argument("--folds", type=_positive_int, default=10, help="CV folds (default 10)")
+    p.add_argument("--folds", type=_positive_int, default=None, help="CV folds (cv; default 10)")
     p.add_argument("--oos-data", default=None, help="out-of-sample dataset CSV (oos protocol)")
-    p.add_argument("--fractions", type=_percent_list,
-                   default=list(evaluation.DEFAULT_FRACTIONS),
-                   help="test-size percentages for the DR sweep")
-    p.add_argument("--replicates", type=_positive_int_list,
-                   default=list(evaluation.DEFAULT_REPLICATES),
-                   help="Monte Carlo replicates per fraction")
+    p.add_argument("--fractions", type=_percent_list, default=None,
+                   help="test-size percentages for the DR sweep (oos)")
+    p.add_argument("--replicates", type=_positive_int_list, default=None,
+                   help="Monte Carlo replicates per fraction (oos)")
     p.add_argument("--positive-label", type=_positive_int, default=2,
                    help="malicious class index (default 2)")
     p.add_argument("--external-predictions", default=None,
                    help="CSV of sample_id,predicted_label[,score] to merge into the comparison")
     p.add_argument("--seed", type=int, required=True, help="seed for folds/subsampling")
-    p.add_argument("--roc-out", default=None, help="ROC CSV (cv protocol)")
+    p.add_argument("--roc-out", default=None, help="ROC CSV (cv and cv10)")
     p.add_argument("--pca-out", default=None, help="PCA scatter CSV (oos protocol)")
     p.add_argument("--out", required=True, help="report CSV")
 
@@ -443,12 +441,17 @@ def _load_external_predictions(path, expected: int):
     return preds, scores if given else None
 
 
+# The evaluate flags that only some protocols read, by dest.
+PROTOCOL_FLAGS = {"folds": ("cv",), "roc_out": ("cv", "cv10"), "oos_data": ("oos",),
+                  "fractions": ("oos",), "replicates": ("oos",), "pca_out": ("oos",)}
+
+
 def cmd_evaluate(args, argv) -> int:
+    misplaced = ["--" + dest.replace("_", "-") for dest, protocols in PROTOCOL_FLAGS.items()
+                 if getattr(args, dest) is not None and args.protocol not in protocols]
+    if misplaced:
+        raise UsageError(f"--protocol {args.protocol} does not read {', '.join(misplaced)}")
     _require_inputs(args.data, args.oos_data, args.external_predictions)
-    if args.roc_out and args.protocol == "oos":
-        raise UsageError("--roc-out applies to the cv and cv10 protocols only")
-    if args.pca_out and args.protocol != "oos":
-        raise UsageError("--pca-out applies to the oos protocol only")
     config = _cem_config(args)
     dataset = _load_training_set(args.data)
     positive = args.positive_label
@@ -463,7 +466,9 @@ def cmd_evaluate(args, argv) -> int:
     if args.protocol == "oos":
         if not args.oos_data:
             raise UsageError("--protocol oos requires --oos-data")
-        if len(args.fractions) != len(args.replicates):
+        fractions = args.fractions or evaluation.DEFAULT_FRACTIONS
+        replicates = args.replicates or evaluation.DEFAULT_REPLICATES
+        if len(fractions) != len(replicates):
             raise UsageError("--fractions and --replicates must have equal length")
         oos_ds = Dataset.load_csv(args.oos_data)
         if oos_ds.d != dataset.d:
@@ -477,12 +482,16 @@ def cmd_evaluate(args, argv) -> int:
         inputs.append(args.oos_data)
         train_rows = dataset.n
     else:
-        folds = 10 if args.protocol == "cv10" else args.folds
+        folds = args.folds or 10
         if folds < 2:
             raise UsageError("--folds must be at least 2")
-        smallest = int(dataset.class_counts().min())
-        if smallest < folds:
-            raise UsageError(f"--folds {folds} exceeds the smallest labeled class ({smallest})")
+        counts = dataset.class_counts()
+        if counts.min() < folds:
+            raise UsageError(f"--folds {folds} exceeds the smallest labeled class ({counts.min()})")
+        # mbss and lda need 2 rows per class; a test fold holds <= ceil(c / folds)
+        short = (np.flatnonzero(counts - -(-counts // folds) < 2) + 1).tolist()
+        if short and {"mbss", "lda"} & set(args.classifiers):
+            raise UsageError(f"--folds {folds} leaves classes {short} fewer than 2 training rows")
         pool = train_X
         # Fold sizes differ by at most one, so each training fold has at
         # least n - ceil(n / folds) rows.
@@ -505,7 +514,7 @@ def cmd_evaluate(args, argv) -> int:
     if args.protocol == "oos":
         rows_by_classifier = {
             name: evaluation.detection_rate(
-                clf, train_X, train_y, pool, args.fractions, args.replicates, args.seed, positive
+                clf, train_X, train_y, pool, fractions, replicates, args.seed, positive
             )
             for name, clf in classifiers
         }

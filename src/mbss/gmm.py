@@ -52,10 +52,8 @@ FAMILIES = ("EII", "VII", "EEI", "VVI", "EEE", "VVV")
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-# The covariance ridge: eps times the mean variance, eps escalating by x10
-# from REGULARIZATION up to MAX_REGULARIZATION.
+# The covariance ridge: REGULARIZATION times the mean variance.
 REGULARIZATION = 1e-6
-MAX_REGULARIZATION = 1e-2
 
 # EEE and VVV read rows ROW_BLOCK // d at a time (1 MiB of float64 cells),
 # so their working memory does not grow with N.
@@ -122,13 +120,12 @@ class ComponentParams:
 
 
 def make_component(covariance: np.ndarray) -> ComponentParams:
-    """Build a component from an estimated covariance, regularizing it.
+    """Build a component from an estimated covariance plus one ridge.
 
-    ``covariance`` is a variance vector or a d x d matrix. Adds ``eps * t``
-    to the variances where ``t`` is their mean and eps is
-    ``REGULARIZATION``; if the component is still not positive definite,
-    eps escalates by factors of 10 up to ``MAX_REGULARIZATION`` before
-    giving up.
+    ``covariance`` is a variance vector or a d x d matrix. Adds
+    ``REGULARIZATION * t`` to the variances, t their mean: rounding pulls a
+    scatter's smallest eigenvalue below 0 by only about n d 2^-53 t, and an
+    estimate the ridge leaves indefinite raises SingularCovarianceError.
     """
     cov = np.asarray(covariance, dtype=np.float64)
     t = float(cov.sum() if cov.ndim == 1 else np.trace(cov)) / cov.shape[0]
@@ -136,17 +133,8 @@ def make_component(covariance: np.ndarray) -> ComponentParams:
         # Zero or degenerate scatter (e.g. identical rows); fall back to an
         # absolute scale so the ridge is nonzero.
         t = 1.0
-    eps = REGULARIZATION
-    while True:
-        ridge = eps * t
-        try:
-            return ComponentParams(cov + (ridge if cov.ndim == 1 else ridge * np.eye(cov.shape[0])))
-        except SingularCovarianceError:
-            if eps >= MAX_REGULARIZATION:
-                raise SingularCovarianceError(
-                    f"covariance not positive definite even at regularization {eps:g}"
-                ) from None
-            eps *= 10.0
+    ridge = REGULARIZATION * t
+    return ComponentParams(cov + (ridge if cov.ndim == 1 else ridge * np.eye(cov.shape[0])))
 
 
 # Families whose covariances are diagonal (spherical ones included), and
@@ -459,8 +447,8 @@ def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str, block: Shifte
 
     Scatters are d x d for the full families and per-dimension sums of
     squares (K x d) for the spherical and diagonal ones, the shapes
-    ``estimate_family_covariances`` takes. An empty class gets a NaN mean
-    and a zero scatter.
+    ``estimate_family_covariances`` takes. An empty class gets a zero mean
+    and a zero scatter, which ``merge_class_stats`` needs no branch for.
 
     Every family's means are H^T X / n, H the one-hot label matrix. The
     diagonal families' scatters are H^T (D * D) - (H^T D)^2 / n, where
@@ -473,7 +461,6 @@ def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str, block: Shifte
     H = (np.arange(1, K + 1)[:, None] == y).astype(np.float64)
     n = np.maximum(counts, 1)[:, None]
     means = H @ X / n
-    means[counts == 0] = np.nan
     if family in DIAGONAL_FAMILIES:
         block = Shifted.of(X) if block is None else block
         sums = H @ block.rows
@@ -499,9 +486,8 @@ def merge_class_stats(a, b):
     Per class, the pairwise update of Chan, Golub and LeVeque (1979): with
     n and m rows and delta = mean_b - mean_a, the merged mean is
     mean_a + delta m/(n+m) and the scatter S_a + S_b + n m/(n+m) delta delta^T
-    (delta^2 per dimension for K x d scatters), for all classes at once. A
-    class without rows in one block keeps the other block's statistics bit
-    for bit.
+    (delta^2 per dimension for K x d scatters), for all classes at once. An
+    empty class's zero mean and scatter in one block leave the other's as is.
     """
     (n, mean_a, scatter_a), (m, mean_b, scatter_b) = a, b
     counts = n + m
@@ -511,9 +497,6 @@ def merge_class_stats(a, b):
     weight = (n * m / total).reshape((-1,) + (1,) * (outer.ndim - 1))
     means = mean_a + delta * (m / total)[:, None]
     scatters = scatter_a + scatter_b + weight * outer
-    for k in np.flatnonzero(n * m == 0):
-        one = (mean_a, scatter_a) if m[k] == 0 else (mean_b, scatter_b)
-        means[k], scatters[k] = one[0][k], one[1][k]
     return counts, means, scatters
 
 

@@ -628,14 +628,77 @@ class TestEvaluate:
         assert rc == 64
         assert "--folds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c", [2, 3])
+    @pytest.mark.parametrize("classifiers", ["mbss", "lda", "knn"])
+    def test_two_folds_leaving_a_class_one_training_row_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, c, classifiers
+    ):
+        # a test fold of 2 holds ceil(c / 2) of class 2's c rows: 1 training row is left
+        rng = np.random.default_rng(c)
+        X = rng.standard_normal((20 + c, 3)) + np.repeat([0.0, 4.0], [20, c])[:, None]
+        data, out = tmp_path / "data.csv", tmp_path / "cv.csv"
+        labels = np.repeat([1, 2], [20, c])
+        Dataset(X, labels, np.empty((0, 3)), synth.feature_names(3), 2).save_csv(data)
+        if classifiers != "knn":
+            monkeypatch.setattr(cem, "fit", lambda *a, **k: pytest.fail("fit before the check"))
+        rc = cli.main(
+            ["evaluate", "--data", str(data), "--protocol", "cv", "--folds", "2",
+             "--classifiers", classifiers, "--knn-k", "1", "--seed", "1", "--out", str(out)]
+        )
+        if classifiers == "knn":
+            assert rc == 0
+            return
+        assert rc == 64
+        err = capsys.readouterr().err
+        assert "--folds 2" in err and "[2]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "protocol, flags",
+        [
+            ("oos", ["--folds", "4"]),
+            ("cv", ["--oos-data", "{data}", "--fractions", "50", "--replicates", "2",
+                    "--pca-out", "pca.csv"]),
+            ("cv10", ["--fractions", "50", "--replicates", "2", "--oos-data", "{data}"]),
+        ],
+    )
+    def test_another_protocols_flag_is_usage_error_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, protocol, flags
+    ):
+        data = synth_csv(tmp_path, seed=38)
+        monkeypatch.setattr(cem, "fit", lambda *a, **k: pytest.fail("fit before the check"))
+        oos = ["--oos-data", str(data)] if protocol == "oos" else []
+        out = tmp_path / "o.csv"
+        rc = cli.main(
+            ["evaluate", "--data", str(data), "--protocol", protocol, *oos,
+             *(f.format(data=data) for f in flags), "--seed", "1", "--out", str(out)]
+        )
+        assert rc == 64
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags if flag.startswith("--"))
+        assert not out.exists()
+
+    def test_another_protocols_flag_from_config_is_usage_error(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, seed=39)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"folds": 3}))
+        rc = cli.main(
+            ["evaluate", "--data", str(data), "--config", str(cfg), "--protocol", "oos",
+             "--oos-data", str(data), "--classifiers", "lda", "--seed", "1",
+             "--out", str(tmp_path / "o.csv")]
+        )
+        assert rc == 64
+        assert "--folds" in capsys.readouterr().err
+
     @pytest.mark.parametrize("protocol", ["cv", "oos"])
     @pytest.mark.parametrize("classifier", ["mbss", "lda", "knn"])
     def test_positive_label_above_k_is_usage_error(self, tmp_path, capsys, protocol, classifier):
         data = synth_csv(tmp_path, n=200, seed=29)
         assert Dataset.load_csv(data).K == 2
+        oos = ["--oos-data", str(data)] if protocol == "oos" else []
         rc = cli.main(
             [
-                "evaluate", "--data", str(data), "--protocol", protocol, "--oos-data", str(data),
+                "evaluate", "--data", str(data), "--protocol", protocol, *oos,
                 "--classifiers", classifier, "--positive-label", "3",
                 "--seed", "1", "--out", str(tmp_path / "o.csv"),
             ]
@@ -651,10 +714,11 @@ class TestEvaluate:
         assert n == 20
         # each of the 4 training folds of the 20 labeled rows has 15
         k = 16 if protocol == "cv" else n + 1
+        own = ["--folds", "4"] if protocol == "cv" else ["--oos-data", str(data)]
         rc = cli.main(
             [
-                "evaluate", "--data", str(data), "--protocol", protocol, "--folds", "4",
-                "--oos-data", str(data), "--classifiers", "lda,knn", "--knn-k", str(k),
+                "evaluate", "--data", str(data), "--protocol", protocol, *own,
+                "--classifiers", "lda,knn", "--knn-k", str(k),
                 "--seed", "1", "--out", str(tmp_path / "o.csv"),
             ]
         )
@@ -736,8 +800,9 @@ class TestEvaluate:
 
         monkeypatch.setattr(cem, "fit", no_fit)
         out = tmp_path / "o.csv"
+        oos = ["--oos-data", str(data)] if protocol == "oos" else []
         rc = cli.main(
-            ["evaluate", "--data", str(data), "--protocol", protocol, "--oos-data", str(data),
+            ["evaluate", "--data", str(data), "--protocol", protocol, *oos,
              "--seed", "1", "--out", str(out), flag, str(tmp_path / "extra.csv")]
         )
         assert rc == 64
@@ -1180,13 +1245,26 @@ class TestProtocolAliases:
         rc = cli.main(
             [
                 "evaluate", "--data", str(data), "--protocol", "cv10",
-                "--classifiers", "lda", "--folds", "4", "--seed", "1", "--out", str(out),
+                "--classifiers", "lda", "--seed", "1", "--out", str(out),
             ]
         )
         assert rc == 0
         lines = out.read_text().strip().splitlines()
         folds = [l for l in lines if l.startswith("lda,") and l.split(",")[1].isdigit()]
         assert len(folds) == 10
+
+    def test_cv10_with_folds_is_usage_error(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, n=300, seed=33)
+        out = tmp_path / "cv.csv"
+        rc = cli.main(
+            [
+                "evaluate", "--data", str(data), "--protocol", "cv10",
+                "--classifiers", "lda", "--folds", "4", "--seed", "1", "--out", str(out),
+            ]
+        )
+        assert rc == 64
+        assert "--folds" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOosExternalPredictions:

@@ -62,24 +62,51 @@ class TestMakeComponent:
         assert comp.covariance[0, 0] == pytest.approx(4.0 + 1e-6 * t)
         assert comp.covariance[1, 1] == pytest.approx(1e-6 * t)
 
-    def test_escalates_then_errors(self):
-        # trace/d = 0.05, so even the 1e-2 ridge cap cannot lift the -0.9
+    def test_an_indefinite_matrix_raises(self):
+        # trace/d = 0.05, so the 5e-8 ridge cannot lift the -0.9
         with pytest.raises(SingularCovarianceError):
             gmm.make_component(np.diag([1.0, -0.9]))
 
-    def test_escalates_on_a_vector_with_a_negative_variance(self):
-        v = np.array([1.0, 1.0, -1e-5])
-        t = v.mean()
-        # 1e-6 t and 1e-5 t fall short of 1e-5; 1e-4 t lifts it
+    def test_one_ridge_on_a_variance_vector(self):
+        v = np.array([1.0, 1.0, 1e-5])
         comp = gmm.make_component(v)
         assert comp.inv_cholesky is None
-        np.testing.assert_allclose(comp.covariance, v + 1e-4 * t, rtol=1e-12)
+        np.testing.assert_array_equal(comp.covariance, v + 1e-6 * v.mean())
+        # 1e-6 t falls short of 1e-5, and there is no second, larger ridge
         with pytest.raises(SingularCovarianceError):
-            gmm.make_component(np.array([1.0, -0.9]))
+            gmm.make_component(np.array([1.0, 1.0, -1e-5]))
 
     def test_zero_trace_falls_back_to_absolute_ridge(self):
         comp = gmm.make_component(np.zeros((2, 2)))
         assert comp.covariance[0, 0] == pytest.approx(1e-6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        kind=st.sampled_from(["sparse-binary", "duplicated", "far-mixed-scales"]),
+    )
+    def test_every_family_estimate_is_built_at_the_first_ridge(self, seed, kind):
+        # The scatters mbss meets: rank-deficient 0/1 rows, a few distinct
+        # rows repeated, and rows near 1e4 with column scales 1e-3..1e3.
+        rng = np.random.default_rng(seed)
+        K, d = int(rng.integers(2, 4)), int(rng.integers(2, 81))
+        n = int(rng.integers(K, 2 * d + 2))
+        if kind == "sparse-binary":
+            X = (rng.random((n, d)) < rng.uniform(0.0, 0.3, d)).astype(np.float64)
+        elif kind == "duplicated":
+            distinct = (rng.random((int(rng.integers(1, 5)), d)) < 0.5).astype(np.float64)
+            X = distinct[rng.integers(0, len(distinct), n)]
+        else:
+            X = 1e4 + rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, d)
+        y = rng.permutation(np.arange(n) % K) + 1
+        for family in gmm.FAMILIES:
+            counts, means, scatters = stats = gmm.class_stats(X, y, K, family)
+            covs = gmm.estimate_family_covariances(family, scatters, counts, n)
+            for cov, comp in zip(covs, gmm.estimate(stats, family).components):
+                t = float(cov.sum() if cov.ndim == 1 else np.trace(cov)) / d
+                ridge = gmm.REGULARIZATION * (t if t > 0.0 else 1.0)
+                want = cov + (ridge if cov.ndim == 1 else ridge * np.eye(d))
+                np.testing.assert_array_equal(comp.covariance, want)
 
 
 class TestLogDensity:
@@ -328,7 +355,7 @@ class TestFullRowBlocks:
         counts, means, scatters = gmm.class_stats(X, y, 4, family)
         assert counts.tolist() == [np.sum(y == k) for k in range(1, 5)]
         np.testing.assert_allclose(means[:3], [X[y == k].mean(axis=0) for k in (1, 2, 3)])
-        assert np.isnan(means[3]).all()
+        assert not means[3].any()
         assert not scatters[3].any()
         np.testing.assert_allclose(
             scatters, one_pass_scatters(X, y, means), rtol=1e-9, atol=1e-12
