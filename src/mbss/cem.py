@@ -16,7 +16,9 @@ and centered scatters, which ``initialize`` computes once together with
 the starting model; ``fit`` takes that ``Start`` and the unlabeled rows.
 Every iteration touches the unlabeled rows alone: the CM-step merges their
 class statistics into the labeled ones, and the labeled log-likelihood is
-evaluated in closed form from the statistics. The starting model and
+evaluated in closed form from the statistics. On 0/1 rows those
+statistics come from exact integer moments, which ``fit`` moves from one
+partition to the next by the rows whose label changed. The starting model and
 every CM-step's model come from one estimator, ``gmm.estimate``: a
 CM-step's model is a function of its partition alone, and no class is
 ever empty, since each has at least 2 labeled rows.
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmm
+from .dataset import is_binary
 from .gmm import MixtureModel
 
 
@@ -127,7 +130,7 @@ def cm_step(
     start: Start,
     X_u: np.ndarray,
     hard_labels: np.ndarray,
-    block: gmm.Shifted | None = None,
+    block: gmm.Shifted | gmm.Moments | None = None,
 ) -> MixtureModel:
     """Hard-assignment maximization step on the partition ``hard_labels``.
 
@@ -136,7 +139,10 @@ def cm_step(
     merged into the labeled block's (``start.stats``) and the model is
     ``gmm.estimate`` of the merged statistics. A class that no unlabeled
     row joins keeps its labeled statistics. ``block`` is the unlabeled rows'
-    ``gmm.Shifted`` form, if the caller holds it.
+    ``gmm.Shifted`` form, if the caller holds it, or for 0/1 rows the
+    ``gmm.Moments`` of an earlier partition, which the step moves to this
+    one in place; their statistics are exact, so the model is the one a
+    call without ``block`` builds, bit for bit.
     """
     hard = np.asarray(hard_labels, dtype=np.int64)
     K, m = start.stats[0].shape[0], X_u.shape[0]
@@ -145,7 +151,10 @@ def cm_step(
     if np.any((hard < 1) | (hard > K)):
         raise ValueError(f"hard labels must lie in 1..{K}")
     family = start.config.family
-    unlabeled_stats = gmm.class_stats(X_u, hard, K, family, block)
+    if isinstance(block, gmm.Moments):
+        unlabeled_stats = block.move(X_u, hard).stats()
+    else:
+        unlabeled_stats = gmm.class_stats(X_u, hard, K, family, block)
     stats = gmm.merge_class_stats(start.stats, unlabeled_stats)
     return gmm.estimate(stats, family)
 
@@ -186,9 +195,13 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
     the complete log-likelihood under the hard labels that built the
     model, and its row log-sum-exp gives the posteriors and the observed
     log-likelihood; the hard labels are taken once per model and drive
-    the next CM-step, so the last model's are the returned ones. For the
-    diagonal families the unlabeled rows are taken as ``gmm.Shifted`` once
-    (in place for 0/1 rows), and every scoring and CM-step reads them so.
+    the next CM-step, so the last model's are the returned ones. The
+    unlabeled rows are checked for 0/1 cells once (EEE and VVV CM-steps on
+    other rows check again, up to the first other value). For the diagonal
+    families they are taken as ``gmm.Shifted`` once (in place for 0/1
+    rows), and every scoring reads them so. On 0/1 rows the CM-steps carry
+    one ``gmm.Moments`` from partition to partition, so each reads only the
+    rows whose hard label changed; other rows' CM-steps read the whole block.
 
     Hard labels equal to the partition that built the current model are a
     fixed point: the next CM-step would rebuild that model bit for bit, so
@@ -196,8 +209,11 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
     one; the Aitken test then fires unless the trace is non-finite.
     """
     config, model = start.config, start.model
-    block = gmm.Shifted.of(X_u) if config.family in gmm.DIAGONAL_FAMILIES else None
-    joint = gmm.log_joint(model, X_u, block)
+    diagonal = config.family in gmm.DIAGONAL_FAMILIES
+    binary = is_binary(X_u)
+    shifted = gmm.Shifted.of(X_u, binary) if diagonal else None
+    block = gmm.Moments.empty(len(X_u), model.K, X_u.shape[1], not diagonal) if binary else shifted
+    joint = gmm.log_joint(model, X_u, shifted)
     norm = gmm.row_logsumexp(joint)
     posteriors = np.exp(joint - norm[:, None])
     hard = hard_assign(posteriors)
@@ -215,7 +231,7 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
         else:
             model = cm_step(start, X_u, hard, block)
             labeled = gmm.labeled_log_likelihood(model, start.stats)
-            joint = gmm.log_joint(model, X_u, block)
+            joint = gmm.log_joint(model, X_u, shifted)
             norm = gmm.row_logsumexp(joint)
             trace.append(labeled + gmm.assigned_log_likelihood(joint, hard))
             observed.append(labeled + float(norm.sum()))

@@ -18,23 +18,26 @@ Cholesky factor (Sigma^-1 = W^T W).
 
 The diagonal families read rows through their moments about a shift c
 (``Shifted``): D = X - c and D * D. ``log_joint`` scores all K components
-with two products, (D * D)(1/v)^T - 2 D((mu - c)/v)^T + sum((mu - c)^2/v),
-and ``class_stats`` takes the class sums of D and D * D from one-hot
-products. 0/1 rows are read in place: c = 0 and D = D * D = X, the same
-array, since x^2 = x for them. Other rows are shifted by their column
+with two products, (D * D)(1/v)^T - 2 D((mu - c)/v)^T + sum((mu - c)^2/v).
+0/1 rows are read in place: c = 0 and D = D * D = X, the same array,
+since x^2 = x for them, so one product (1/v - 2 mu/v) X^T scores them.
+Other rows are shifted by their column
 mean, which keeps rows far from the origin from cancelling. EEE and VVV
 share one loop over blocks of B = ROW_BLOCK // d rows: when a component's
 W differs from the previous one's (once for EEE, K times for VVV), it
 fills one C-ordered d x B buffer Z^T = W X^T - W c about that component's
 mean c, O(B d^2) with W's zero upper-right block skipped, and |Z|^2, which
 is that component's quad; each further component sharing W costs one
-product, |Z|^2 - 2 w^T Z^T + |w|^2 for w = W(mu - c). Their scatters are
-summed over the same row blocks, so a full-covariance fit's working
-memory is O(K d^2 + d B), not O(N d).
+product, |Z|^2 - 2 w^T Z^T + |w|^2 for w = W(mu - c).
 The closed-form estimators follow Celeux & Govaert (1995). They and
 ``labeled_log_likelihood`` read rows only through per-class counts, means
 and scatters (``class_stats``), which ``merge_class_stats`` combines
-across row blocks. ``estimate`` is the one path from those statistics to
+across row blocks. On 0/1 rows these come from exact integer ``Moments``,
+class sums s and Grams G: the scatter is G - s s^T / n, or s - s^2 / n
+per dimension. Other rows take one-hot products of D and D * D, or each
+class's rows centered on its mean. Scatters too are summed over row
+blocks, so a full-covariance fit's working memory is O(K d^2 + d B),
+not O(N d). ``estimate`` is the one path from those statistics to
 a mixture: the CEM start, every CM-step and LDA's pooled covariance.
 """
 
@@ -109,14 +112,31 @@ class ComponentParams:
         # sqrt(v) is what cholesky(diag(v)) puts on its diagonal, bit for bit.
         self.log_det = 2.0 * float(np.log(np.sqrt(cov) if chol is None else np.diag(chol)).sum())
         self.covariance = cov
-        self.inv_cholesky = None if chol is None else np.linalg.inv(chol)
-        if chol is not None:
-            # inv leaves rounding noise above W's diagonal, and log_joint skips that block
-            np.copyto(self.inv_cholesky, 0.0, where=~np.tri(d, dtype=bool))
+        self.inv_cholesky = None if chol is None else _lower_inverse(chol)
 
     @property
     def d(self) -> int:
         return self.covariance.shape[0]
+
+
+def _lower_inverse(L: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
+    """The inverse W of a lower-triangular L, with exact zeros above its diagonal.
+
+    Blockwise, [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: the
+    halves are inverted into W's diagonal blocks, recursing down to 32 x 32,
+    where the general inverse's rounding noise above the diagonal is cut off.
+    """
+    d = L.shape[0]
+    W = np.zeros_like(L) if W is None else W
+    if d <= 32:
+        W[...] = np.tril(np.linalg.inv(L))
+        return W
+    h = d // 2
+    _lower_inverse(L[:h, :h], W[:h, :h])
+    _lower_inverse(L[h:, h:], W[h:, h:])
+    W[h:, :h] = W[h:, h:] @ (L[h:, :h] @ W[:h, :h])
+    W[h:, :h] *= -1.0
+    return W
 
 
 def make_component(covariance: np.ndarray) -> ComponentParams:
@@ -231,8 +251,9 @@ class Shifted:
     squares: np.ndarray
 
     @classmethod
-    def of(cls, X: np.ndarray) -> "Shifted":
-        if is_binary(X):
+    def of(cls, X: np.ndarray, binary: bool | None = None) -> "Shifted":
+        """X's block; ``binary`` is ``is_binary(X)``, if the caller has it."""
+        if is_binary(X) if binary is None else binary:
             return cls(np.zeros(X.shape[1]), X, X)
         shift = X.mean(axis=0) if X.shape[0] else np.zeros(X.shape[1])
         rows = X - shift
@@ -248,7 +269,8 @@ def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) 
     The diagonal families score all components with two products on
     ``block``, the ``Shifted`` rows of X (``Shifted.of(X)`` unless given; a
     fit builds it once for all its calls): with delta = mu - shift,
-    quad = squares (1/v)^T - 2 rows (delta/v)^T + sum(delta^2/v). EEE and
+    quad = squares (1/v)^T - 2 rows (delta/v)^T + sum(delta^2/v), one
+    product (1/v - 2 delta/v) X^T for 0/1 rows (rows is squares). EEE and
     VVV take the rows B = max(1, ROW_BLOCK // d) at a time. They whiten a
     block about c, the mean of the first component of each run sharing an
     inverse Cholesky factor W (one run for EEE, K for VVV), into one
@@ -269,7 +291,11 @@ def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) 
         inv = model.inverse_variances
         delta = model.means - block.shift
         scaled = delta * inv
-        quad = inv @ block.squares.T + (-2.0 * scaled) @ block.rows.T
+        if block.rows is block.squares:
+            # 0/1 rows: one product reads X once
+            quad = (inv - 2.0 * scaled) @ block.rows.T
+        else:
+            quad = inv @ block.squares.T + (-2.0 * scaled) @ block.rows.T
         quad += (delta * scaled).sum(axis=1, keepdims=True)
         return (logw + _gaussian_log(quad, model.d, model.log_dets[:, None])).T
     n, d = X.shape
@@ -442,6 +468,69 @@ def estimate(stats, family: str) -> MixtureModel:
     return MixtureModel(weights / weights.sum(), means, components, family)
 
 
+@dataclass
+class Moments:
+    """Class moments of 0/1 rows under one partition, exact integers held in float64.
+
+    ``labels`` is the partition (1..K, 0 for a row in no class), ``sums``
+    the K x d class sums H X and ``grams`` the K Grams X_k^T X_k (EEE and
+    VVV; None otherwise). On 0/1 rows each is an integer below 2^53, which
+    float64 sums exactly in any order: ``move`` updates them by the rows
+    that change class and gives the bits a fresh pass would.
+    """
+
+    labels: np.ndarray
+    sums: np.ndarray
+    grams: np.ndarray | None
+
+    @classmethod
+    def empty(cls, n: int, K: int, d: int, full: bool) -> "Moments":
+        """n rows in no class yet: every moment is 0."""
+        grams = np.zeros((K, d, d)) if full else None
+        return cls(np.zeros(n, dtype=np.int64), np.zeros((K, d)), grams)
+
+    def move(self, X: np.ndarray, labels: np.ndarray) -> "Moments":
+        """Take the moments to the partition ``labels`` of the 0/1 rows X, in place.
+
+        Each row whose label changed is added to its new class and taken
+        from its old one, ROW_BLOCK // d changed rows at a time. A block's
+        Gram entries are integers of at most ROW_BLOCK < 2^24, so float32
+        holds them exactly and computes them at twice float64's speed.
+        """
+        changed = np.flatnonzero(labels != self.labels)
+        classes = np.arange(1, len(self.sums) + 1)[:, None]
+        step = max(1, ROW_BLOCK // max(1, X.shape[1]))
+        for start in range(0, len(changed), step):
+            idx = changed[start:start + step]
+            # a run of consecutive rows (every row, from ``empty``) is sliced, not gathered
+            rows = X[idx[0]:idx[-1] + 1] if idx[-1] - idx[0] == len(idx) - 1 else X[idx]
+            joined, left = classes == labels[idx], classes == self.labels[idx]
+            self.sums += (joined.astype(np.float64) - left) @ rows
+            if self.grams is None:
+                continue
+            rows = rows.astype(np.float32)
+            for members, sign in ((joined, 1.0), (left, -1.0)):
+                for k in np.flatnonzero(members.any(axis=1)):
+                    part = rows[members[k]]
+                    self.grams[k] += sign * (part.T @ part)
+        self.labels = np.array(labels, dtype=np.int64)
+        return self
+
+    def stats(self):
+        """``class_stats`` from the moments: n_k, mean s_k / n_k and the scatter.
+
+        The scatter is s_k - s_k^2 / n_k per dimension (x^2 = x) or
+        G_k - s_k s_k^T / n_k, the outer product exact and so symmetric.
+        """
+        K = len(self.sums)
+        counts = np.bincount(self.labels, minlength=K + 1)[1:].astype(np.int64)
+        n = np.maximum(counts, 1)[:, None]
+        s = self.sums
+        if self.grams is None:
+            return counts, s / n, s - s * s / n
+        return counts, s / n, self.grams - s[:, :, None] * s[:, None, :] / n[:, :, None]
+
+
 def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str, block: Shifted | None = None):
     """Counts, means and centered scatters per class (labels 1..K).
 
@@ -450,19 +539,26 @@ def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str, block: Shifte
     ``estimate_family_covariances`` takes. An empty class gets a zero mean
     and a zero scatter, which ``merge_class_stats`` needs no branch for.
 
-    Every family's means are H^T X / n, H the one-hot label matrix. The
-    diagonal families' scatters are H^T (D * D) - (H^T D)^2 / n, where
-    ``block`` holds the ``Shifted`` rows D of X (``Shifted.of(X)`` unless
-    given). EEE and VVV sum R^T R over blocks of ROW_BLOCK // d rows, R a
-    copy of one block's rows of the class centered on the class mean in
-    place, and symmetrize the sum once.
+    X is read as float64. 0/1 rows (``block.rows is block.squares``, or
+    ``is_binary(X)`` without a block) take their statistics from exact
+    integer ``Moments``, summed over blocks of ROW_BLOCK // d rows. Other
+    rows' means are H^T X / n, H the one-hot label matrix. Their diagonal
+    scatters are H^T (D * D) - (H^T D)^2 / n, D the ``Shifted`` rows of X
+    (``block``, or ``Shifted.of(X)``), and their full scatters sum R^T R
+    over blocks of ROW_BLOCK // d rows, R a copy of one block's rows of the
+    class centered on the class mean in place, symmetrized once.
     """
+    X = np.asarray(X, dtype=np.float64)
+    diagonal = family in DIAGONAL_FAMILIES
+    binary = is_binary(X) if block is None else block.rows is block.squares
+    if binary:
+        return Moments.empty(len(X), K, X.shape[1], not diagonal).move(X, y).stats()
     counts = np.bincount(y, minlength=K + 1)[1:].astype(np.int64)
     H = (np.arange(1, K + 1)[:, None] == y).astype(np.float64)
     n = np.maximum(counts, 1)[:, None]
     means = H @ X / n
-    if family in DIAGONAL_FAMILIES:
-        block = Shifted.of(X) if block is None else block
+    if diagonal:
+        block = Shifted.of(X, False) if block is None else block
         sums = H @ block.rows
         # a sum of squares: clip the rounding of a constant column at zero
         scatters = np.maximum(H @ block.squares - sums * (sums / n), 0.0)
@@ -473,7 +569,7 @@ def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str, block: Shifte
     for start in range(0, X.shape[0], step):
         chunk, labels = X[start:start + step], y[start:start + step]
         for k in np.flatnonzero(counts):
-            rows = chunk[labels == k + 1].astype(np.float64, copy=False)
+            rows = chunk[labels == k + 1]
             rows -= means[k]
             scatters[k] += rows.T @ rows
     scatters = 0.5 * (scatters + scatters.transpose(0, 2, 1))

@@ -15,6 +15,32 @@ def two_blob_dataset(seed=0, separation=10.0, d=2, n=200, label_fraction=0.5):
     return synth.sample_mixture(spec), spec
 
 
+def binary_blobs(seed=9, n=300, d=10, per_class=4):
+    """0/1 rows of two Bernoulli profiles, ``per_class`` labeled rows per class.
+
+    At seed 9 every family's fit moves labels for several iterations before
+    it reaches a fixed partition.
+    """
+    rng = np.random.default_rng(seed)
+    profiles = rng.uniform(0.2, 0.8, size=(2, d))
+    y = np.arange(n) % 2 + 1
+    X = (rng.random((n, d)) < profiles[y - 1]).astype(float)
+    labeled = np.concatenate([np.flatnonzero(y == k)[:per_class] for k in (1, 2)])
+    return make_dataset(X[labeled], y[labeled], np.delete(X, labeled, axis=0))
+
+
+def assert_same_model(got, want):
+    """Two mixtures agree bit for bit: weights, means and every factored covariance."""
+    np.testing.assert_array_equal(got.weights, want.weights)
+    np.testing.assert_array_equal(got.means, want.means)
+    assert got.family == want.family
+    for a, b in zip(got.components, want.components, strict=True):
+        np.testing.assert_array_equal(a.covariance, b.covariance)
+        if a.inv_cholesky is not None:
+            np.testing.assert_array_equal(a.inv_cholesky, b.inv_cholesky)
+        assert a.log_det == b.log_det
+
+
 class TestInitialize:
     def test_proportions_and_means(self):
         ds = make_dataset(
@@ -381,14 +407,7 @@ class TestFixedPartitionStop:
             assert getattr(got, name) == getattr(want, name), name
         np.testing.assert_array_equal(got.posteriors, want.posteriors)
         np.testing.assert_array_equal(got.hard_labels, want.hard_labels)
-        np.testing.assert_array_equal(got.model.weights, want.model.weights)
-        np.testing.assert_array_equal(got.model.means, want.model.means)
-        assert got.model.family == want.model.family
-        for a, b in zip(got.model.components, want.model.components, strict=True):
-            np.testing.assert_array_equal(a.covariance, b.covariance)
-            if a.inv_cholesky is not None:
-                np.testing.assert_array_equal(a.inv_cholesky, b.inv_cholesky)
-            assert a.log_det == b.log_det
+        assert_same_model(got.model, want.model)
 
     # each id names the family and the stopping rule, Aitken, that every fit uses
     @pytest.mark.parametrize("family", gmm.FAMILIES, ids=lambda family: f"{family}-aitken")
@@ -404,6 +423,60 @@ class TestFixedPartitionStop:
             want_capped = reference_fit(start_for(ds, capped), ds.unlabeled_features)
             assert want_capped.converged == converged
             self.assert_same_fit(fit_dataset(ds, capped), want_capped)
+
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_binary_fit_equals_the_reference_loop_bit_for_bit(self, family):
+        # fit moves one set of exact moments by the changed rows; the reference
+        # loop's CM-steps take each partition's moments afresh
+        ds = binary_blobs()
+        config = cem.CemConfig(family=family)
+        want = reference_fit(start_for(ds, config), ds.unlabeled_features)
+        assert want.converged and want.changed_labels[-1] == 0
+        assert sum(moved > 0 for moved in want.changed_labels[1:]) >= 2
+        self.assert_same_fit(fit_dataset(ds, config), want)
+
+
+class TestBinaryMoments:
+    """On 0/1 rows a fit's CM-steps read exact integer moments, updated by the rows that move."""
+
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_permuting_unlabeled_rows_gives_the_same_model_bit_for_bit(self, family):
+        ds = binary_blobs()
+        start = start_for(ds, cem.CemConfig(family=family))
+        perm = np.random.default_rng(19).permutation(ds.m)
+        a = cem.fit(start, ds.unlabeled_features)
+        b = cem.fit(start, ds.unlabeled_features[perm])
+        assert a.iterations == b.iterations
+        np.testing.assert_array_equal(a.hard_labels[perm], b.hard_labels)
+        assert_same_model(b.model, a.model)
+
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_the_rows_are_checked_for_0_1_cells_once_per_fit(self, monkeypatch, family):
+        ds = binary_blobs()
+        start = start_for(ds, cem.CemConfig(family=family))
+        checked = []
+        real = cem.is_binary
+        for module in (cem, gmm):
+            monkeypatch.setattr(module, "is_binary", lambda X: checked.append(X) or real(X))
+        result = cem.fit(start, ds.unlabeled_features)
+        assert result.iterations >= 3
+        assert len(checked) == 1 and checked[0] is ds.unlabeled_features
+
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_a_cm_step_reads_only_the_rows_that_moved(self, monkeypatch, family):
+        ds = binary_blobs()
+        start = start_for(ds, cem.CemConfig(family=family))
+        moved = []
+        real = gmm.Moments.move
+
+        def counting(self, X, labels):
+            moved.append(np.count_nonzero(labels != self.labels))
+            return real(self, X, labels)
+
+        monkeypatch.setattr(gmm.Moments, "move", counting)
+        result = cem.fit(start, ds.unlabeled_features)
+        assert moved == [c for c in result.changed_labels if c > 0]
+        assert moved[0] == ds.m and len(moved) >= 3
 
 
 class TestAitkenStopping:

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -307,12 +308,23 @@ def one_pass_scatters(X, y, means):
     return scatters
 
 
+def moment_scatters(X, y, K):
+    """Full-family scatters of 0/1 rows by the moment formula, one pass per class: G - s s^T / n."""
+    scatters = np.zeros((K, X.shape[1], X.shape[1]))
+    for k in range(K):
+        rows = X[y == k + 1]
+        if rows.shape[0]:
+            s = rows.sum(axis=0)
+            scatters[k] = rows.T @ rows - np.outer(s, s) / rows.shape[0]
+    return scatters
+
+
 def assert_one_pass_bits(family, n, d):
-    """0/1 rows in one block give the one-pass scatters and scores bit for bit."""
+    """0/1 rows in one block give the moment scatters and the one-pass scores bit for bit."""
     X = (np.random.default_rng(188).random((n, d)) < 0.3).astype(float)
     y = np.arange(n) % 2 + 1
     stats = gmm.class_stats(X, y, 2, family)
-    np.testing.assert_array_equal(stats[2], one_pass_scatters(X, y, stats[1]))
+    np.testing.assert_array_equal(stats[2], moment_scatters(X, y, 2))
     model = gmm.estimate(stats, family)
     np.testing.assert_array_equal(gmm.log_joint(model, X), one_pass_log_joint(model, X))
 
@@ -384,6 +396,52 @@ def test_a_labeled_block_is_one_block_at_the_default_size(family):
     # 600 labeled 0/1 rows of d = 160 score and estimate as in one pass
     assert 600 <= gmm.ROW_BLOCK // 160
     assert_one_pass_bits(family, 600, 160)
+
+
+class TestExactMoments:
+    """0/1 rows' class statistics come from exact integer moments, however the rows arrive."""
+
+    @staticmethod
+    def binary_rows(n, d, seed):
+        return (np.random.default_rng(seed).random((n, d)) < 0.3).astype(float)
+
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_statistics_match_an_exact_fraction_reference(self, family):
+        X = self.binary_rows(300, 6, 200)
+        y = np.random.default_rng(201).integers(1, 4, size=300)
+        counts, means, scatters = gmm.class_stats(X, y, 3, family)
+        for k in range(3):
+            rows = [[Fraction(int(v)) for v in row] for row in X[y == k + 1]]
+            assert counts[k] == len(rows)
+            mean = [sum(col) / len(rows) for col in zip(*rows)]
+            # a correctly rounded s / n
+            assert means[k].tolist() == [float(m) for m in mean]
+            exact = np.array([
+                [float(sum((r[i] - mean[i]) * (r[j] - mean[j]) for r in rows)) for j in range(6)]
+                for i in range(6)
+            ])
+            want = exact if family in ("EEE", "VVV") else np.diag(exact)
+            assert np.max(np.abs(scatters[k] - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
+    def test_moving_rows_gives_a_fresh_pass_bit_for_bit(self, monkeypatch, full):
+        # blocks of 5 rows, so gathered and sliced runs cross block edges
+        monkeypatch.setattr(gmm, "ROW_BLOCK", 5 * 7)
+        rng = np.random.default_rng(202)
+        X = self.binary_rows(40, 7, 203)
+        y = rng.integers(1, 4, size=40)
+        few = y.copy()
+        few[[3, 17, 18, 39]] = few[[3, 17, 18, 39]] % 3 + 1
+        partitions = [y, few, np.where(few == 3, 1, few), rng.integers(1, 4, size=40)]
+        moments = gmm.Moments.empty(40, 3, 7, full)
+        for labels in partitions:
+            got = moments.move(X, labels).stats()
+            fresh = gmm.Moments.empty(40, 3, 7, full).move(X, labels).stats()
+            stats = gmm.class_stats(X, labels, 3, "VVV" if full else "VVI")
+            for a, b, c in zip(got, fresh, stats, strict=True):
+                np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(a, c)
+        assert moments.stats()[0].tolist() == np.bincount(partitions[-1], minlength=4)[1:].tolist()
 
 
 class TestBinaryRowsInPlace:
