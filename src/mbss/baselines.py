@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gmm
+from . import cem, gmm
 
 
 # The label of a prediction with no unique winner; classes are 1..K.
@@ -138,10 +138,9 @@ class LdaModel:
 def lda_fit(features: np.ndarray, labels: np.ndarray) -> LdaModel:
     """Fit class means, priors and the pooled within-class covariance.
 
-    The model is ``gmm.estimate`` of the class statistics under EEE, the
-    shared-full-covariance mixture estimator with its trace-scaled ridge,
-    so its decisions coincide with a discriminant-analysis mixture
-    initialization.
+    The model is ``cem.initialize``'s EEE start on these rows: the
+    discriminant-analysis mixture initialization, with its trace-scaled
+    ridge and its check of at least 2 rows per class.
     """
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -149,10 +148,7 @@ def lda_fit(features: np.ndarray, labels: np.ndarray) -> LdaModel:
         raise ValueError("one label per row required")
     if y.size == 0 or y.min() < 1:
         raise ValueError("labels must be positive integers")
-    stats = gmm.class_stats(X, y, int(y.max()), "EEE")
-    if stats[0].min() < 2:
-        raise ValueError("every class needs at least 2 samples")
-    return LdaModel(gmm.estimate(stats, "EEE"))
+    return LdaModel(cem.initialize(X, y, int(y.max()), cem.CemConfig(family="EEE")).model)
 
 
 def lda_predict_all(model: LdaModel, X: np.ndarray):

@@ -318,11 +318,18 @@ def cmd_extract(args, argv) -> int:
             failures.append((path.name, str(exc)))
             continue
         parsed.append((path.name, labels_map.get(path.name), result))
+    for name, msg in failures:
+        print(f"extract: failed: {name}: {msg}", file=sys.stderr)
     if not parsed:
         raise DataFormatError("every log file failed to parse")
     labeled = [(n, lab, r) for n, lab, r in parsed if lab is not None]
     unlabeled = [(n, lab, r) for n, lab, r in parsed if lab is None]
     labels = [lab for _, lab, _ in labeled]
+    # load_csv's rule: a label names a class among the labeled rows written
+    if max(labels, default=0) > len(labels):
+        raise DataFormatError(
+            f"{args.labels}: label {max(labels)} is outside 1..{len(labels)} (labeled logs written)"
+        )
     out = _prepare_out(args.out)
     dataset = Dataset([r.bits for _, _, r in labeled], labels, [r.bits for _, _, r in unlabeled],
                       vocabulary, max(labels, default=1))
@@ -338,8 +345,6 @@ def cmd_extract(args, argv) -> int:
     if args.config:
         inputs.insert(0, args.config)
     _write_manifest(out, "extract", argv, inputs, [out, sources], digests=digests)
-    for name, msg in failures:
-        print(f"extract: failed: {name}: {msg}", file=sys.stderr)
     print(f"extract: wrote {dataset.n} labeled + {dataset.m} unlabeled rows to {out}")
     return EXIT_PARTIAL if failures else EXIT_OK
 

@@ -398,9 +398,10 @@ def stratified_folds(dataset: Dataset, folds: int, seed: int):
     """Deterministic stratified fold index sets over the labeled block.
 
     Returns a list of ``(train_indices, test_indices)`` pairs (sorted int
-    arrays) whose test sets partition 0..n-1. Per-class counts per fold
-    differ by at most one, and fold sizes are balanced by assigning each
-    class's remainder samples to the currently smallest folds.
+    arrays) whose test sets partition 0..n-1. Each class's rows, in a
+    seeded random order and class by class, are dealt to the folds in
+    turn, so per-class counts per fold and fold sizes each differ by at
+    most one.
     """
     if folds < 2:
         raise ValueError("folds must be at least 2")
@@ -410,29 +411,10 @@ def stratified_folds(dataset: Dataset, folds: int, seed: int):
             f"smallest class has {int(counts.min())} labeled samples, fewer than folds={folds}"
         )
     rng = np.random.default_rng(seed)
-    K = dataset.K
-    per_class_fold = np.zeros((K, folds), dtype=np.int64)
-    fold_sizes = np.zeros(folds, dtype=np.int64)
-    for k in sorted(range(K), key=lambda k: (-counts[k], k)):
-        q, r = divmod(int(counts[k]), folds)
-        alloc = np.full(folds, q, dtype=np.int64)
-        smallest_first = np.argsort(fold_sizes, kind="stable")
-        alloc[smallest_first[:r]] += 1
-        per_class_fold[k] = alloc
-        fold_sizes += alloc
-    test_sets: list[list[int]] = [[] for _ in range(folds)]
-    for k in range(K):
-        members = rng.permutation(np.flatnonzero(dataset.labels == k + 1))
-        start = 0
-        for f in range(folds):
-            stop = start + per_class_fold[k, f]
-            test_sets[f].extend(members[start:stop].tolist())
-            start = stop
-    all_idx = np.arange(dataset.n)
-    out = []
-    for f in range(folds):
-        test = np.array(sorted(test_sets[f]), dtype=np.int64)
-        train = np.setdiff1d(all_idx, test, assume_unique=True)
-        out.append((train, test))
-    return out
+    order = np.concatenate(
+        [rng.permutation(np.flatnonzero(dataset.labels == k + 1)) for k in range(dataset.K)]
+    )
+    fold_of = np.empty(dataset.n, dtype=np.int64)
+    fold_of[order] = np.arange(dataset.n) % folds
+    return [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(folds)]
 

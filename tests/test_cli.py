@@ -257,6 +257,49 @@ class TestExtract:
         assert "failed: bad.log" in capsys.readouterr().err
         assert Dataset.load_csv(out).n == 1
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [("a1.log,1\na2.log,3\n", "label 3 is outside 1..2"),
+         ("a1.log,2\nbad.log,1\n", "label 2 is outside 1..1")],
+        ids=["label-gap", "labeled-log-fails-to-parse"],
+    )
+    def test_label_above_the_labeled_logs_written_is_data_error(
+        self, tmp_path, capsys, rows, message
+    ):
+        # load_csv reads a label as a class among the labeled rows, so
+        # extract must not write a file that fit, classify and evaluate refuse
+        logs = write_logs(
+            tmp_path,
+            {**{f"{n}.log": "java.net.URL.openConnection 1\n" for n in ("a1", "a2", "u1")},
+             "bad.log": "\n"},
+        )
+        labels = tmp_path / "labels.csv"
+        labels.write_text(rows)
+        out = tmp_path / "c.csv"
+        rc = cli.main(["extract", "--logs", str(logs), "--labels", str(labels), "--out", str(out)])
+        assert rc == 65
+        err = capsys.readouterr().err
+        assert f"{labels}: {message}" in err
+        assert "extract: failed: bad.log" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("c.csv*"))
+
+    def test_every_log_unparseable_is_data_error_and_writes_nothing(self, tmp_path, capsys):
+        logs = write_logs(tmp_path, {"a.log": "\n", "b.log": "no record here\n"})
+        out = tmp_path / "d.csv"
+        assert cli.main(["extract", "--logs", str(logs), "--out", str(out)]) == 65
+        assert "every log file failed to parse" in capsys.readouterr().err
+        assert not list(tmp_path.glob("d.csv*"))
+
+    def test_manifest_lists_the_config_file(self, tmp_path):
+        logs = write_logs(tmp_path, {"a.log": "java.net.URL.openConnection 1\n"})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        out = tmp_path / "d.csv"
+        assert cli.main(["extract", "--logs", str(logs), "--config", str(cfg), "--out", str(out)]) == 0
+        inputs = json.loads((tmp_path / "d.csv.manifest.json").read_text())["inputs"]
+        assert inputs[str(cfg)] == cli._sha256(cfg)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         logs = write_logs(tmp_path, {"a.log": "java.net.URL.openConnection 1\n"})
         vocab = tmp_path / "vocab.txt"
@@ -616,6 +659,17 @@ class TestEvaluate:
         assert rc == 0
         assert out.read_text().splitlines()[1].startswith("5nn,100.0,1,100,")
 
+    def test_one_fold_is_usage_error(self, tmp_path, capsys):
+        data = synth_csv(tmp_path, n=40, seed=23)
+        out = tmp_path / "o.csv"
+        rc = cli.main(
+            ["evaluate", "--data", str(data), "--protocol", "cv", "--classifiers", "lda",
+             "--folds", "1", "--seed", "1", "--out", str(out)]
+        )
+        assert rc == 64
+        assert "--folds must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_folds_above_smallest_class_is_usage_error(self, tmp_path, capsys):
         data = synth_csv(tmp_path, n=40, seed=23)
         smallest = int(Dataset.load_csv(data).class_counts().min())
@@ -923,8 +977,9 @@ def test_non_finite_feature_cell_is_data_error(tmp_path, capsys, command, flag, 
         ("a.b,c.d,label\n0,1,1\n1,0,1000000000000\n1,1,\n", "label 1000000000000 is outside 1..2"),
         ("a.b,a.b,label\n0,1,1\n1,0,2\n1,1,\n", "entries must be unique"),
         ("label\n1\n2\n\n", "must not be empty"),
+        ("", "empty file"),
     ],
-    ids=["huge-label", "repeated-identity", "no-identity"],
+    ids=["huge-label", "repeated-identity", "no-identity", "empty-file"],
 )
 @pytest.mark.parametrize("command", ["fit", "classify", "evaluate"])
 def test_bad_label_or_header_is_data_error(tmp_path, capsys, command, text, message):
@@ -1048,6 +1103,15 @@ class TestSynth:
         )
         assert rc == 64
 
+    def test_one_weight_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = cli.main(
+            ["synth", "--n", "20", "--d", "2", "--weights", "0.5", "--seed", "0", "--out", str(out)]
+        )
+        assert rc == 64
+        assert "--weights takes exactly two values" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--separation", "nan"), ("--separation", "inf"), ("--rho", "nan"),
@@ -1138,6 +1202,32 @@ class TestConfigFile:
         assert rc == 64
         assert "--max-iterations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, path, rc, message",
+        [
+            ('{"family": "XYZ"}', "cfg.json", 64, "unknown covariance family 'XYZ'"),
+            ("[1, 2]", "cfg.json", 65, "config must be a JSON object"),
+            (None, "missing.json", 64, "config file does not exist"),
+            (None, "", 64, "--config requires a path"),
+        ],
+        ids=["unknown-family", "json-list", "missing-file", "empty-path"],
+    )
+    def test_bad_evaluate_config_exits_before_any_output(
+        self, tmp_path, capsys, text, path, rc, message
+    ):
+        # argparse does not check a config default against the flag's choices
+        data = synth_csv(tmp_path, seed=36)
+        if text is not None:
+            (tmp_path / path).write_text(text)
+        out = tmp_path / "o.csv"
+        got = cli.main(
+            ["evaluate", "--data", str(data), "--config", str(tmp_path / path) if path else "",
+             "--protocol", "cv", "--classifiers", "lda", "--seed", "1", "--out", str(out)]
+        )
+        assert got == rc
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         data = synth_csv(tmp_path, seed=31)
         cfg = tmp_path / "cfg.json"
@@ -1196,6 +1286,7 @@ class TestSweepLadder:
             (["--fractions", "", "--replicates", ""], "--fractions"),
             (["--fractions", ",", "--replicates", ","], "--fractions"),
             (["--replicates", "", "--fractions", ""], "--replicates"),
+            (["--fractions", "50,100", "--replicates", "2"], "must have equal length"),
         ],
     )
     def test_out_of_range_ladder_is_usage_error(self, tmp_path, capsys, flags, named):

@@ -231,6 +231,35 @@ class TestStratifiedFolds:
         with pytest.raises(ValueError):
             stratified_folds(ds, 3, seed=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        folds=st.integers(2, 10),
+        extra=st.lists(st.integers(0, 25), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_folds_partition_and_balance_every_class(self, folds, extra, seed):
+        # K = len(extra) classes, each with at least `folds` rows, in shuffled order
+        labels = np.repeat(np.arange(1, len(extra) + 1), [folds + e for e in extra])
+        labels = np.random.default_rng(seed).permutation(labels)
+        ds = make_dataset(np.zeros((labels.size, 1)), labels, np.empty((0, 1)))
+        got = stratified_folds(ds, folds, seed)
+        assert len(got) == folds
+        tests = [test for _, test in got]
+        assert np.array_equal(np.sort(np.concatenate(tests)), np.arange(labels.size))
+        for train, test in got:
+            assert np.array_equal(train, np.setdiff1d(np.arange(labels.size), test))
+            assert np.all(np.diff(test) > 0)
+        sizes = [len(test) for test in tests]
+        assert max(sizes) - min(sizes) <= 1
+        per_class = np.array(
+            [np.bincount(labels[test], minlength=len(extra) + 1)[1:] for test in tests]
+        )
+        assert np.all(per_class.max(axis=0) - per_class.min(axis=0) <= 1)
+        again = stratified_folds(ds, folds, seed)
+        assert all(
+            np.array_equal(a, c) and np.array_equal(b, e) for (a, b), (c, e) in zip(got, again)
+        )
+
     def test_class_proportions_within_one_sample(self):
         folds = stratified_folds(self.ds, 7, seed=11)
         for _, test in folds:
