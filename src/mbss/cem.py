@@ -130,7 +130,7 @@ def cm_step(
     start: Start,
     X_u: np.ndarray,
     hard_labels: np.ndarray,
-    block: gmm.Shifted | gmm.Moments | None = None,
+    moments: gmm.Moments | None = None,
 ) -> MixtureModel:
     """Hard-assignment maximization step on the partition ``hard_labels``.
 
@@ -138,11 +138,10 @@ def cm_step(
     row, as ``hard_assign`` gives them); the rows' class statistics are
     merged into the labeled block's (``start.stats``) and the model is
     ``gmm.estimate`` of the merged statistics. A class that no unlabeled
-    row joins keeps its labeled statistics. ``block`` is the unlabeled rows'
-    ``gmm.Shifted`` form, if the caller holds it, or for 0/1 rows the
-    ``gmm.Moments`` of an earlier partition, which the step moves to this
-    one in place; their statistics are exact, so the model is the one a
-    call without ``block`` builds, bit for bit.
+    row joins keeps its labeled statistics. For 0/1 rows ``moments`` may
+    hold the ``gmm.Moments`` of an earlier partition, which the step moves
+    to this one in place; they are exact, so the model is the one a call
+    without them builds, bit for bit.
     """
     hard = np.asarray(hard_labels, dtype=np.int64)
     K, m = start.stats[0].shape[0], X_u.shape[0]
@@ -151,10 +150,10 @@ def cm_step(
     if np.any((hard < 1) | (hard > K)):
         raise ValueError(f"hard labels must lie in 1..{K}")
     family = start.config.family
-    if isinstance(block, gmm.Moments):
-        unlabeled_stats = block.move(X_u, hard).stats()
+    if moments is None:
+        unlabeled_stats = gmm.class_stats(X_u, hard, K, family)
     else:
-        unlabeled_stats = gmm.class_stats(X_u, hard, K, family, block)
+        unlabeled_stats = moments.move(X_u, hard).stats()
     stats = gmm.merge_class_stats(start.stats, unlabeled_stats)
     return gmm.estimate(stats, family)
 
@@ -196,12 +195,12 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
     model, and its row log-sum-exp gives the posteriors and the observed
     log-likelihood; the hard labels are taken once per model and drive
     the next CM-step, so the last model's are the returned ones. The
-    unlabeled rows are checked for 0/1 cells once (EEE and VVV CM-steps on
-    other rows check again, up to the first other value). For the diagonal
-    families they are taken as ``gmm.Shifted`` once (in place for 0/1
-    rows), and every scoring reads them so. On 0/1 rows the CM-steps carry
-    one ``gmm.Moments`` from partition to partition, so each reads only the
-    rows whose hard label changed; other rows' CM-steps read the whole block.
+    unlabeled rows are checked for 0/1 cells once, and every scoring is
+    told the answer; no fit holds a copy of them. On 0/1 rows the CM-steps
+    carry one ``gmm.Moments`` from partition to partition, so each reads
+    only the rows whose hard label changed. Other rows' CM-steps read all
+    of them, a row block at a time (``gmm.class_stats``, whose 0/1 check
+    returns at the first block holding another value).
 
     Hard labels equal to the partition that built the current model are a
     fixed point: the next CM-step would rebuild that model bit for bit, so
@@ -209,11 +208,10 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
     one; the Aitken test then fires unless the trace is non-finite.
     """
     config, model = start.config, start.model
-    diagonal = config.family in gmm.DIAGONAL_FAMILIES
     binary = is_binary(X_u)
-    shifted = gmm.Shifted.of(X_u, binary) if diagonal else None
-    block = gmm.Moments.empty(len(X_u), model.K, X_u.shape[1], not diagonal) if binary else shifted
-    joint = gmm.log_joint(model, X_u, shifted)
+    full = config.family not in gmm.DIAGONAL_FAMILIES
+    moments = gmm.Moments.empty(len(X_u), model.K, X_u.shape[1], full) if binary else None
+    joint = gmm.log_joint(model, X_u, binary)
     norm = gmm.row_logsumexp(joint)
     posteriors = np.exp(joint - norm[:, None])
     hard = hard_assign(posteriors)
@@ -229,9 +227,9 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
             observed.append(observed[-1])
             changed.append(0)
         else:
-            model = cm_step(start, X_u, hard, block)
+            model = cm_step(start, X_u, hard, moments)
             labeled = gmm.labeled_log_likelihood(model, start.stats)
-            joint = gmm.log_joint(model, X_u, shifted)
+            joint = gmm.log_joint(model, X_u, binary)
             norm = gmm.row_logsumexp(joint)
             trace.append(labeled + gmm.assigned_log_likelihood(joint, hard))
             observed.append(labeled + float(norm.sum()))

@@ -484,6 +484,18 @@ def cmd_evaluate(args, argv) -> int:
         if oos_ds.n + oos_ds.m == 0:
             raise DataFormatError(f"{args.oos_data}: out-of-sample data has no rows")
         pool = np.vstack([oos_ds.labeled_features, oos_ds.unlabeled_features])
+        if evaluation.subsample_size(len(pool), max(fractions)) == 0:
+            raise UsageError(
+                f"every --fractions entry yields zero of the {len(pool)} out-of-sample rows"
+            )
+        if args.pca_out:
+            try:
+                projection = evaluation.pca_project(
+                    train_X, train_y, pool, n_components=min(4, min(train_X.shape)),
+                    positive_label=positive,
+                )
+            except ValueError as exc:
+                raise DataFormatError(f"{args.data}: --pca-out: {exc}") from exc
         inputs.append(args.oos_data)
         train_rows = dataset.n
     else:
@@ -525,10 +537,6 @@ def cmd_evaluate(args, argv) -> int:
         }
         evaluation.write_dr_csv(out, rows_by_classifier)
         if args.pca_out:
-            projection = evaluation.pca_project(
-                train_X, train_y, pool, n_components=min(4, min(train_X.shape)),
-                positive_label=positive,
-            )
             _prepare_out(args.pca_out)
             evaluation.write_pca_csv(args.pca_out, projection)
             extra_outputs.append(args.pca_out)

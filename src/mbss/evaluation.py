@@ -238,6 +238,11 @@ def cross_validate(
     )
 
 
+def subsample_size(N: int, pct: float) -> int:
+    """Rows in a ``pct`` percent subsample of N rows, rounded half to even."""
+    return int(round(N * pct / 100.0))
+
+
 def detection_rate(
     classifier,
     train_X: np.ndarray,
@@ -270,7 +275,7 @@ def detection_rate(
     for pct, reps in zip(fractions, replicates):
         if reps < 1:
             raise ValueError("replicate counts must be positive")
-        size = int(round(N * pct / 100.0))
+        size = subsample_size(N, pct)
         if size == 0:
             warnings.warn(
                 f"fraction {pct}% of {N} test samples yields zero rows; skipped",

@@ -16,29 +16,27 @@ shape: d variances for the spherical and diagonal families, a d x d matrix
 for EEE and VVV, factored once as W = L^-1, the inverse of its lower
 Cholesky factor (Sigma^-1 = W^T W).
 
-The diagonal families read rows through their moments about a shift c
-(``Shifted``): D = X - c and D * D. ``log_joint`` scores all K components
-with two products, (D * D)(1/v)^T - 2 D((mu - c)/v)^T + sum((mu - c)^2/v).
-0/1 rows are read in place: c = 0 and D = D * D = X, the same array,
-since x^2 = x for them, so one product (1/v - 2 mu/v) X^T scores them.
-Other rows are shifted by their column
-mean, which keeps rows far from the origin from cancelling. EEE and VVV
-share one loop over blocks of B = ROW_BLOCK // d rows: when a component's
-W differs from the previous one's (once for EEE, K times for VVV), it
-fills one C-ordered d x B buffer Z^T = W X^T - W c about that component's
-mean c, O(B d^2) with W's zero upper-right block skipped, and |Z|^2, which
-is that component's quad; each further component sharing W costs one
-product, |Z|^2 - 2 w^T Z^T + |w|^2 for w = W(mu - c).
+``log_joint`` scores the diagonal families on 0/1 rows with one product,
+(1/v - 2 mu/v) X^T + sum(mu^2/v), since x^2 = x for them. Every other
+case reads rows B = ROW_BLOCK // d at a time into buffers that do not
+grow with N. The diagonal families expand a block D = X - c about the
+column mean c, which keeps rows far from the origin from cancelling, with
+two products, (D * D)(1/v)^T - 2 D((mu - c)/v)^T + sum((mu - c)^2/v).
+EEE and VVV, when a component's W differs from the previous one's (once
+for EEE, K times for VVV), fill one C-ordered d x B buffer Z^T = W X^T - W c
+about that component's mean c, O(B d^2) with W's zero upper-right block
+skipped, and |Z|^2, which is that component's quad; each further
+component sharing W costs one product, |Z|^2 - 2 w^T Z^T + |w|^2 for
+w = W(mu - c).
 The closed-form estimators follow Celeux & Govaert (1995). They and
 ``labeled_log_likelihood`` read rows only through per-class counts, means
 and scatters (``class_stats``), which ``merge_class_stats`` combines
 across row blocks. On 0/1 rows these come from exact integer ``Moments``,
 class sums s and Grams G: the scatter is G - s s^T / n, or s - s^2 / n
-per dimension. Other rows take one-hot products of D and D * D, or each
-class's rows centered on its mean. Scatters too are summed over row
-blocks, so a full-covariance fit's working memory is O(K d^2 + d B),
-not O(N d). ``estimate`` is the one path from those statistics to
-a mixture: the CEM start, every CM-step and LDA's pooled covariance.
+per dimension. Other rows are centered on their class mean a block at a
+time, so a fit's working memory is O(K d^2 + d B), not O(N d).
+``estimate`` is the one path from those statistics to a mixture: the CEM
+start, every CM-step and LDA's pooled covariance.
 """
 
 from __future__ import annotations
@@ -58,8 +56,9 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # The covariance ridge: REGULARIZATION times the mean variance.
 REGULARIZATION = 1e-6
 
-# EEE and VVV read rows ROW_BLOCK // d at a time (1 MiB of float64 cells),
-# so their working memory does not grow with N.
+# Rows are scored and summed ROW_BLOCK // d at a time (1 MiB of float64
+# cells), except the diagonal families' one product on 0/1 rows, so no
+# kernel's working memory grows with N.
 ROW_BLOCK = 1 << 17
 
 
@@ -233,78 +232,58 @@ def _gaussian_log(quad: np.ndarray, d: int, log_det) -> np.ndarray:
     return -0.5 * (quad + d * _LOG_2PI + log_det)
 
 
-@dataclass(frozen=True)
-class Shifted:
-    """Rows X as the diagonal kernels read them: ``rows`` = X - ``shift``, and their ``squares``.
-
-    ``Shifted.of(X)`` reads 0/1 rows (``dataset.is_binary``) in place: the
-    shift is 0 and ``rows`` and ``squares`` are X itself, not copies, since
-    x^2 = x exactly for them. It shifts any other rows by their column
-    means. Expanded about the origin, rows near 1e4 + N(0, 1) lose about
-    eight digits to cancellation in
-    sum((x - mu)^2 / v) = sum(x^2 / v) - 2 sum(x mu / v) + sum(mu^2 / v);
-    about their mean they lose none. 0/1 rows cannot lie far from the origin.
-    """
-
-    shift: np.ndarray
-    rows: np.ndarray
-    squares: np.ndarray
-
-    @classmethod
-    def of(cls, X: np.ndarray, binary: bool | None = None) -> "Shifted":
-        """X's block; ``binary`` is ``is_binary(X)``, if the caller has it."""
-        if is_binary(X) if binary is None else binary:
-            return cls(np.zeros(X.shape[1]), X, X)
-        shift = X.mean(axis=0) if X.shape[0] else np.zeros(X.shape[1])
-        rows = X - shift
-        return cls(shift, rows, rows * rows)
-
-
-def log_joint(model: MixtureModel, X: np.ndarray, block: Shifted | None = None) -> np.ndarray:
+def log_joint(model: MixtureModel, X: np.ndarray, binary: bool | None = None) -> np.ndarray:
     """Matrix of log(pi_k) + log f_k(x_j), rows = samples, cols = components.
 
     The matrix is the transpose of a C-ordered K x N array, so reductions
     over a row's K entries (max, sum, log-sum-exp) sweep contiguous columns.
 
-    The diagonal families score all components with two products on
-    ``block``, the ``Shifted`` rows of X (``Shifted.of(X)`` unless given; a
-    fit builds it once for all its calls): with delta = mu - shift,
-    quad = squares (1/v)^T - 2 rows (delta/v)^T + sum(delta^2/v), one
-    product (1/v - 2 delta/v) X^T for 0/1 rows (rows is squares). EEE and
-    VVV take the rows B = max(1, ROW_BLOCK // d) at a time. They whiten a
-    block about c, the mean of the first component of each run sharing an
-    inverse Cholesky factor W (one run for EEE, K for VVV), into one
-    C-ordered d x B buffer Z^T = W X^T - W c, allocated once per call and
-    reused for every block and run; with w = W (mu - c),
-    quad = |Z|^2 - 2 w^T Z^T + |w|^2 goes straight into the block's slice
-    of the output. W is lower-triangular, so with h = d // 2 two products
-    fill Z^T without its zero upper-right block and without copying either
-    operand. The first component of a run has w = 0, so its quad is |Z|^2
-    with no product.
+    The diagonal families score 0/1 rows (``binary``, the caller's
+    ``is_binary(X)``, checked here when None) with one product,
+    (1/v - 2 mu/v) X^T + sum(mu^2/v), since x^2 = x. Every other case
+    takes the rows B = max(1, ROW_BLOCK // d) at a time. The diagonal
+    families expand each block D = X - c about the column mean c with two
+    products, (D * D)(1/v)^T - 2 D(delta/v)^T + sum(delta^2/v) for
+    delta = mu - c. EEE and VVV whiten a block about c, the mean of the first
+    component of each run sharing an inverse Cholesky factor W (one run for
+    EEE, K for VVV), into one C-ordered d x B buffer Z^T = W X^T - W c,
+    allocated once per call and reused for every block and run; with
+    w = W (mu - c), quad = |Z|^2 - 2 w^T Z^T + |w|^2 goes straight into the
+    block's slice of the output. W is lower-triangular, so with h = d // 2
+    two products fill Z^T without its zero upper-right block and without
+    copying either operand. The first component of a run has w = 0, so its
+    quad is |Z|^2 with no product.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.d:
-        raise ValueError(f"expected dimension {model.d}, got {X.shape[1]}")
-    logw = model.log_weights[:, None]
-    if model.inverse_variances is not None:
-        block = Shifted.of(X) if block is None else block
-        inv = model.inverse_variances
-        delta = model.means - block.shift
-        scaled = delta * inv
-        if block.rows is block.squares:
-            # 0/1 rows: one product reads X once
-            quad = (inv - 2.0 * scaled) @ block.rows.T
-        else:
-            quad = inv @ block.squares.T + (-2.0 * scaled) @ block.rows.T
-        quad += (delta * scaled).sum(axis=1, keepdims=True)
-        return (logw + _gaussian_log(quad, model.d, model.log_dets[:, None])).T
+    X = np.atleast_2d(np.asarray(X))
+    inv = model.inverse_variances
+    binary = inv is not None and (is_binary(X) if binary is None else binary)
+    X = X.astype(np.float64, copy=False)
     n, d = X.shape
+    if d != model.d:
+        raise ValueError(f"expected dimension {model.d}, got {d}")
+    logw, log_dets = model.log_weights[:, None], model.log_dets[:, None]
+    if binary:
+        # 0/1 rows: one product reads X once
+        scaled = model.means * inv
+        quad = (inv - 2.0 * scaled) @ X.T
+        quad += (model.means * scaled).sum(axis=1, keepdims=True)
+        return (logw + _gaussian_log(quad, d, log_dets)).T
     out = np.empty((model.K, n))
     step = max(1, ROW_BLOCK // d)
-    buffer = np.empty(d * min(step, n))
+    if inv is not None and n:
+        col_mean = X.mean(axis=0)
+        delta = model.means - col_mean
+        scaled = delta * inv
+        offset = (delta * scaled).sum(axis=1, keepdims=True)
+    buffer = np.empty(d * min(step, n)) if inv is None else None
     h = d // 2
     for start in range(0, n, step):
         rows = X[start:start + step]
+        if inv is not None:
+            D = rows - col_mean
+            quad = inv @ (D * D).T + (-2.0 * scaled) @ D.T + offset
+            out[:, start:start + step] = logw + _gaussian_log(quad, d, log_dets)
+            continue
         Zt = buffer[: d * rows.shape[0]].reshape(d, rows.shape[0])
         W = None
         for k, comp in enumerate(model.components):
@@ -411,12 +390,7 @@ def parameter_count(family: str, K: int, d: int) -> int:
     return (K - 1) + K * d + cov_params[family]
 
 
-def estimate_family_covariances(
-    family: str,
-    scatters: np.ndarray,
-    counts: np.ndarray,
-    total: int,
-) -> np.ndarray:
+def estimate_family_covariances(family: str, scatters: np.ndarray, counts) -> np.ndarray:
     """Closed-form covariance estimates from per-component scatters.
 
     For EEE and VVV, ``scatters[k]`` is the d x d sum of outer products of
@@ -424,7 +398,8 @@ def estimate_family_covariances(
     covariance stack. The spherical and diagonal families need only its
     diagonal: for them ``scatters`` is K x d (per-dimension sums of
     squares) and the result is K x d variances. ``counts[k]``, the number
-    of rows of component k, is positive.
+    of rows of component k, is positive; the shared families divide by
+    their sum.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown covariance family {family!r}")
@@ -433,12 +408,12 @@ def estimate_family_covariances(
     expected = (K, d) if family in DIAGONAL_FAMILIES else (K, d, d)
     if scatters.shape != expected:
         raise ValueError(f"{family} needs scatters of shape {expected}, got {scatters.shape}")
+    counts = np.asarray(counts, dtype=np.float64)
     pooled = scatters.sum(axis=0)
     if family == "EII":
-        return np.full(expected, float(pooled.sum()) / (d * total))
+        return np.full(expected, float(pooled.sum()) / (d * counts.sum()))
     if family in SHARED_FAMILIES:
-        return np.broadcast_to(pooled / total, expected).copy()
-    counts = np.asarray(counts, dtype=np.float64)
+        return np.broadcast_to(pooled / counts.sum(), expected).copy()
     if family == "VII":
         scatters, counts = scatters.sum(axis=1, keepdims=True), d * counts
     counts = counts.reshape((K,) + (1,) * (scatters.ndim - 1))
@@ -459,7 +434,7 @@ def estimate(stats, family: str) -> MixtureModel:
     if empty:
         raise ValueError(f"classes {empty} have no rows")
     n = int(counts.sum())
-    covs = estimate_family_covariances(family, scatters, counts, n)
+    covs = estimate_family_covariances(family, scatters, counts)
     if family in SHARED_FAMILIES:
         components = [make_component(covs[0])] * len(covs)
     else:
@@ -531,7 +506,7 @@ class Moments:
         return counts, s / n, self.grams - s[:, :, None] * s[:, None, :] / n[:, :, None]
 
 
-def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str, block: Shifted | None = None):
+def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str):
     """Counts, means and centered scatters per class (labels 1..K).
 
     Scatters are d x d for the full families and per-dimension sums of
@@ -539,40 +514,32 @@ def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str, block: Shifte
     ``estimate_family_covariances`` takes. An empty class gets a zero mean
     and a zero scatter, which ``merge_class_stats`` needs no branch for.
 
-    X is read as float64. 0/1 rows (``block.rows is block.squares``, or
-    ``is_binary(X)`` without a block) take their statistics from exact
-    integer ``Moments``, summed over blocks of ROW_BLOCK // d rows. Other
-    rows' means are H^T X / n, H the one-hot label matrix. Their diagonal
-    scatters are H^T (D * D) - (H^T D)^2 / n, D the ``Shifted`` rows of X
-    (``block``, or ``Shifted.of(X)``), and their full scatters sum R^T R
-    over blocks of ROW_BLOCK // d rows, R a copy of one block's rows of the
-    class centered on the class mean in place, symmetrized once.
+    X is read as float64. 0/1 rows (``is_binary``) take their statistics
+    from exact integer ``Moments``, summed over blocks of ROW_BLOCK // d
+    rows. Other rows' means are H^T X / n, H the one-hot label matrix, and
+    their scatters are summed over the same row blocks in two passes: R, a
+    copy of one block's rows of the class, is centered on the class mean in
+    place, and adds its column sums of squares (spherical and diagonal
+    families) or R^T R (EEE and VVV, symmetrized once).
     """
     X = np.asarray(X, dtype=np.float64)
     diagonal = family in DIAGONAL_FAMILIES
-    binary = is_binary(X) if block is None else block.rows is block.squares
-    if binary:
+    if is_binary(X):
         return Moments.empty(len(X), K, X.shape[1], not diagonal).move(X, y).stats()
     counts = np.bincount(y, minlength=K + 1)[1:].astype(np.int64)
     H = (np.arange(1, K + 1)[:, None] == y).astype(np.float64)
-    n = np.maximum(counts, 1)[:, None]
-    means = H @ X / n
-    if diagonal:
-        block = Shifted.of(X, False) if block is None else block
-        sums = H @ block.rows
-        # a sum of squares: clip the rounding of a constant column at zero
-        scatters = np.maximum(H @ block.squares - sums * (sums / n), 0.0)
-        return counts, means, scatters
+    means = H @ X / np.maximum(counts, 1)[:, None]
     d = X.shape[1]
-    scatters = np.zeros((K, d, d))
+    scatters = np.zeros((K, d) if diagonal else (K, d, d))
     step = max(1, ROW_BLOCK // d)
     for start in range(0, X.shape[0], step):
         chunk, labels = X[start:start + step], y[start:start + step]
         for k in np.flatnonzero(counts):
             rows = chunk[labels == k + 1]
             rows -= means[k]
-            scatters[k] += rows.T @ rows
-    scatters = 0.5 * (scatters + scatters.transpose(0, 2, 1))
+            scatters[k] += np.einsum("ij,ij->j", rows, rows) if diagonal else rows.T @ rows
+    if not diagonal:
+        scatters = 0.5 * (scatters + scatters.transpose(0, 2, 1))
     return counts, means, scatters
 
 

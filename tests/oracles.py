@@ -103,8 +103,7 @@ def reference_fit(start, X_u):
     repeat without the CM-step, and must return the same result.
     """
     config, model = start.config, start.model
-    block = gmm.Shifted.of(X_u) if config.family in gmm.DIAGONAL_FAMILIES else None
-    joint = gmm.log_joint(model, X_u, block)
+    joint = gmm.log_joint(model, X_u)
     norm = gmm.row_logsumexp(joint)
     posteriors = np.exp(joint - norm[:, None])
     hard = cem.hard_assign(posteriors)
@@ -112,9 +111,9 @@ def reference_fit(start, X_u):
     prev_hard = None
     converged = False
     for _ in range(config.max_iterations):
-        model = cem.cm_step(start, X_u, hard, block)
+        model = cem.cm_step(start, X_u, hard)
         labeled = gmm.labeled_log_likelihood(model, start.stats)
-        joint = gmm.log_joint(model, X_u, block)
+        joint = gmm.log_joint(model, X_u)
         norm = gmm.row_logsumexp(joint)
         trace.append(labeled + gmm.assigned_log_likelihood(joint, hard))
         observed.append(labeled + float(norm.sum()))

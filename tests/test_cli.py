@@ -430,6 +430,26 @@ class TestFit:
         assert rc == 64
 
 
+def test_gaussian_fit_classify_and_cv_rerun_byte_for_byte(tmp_path):
+    # rows that are not 0/1: every family's scores and statistics take row blocks
+    data = synth_csv(tmp_path, n=300, seed=44, extra=["--d", "6"])
+    model, preds, cv = tmp_path / "model.json", tmp_path / "pred.csv", tmp_path / "cv.csv"
+    commands = [
+        ["fit", "--data", str(data), "--max-iterations", "20", "--out", str(model)],
+        ["classify", "--model", str(model), "--data", str(data), "--out", str(preds)],
+        ["evaluate", "--data", str(data), "--protocol", "cv", "--folds", "3",
+         "--classifiers", "mbss,lda", "--family", "VVI", "--seed", "2",
+         "--roc-out", str(tmp_path / "roc.csv"), "--out", str(cv)],
+    ]
+    runs = []
+    for _ in range(2):
+        for argv in commands:
+            assert cli.main(argv) == 0
+        runs.append({p.name: p.read_bytes() for p in tmp_path.iterdir()})
+    assert gmm.load_model(model).d == 6
+    assert len(runs[0]) == 11 and runs[0] == runs[1]
+
+
 class TestClassify:
     def test_predictions_match_library_fit(self, tmp_path):
         data = synth_csv(tmp_path, seed=14)
@@ -1327,6 +1347,41 @@ class TestSweepLadder:
             )
         assert rc == 0
         assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["100.0"]
+
+    def test_a_sweep_with_no_rows_is_usage_error_before_any_fit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        train = synth_csv(tmp_path, "train.csv", n=100, seed=40)
+        oos = synth_csv(tmp_path, "oos.csv", n=50, seed=41)
+        monkeypatch.setattr(cem, "initialize", lambda *a, **k: pytest.fail("fit before the check"))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        rc = cli.main(
+            ["evaluate", "--data", str(train), "--protocol", "oos", "--oos-data", str(oos),
+             "--classifiers", "mbss,lda", "--fractions", "0.1", "--replicates", "2",
+             "--seed", "1", "--out", str(tmp_path / "dr.csv")]
+        )
+        assert rc == 64
+        assert "50 out-of-sample rows" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_pca_of_a_zero_variance_block_is_data_error_before_any_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        train = tmp_path / "train.csv"
+        labeled = np.full((10, 3), 0.5)
+        unlabeled = np.random.default_rng(42).standard_normal((6, 3))
+        Dataset(labeled, [1] * 5 + [2] * 5, unlabeled, synth.feature_names(3), 2).save_csv(train)
+        oos = synth_csv(tmp_path, "oos.csv", n=50, seed=43)
+        monkeypatch.setattr(cem, "initialize", lambda *a, **k: pytest.fail("fit before the check"))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        rc = cli.main(
+            ["evaluate", "--data", str(train), "--protocol", "oos", "--oos-data", str(oos),
+             "--classifiers", "lda", "--fractions", "100", "--replicates", "1", "--seed", "1",
+             "--out", str(tmp_path / "dr.csv"), "--pca-out", str(tmp_path / "pca.csv")]
+        )
+        assert rc == 65
+        assert "zero variance" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 class TestProtocolAliases:

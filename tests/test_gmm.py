@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import fit_dataset, log_density, make_dataset
 from mbss import baselines, cem, gmm
+from mbss.dataset import is_binary
 from mbss.errors import DataFormatError, SingularCovarianceError
 from oracles import (
     direct_class_moments,
@@ -102,7 +103,7 @@ class TestMakeComponent:
         y = rng.permutation(np.arange(n) % K) + 1
         for family in gmm.FAMILIES:
             counts, means, scatters = stats = gmm.class_stats(X, y, K, family)
-            covs = gmm.estimate_family_covariances(family, scatters, counts, n)
+            covs = gmm.estimate_family_covariances(family, scatters, counts)
             for cov, comp in zip(covs, gmm.estimate(stats, family).components):
                 t = float(cov.sum() if cov.ndim == 1 else np.trace(cov)) / d
                 ridge = gmm.REGULARIZATION * (t if t > 0.0 else 1.0)
@@ -276,8 +277,19 @@ class TestLogJointKernels:
         assert peak <= buffers
 
 
+_LOG_2PI = np.log(2 * np.pi)
+
+
 def one_pass_log_joint(model, X):
-    """The full branch of ``gmm.log_joint`` with all N rows in one d x N buffer."""
+    """``gmm.log_joint`` on rows that are not 0/1, with all N rows in one block."""
+    if model.inverse_variances is not None:
+        inv, center = model.inverse_variances, X.mean(axis=0) if len(X) else 0.0
+        D, delta = X - center, model.means - center
+        scaled = delta * inv
+        offset = (delta * scaled).sum(axis=1, keepdims=True)
+        quad = inv @ (D * D).T + (-2.0 * scaled) @ D.T + offset
+        log_dets = model.log_dets[:, None]
+        return (model.log_weights[:, None] - 0.5 * (quad + model.d * _LOG_2PI + log_dets)).T
     out = np.empty((model.K, X.shape[0]))
     Zt = np.empty((model.d, X.shape[0]))
     h = model.d // 2
@@ -292,12 +304,15 @@ def one_pass_log_joint(model, X):
         else:
             wd = W @ (model.means[k] - center)
             quad = norms - 2.0 * (wd @ Zt) + wd @ wd
-        out[k] = model.log_weights[k] - 0.5 * (quad + model.d * np.log(2 * np.pi) + comp.log_det)
+        out[k] = model.log_weights[k] - 0.5 * (quad + model.d * _LOG_2PI + comp.log_det)
     return out.T
 
 
 def one_pass_scatters(X, y, means):
-    """Full-family scatters from one centered copy of each class's rows."""
+    """Full-family scatters from one centered copy of each class's rows.
+
+    Their diagonals are the diagonal families' scatters.
+    """
     scatters = np.zeros((len(means), X.shape[1], X.shape[1]))
     for k in range(len(means)):
         rows = X[y == k + 1].astype(np.float64)
@@ -330,7 +345,7 @@ def assert_one_pass_bits(family, n, d):
 
 
 class TestFullRowBlocks:
-    """EEE and VVV read rows ``gmm.ROW_BLOCK // d`` at a time.
+    """Rows that are not 0/1 are read ``gmm.ROW_BLOCK // d`` at a time, in every family.
 
     ``ROW_BLOCK`` is cut to a few rows' worth, so the block edges are cheap
     to reach.
@@ -344,7 +359,7 @@ class TestFullRowBlocks:
         monkeypatch.setattr(gmm, "ROW_BLOCK", self.B * self.d + self.d - 1)
 
     @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 7])
-    @pytest.mark.parametrize("family", ["EEE", "VVV"])
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
     def test_log_joint_matches_the_oracle_across_block_edges(self, family, n):
         rng = np.random.default_rng(180 + n)
         w, means, covs = random_model_arrays(rng, 3, self.d, family=family)
@@ -357,7 +372,7 @@ class TestFullRowBlocks:
         if n <= self.B:
             np.testing.assert_array_equal(got, one_pass_log_joint(model, X))
 
-    @pytest.mark.parametrize("family", ["EEE", "VVV"])
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
     def test_class_stats_match_one_pass_across_block_edges(self, family):
         rng = np.random.default_rng(186)
         n = 2 * self.B + 7
@@ -369,10 +384,12 @@ class TestFullRowBlocks:
         np.testing.assert_allclose(means[:3], [X[y == k].mean(axis=0) for k in (1, 2, 3)])
         assert not means[3].any()
         assert not scatters[3].any()
-        np.testing.assert_allclose(
-            scatters, one_pass_scatters(X, y, means), rtol=1e-9, atol=1e-12
-        )
-        np.testing.assert_array_equal(scatters, scatters.transpose(0, 2, 1))
+        want = one_pass_scatters(X, y, means)
+        if family in gmm.DIAGONAL_FAMILIES:
+            want = np.diagonal(want, axis1=1, axis2=2)
+        else:
+            np.testing.assert_array_equal(scatters, scatters.transpose(0, 2, 1))
+        np.testing.assert_allclose(scatters, want, rtol=1e-9, atol=1e-12)
 
     def test_integer_rows_give_the_float_statistics(self):
         rng = np.random.default_rng(187)
@@ -445,18 +462,24 @@ class TestExactMoments:
 
 
 class TestBinaryRowsInPlace:
-    """``Shifted.of`` reads 0/1 rows as they are: shift 0, rows = squares = X."""
+    """0/1 rows take their own path in ``log_joint`` and ``class_stats``; other rows do not."""
 
     @staticmethod
     def binary_rows(n=400, d=160, seed=170):
         return (np.random.default_rng(seed).random((n, d)) < 0.3).astype(float)
 
     def test_binary_rows_are_not_copied(self):
-        X = self.binary_rows()
-        block = gmm.Shifted.of(X)
-        assert block.rows is X and block.squares is X
-        np.testing.assert_array_equal(block.shift, np.zeros(X.shape[1]))
-        assert gmm.Shifted.of(np.empty((0, 3))).shift.tolist() == [0.0, 0.0, 0.0]
+        # one product reads X in place; the output is K x N
+        X = self.binary_rows(n=5000)
+        for family in gmm.DIAGONAL_FAMILIES:
+            model = binary_model(np.random.default_rng(174), family)
+            tracemalloc.start()
+            try:
+                gmm.log_joint(model, X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < X.nbytes / 8
 
     @pytest.mark.parametrize(
         "cell", [-0.0, 2.0, np.nan, "float32", "int64"],
@@ -468,10 +491,9 @@ class TestBinaryRowsInPlace:
             X = X.astype(cell)
         else:
             X[7, 2] = cell
-        block = gmm.Shifted.of(X)
-        assert not np.shares_memory(block.rows, X) and not np.shares_memory(block.squares, X)
-        np.testing.assert_array_equal(block.shift, X.mean(axis=0))
-        np.testing.assert_array_equal(block.rows, X - X.mean(axis=0))
+        for family in gmm.DIAGONAL_FAMILIES:
+            model = binary_model(np.random.default_rng(175), family, d=6)
+            np.testing.assert_array_equal(gmm.log_joint(model, X), gmm.log_joint(model, X, False))
 
     @pytest.mark.parametrize("family", gmm.DIAGONAL_FAMILIES)
     def test_kernels_agree_with_the_mean_shifted_block(self, family):
@@ -479,16 +501,17 @@ class TestBinaryRowsInPlace:
         model = binary_model(rng, family)
         X = self.binary_rows()
         y = rng.integers(1, model.K + 1, size=X.shape[0])
-        shift = X.mean(axis=0)
-        rows = X - shift
-        shifted = gmm.Shifted(shift, rows, rows * rows)
         np.testing.assert_allclose(
-            gmm.log_joint(model, X), gmm.log_joint(model, X, shifted), rtol=1e-9, atol=0.0
+            gmm.log_joint(model, X), gmm.log_joint(model, X, False), rtol=1e-9, atol=0.0
         )
+        # a -0.0 cell is not 0/1, so its statistics are centered, not moments
+        other = X.copy()
+        other.flat[np.flatnonzero(X == 0.0)[5]] = -0.0
+        assert not is_binary(other)
         got = gmm.class_stats(X, y, model.K, family)
-        want = gmm.class_stats(X, y, model.K, family, shifted)
+        want = gmm.class_stats(other, y, model.K, family)
         np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-9, atol=0.0)
         np.testing.assert_allclose(got[2], want[2], rtol=1e-9, atol=0.0)
 
     def test_vvi_fit_allocates_less_than_one_copy_of_the_rows(self):
@@ -504,6 +527,23 @@ class TestBinaryRowsInPlace:
         finally:
             tracemalloc.stop()
         assert peak < X.nbytes / 8
+
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_a_fit_on_other_rows_holds_no_copy_of_them(self, family):
+        # Gaussian rows are scored and summed a row block at a time
+        rng = np.random.default_rng(176)
+        X = rng.standard_normal((20000, 160))
+        labeled = rng.standard_normal((200, 160))
+        labeled[100:] += 1.0
+        config = cem.CemConfig(family=family, max_iterations=3)
+        start = cem.initialize(labeled, np.repeat([1, 2], 100), 2, config)
+        tracemalloc.start()
+        try:
+            cem.fit(start, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 4
 
     @pytest.mark.parametrize("family", ["EEE", "VVV"])
     def test_full_fit_holds_no_copy_of_the_rows(self, family):
