@@ -71,22 +71,26 @@ def knn_predict_all(model: KnnModel, X: np.ndarray) -> np.ndarray:
     by at most delta, so every row with d2 <= T has a <= a_k + 2 delta:
     the candidates hold the k nearest rows and every row tied with the
     k-th, and the vote on their d2 is the vote on all rows' d2.
+
+    Queries of another dtype (``bool`` 0/1 rows among them) are read into
+    float64 a block at a time, so no float64 copy of X is made.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.atleast_2d(np.asarray(X))
     F, labels, k = model.features, model.labels, model.k
     n, d = F.shape
     if X.shape[1] != d:
         raise ValueError(f"expected dimension {d}, got {X.shape[1]}")
     f_sq = np.einsum("ij,ij->i", F, F)
-    x_sq = np.einsum("ij,ij->i", X, X)
-    slack = 8.0 * (d + 4) * np.finfo(np.float64).eps * (x_sq + f_sq.max(initial=0.0))
+    tolerance, f_max = 8.0 * (d + 4) * np.finfo(np.float64).eps, f_sq.max(initial=0.0)
     width = int(labels.max()) + 1
     out = np.empty(X.shape[0], dtype=np.int64)
     step = max(1, KNN_BLOCK // n)
     for lo in range(0, X.shape[0], step):
-        Q = X[lo : lo + step]
-        approx = x_sq[lo : lo + step, None] + f_sq - 2.0 * (Q @ F.T)
-        cut = np.partition(approx, k - 1, axis=1)[:, k - 1] + slack[lo : lo + step]
+        Q = X[lo : lo + step].astype(np.float64, copy=False)
+        q_sq = np.einsum("ij,ij->i", Q, Q)
+        approx = q_sq[:, None] + f_sq - 2.0 * (Q @ F.T)
+        slack = tolerance * (q_sq + f_max)
+        cut = np.partition(approx, k - 1, axis=1)[:, k - 1] + slack
         rows, cols = np.nonzero(approx <= cut[:, None])
         d2 = np.empty(len(rows))
         batch = max(1, KNN_BLOCK // d)
@@ -138,11 +142,12 @@ class LdaModel:
 def lda_fit(features: np.ndarray, labels: np.ndarray) -> LdaModel:
     """Fit class means, priors and the pooled within-class covariance.
 
-    The model is ``cem.initialize``'s EEE start on these rows: the
-    discriminant-analysis mixture initialization, with its trace-scaled
-    ridge and its check of at least 2 rows per class.
+    The model is ``cem.initialize``'s EEE start on these rows, as given:
+    the discriminant-analysis mixture initialization, with its
+    trace-scaled ridge and its check of at least 2 rows per class. ``bool``
+    rows take their statistics from exact moments, as a fit's do.
     """
-    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    X = np.atleast_2d(np.asarray(features))
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if X.shape[0] != y.shape[0]:
         raise ValueError("one label per row required")
@@ -152,12 +157,20 @@ def lda_fit(features: np.ndarray, labels: np.ndarray) -> LdaModel:
 
 
 def lda_predict_all(model: LdaModel, X: np.ndarray):
-    """Labels (argmax score, lowest index on ties) and the score matrix."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    """Labels (argmax score, lowest index on ties) and the score matrix.
+
+    Rows are scored ``gmm.ROW_BLOCK // d`` at a time, each block read into
+    float64, so no float64 copy of ``bool`` rows is made.
+    """
+    X = np.atleast_2d(np.asarray(X))
     if X.shape[0] == 0:
         return np.zeros(0, dtype=np.int64), np.empty((0, model.K))
     if X.shape[1] != model.d:
         raise ValueError(f"expected dimension {model.d}, got {X.shape[1]}")
-    scores = X @ model._coef + model._intercept
+    scores = np.empty((X.shape[0], model.K))
+    step = max(1, gmm.ROW_BLOCK // model.d)
+    for start in range(0, X.shape[0], step):
+        rows = X[start:start + step].astype(np.float64, copy=False)
+        scores[start:start + step] = rows @ model._coef + model._intercept
     return np.argmax(scores, axis=1).astype(np.int64) + 1, scores
 

@@ -16,9 +16,9 @@ and centered scatters, which ``initialize`` computes once together with
 the starting model; ``fit`` takes that ``Start`` and the unlabeled rows.
 Every iteration touches the unlabeled rows alone: the CM-step merges their
 class statistics into the labeled ones, and the labeled log-likelihood is
-evaluated in closed form from the statistics. On 0/1 rows those
-statistics come from exact integer moments, which ``fit`` moves from one
-partition to the next by the rows whose label changed. The starting model and
+evaluated in closed form from the statistics. On ``bool`` (0/1) rows
+those statistics come from exact integer moments, which ``fit`` moves from
+one partition to the next by the rows whose label changed. The starting model and
 every CM-step's model come from one estimator, ``gmm.estimate``: a
 CM-step's model is a function of its partition alone, and no class is
 ever empty, since each has at least 2 labeled rows.
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmm
-from .dataset import is_binary
 from .gmm import MixtureModel
 
 
@@ -138,7 +137,7 @@ def cm_step(
     row, as ``hard_assign`` gives them); the rows' class statistics are
     merged into the labeled block's (``start.stats``) and the model is
     ``gmm.estimate`` of the merged statistics. A class that no unlabeled
-    row joins keeps its labeled statistics. For 0/1 rows ``moments`` may
+    row joins keeps its labeled statistics. For ``bool`` rows ``moments`` may
     hold the ``gmm.Moments`` of an earlier partition, which the step moves
     to this one in place; they are exact, so the model is the one a call
     without them builds, bit for bit.
@@ -194,13 +193,12 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
     the complete log-likelihood under the hard labels that built the
     model, and its row log-sum-exp gives the posteriors and the observed
     log-likelihood; the hard labels are taken once per model and drive
-    the next CM-step, so the last model's are the returned ones. The
-    unlabeled rows are checked for 0/1 cells once, and every scoring is
-    told the answer; no fit holds a copy of them. On 0/1 rows the CM-steps
-    carry one ``gmm.Moments`` from partition to partition, so each reads
-    only the rows whose hard label changed. Other rows' CM-steps read all
-    of them, a row block at a time (``gmm.class_stats``, whose 0/1 check
-    returns at the first block holding another value).
+    the next CM-step, so the last model's are the returned ones. No fit
+    holds a copy of the rows, and none scans them for 0/1 cells: ``bool``
+    rows are the 0/1 rows (``Dataset`` holds 0/1 features so), and their
+    CM-steps carry one ``gmm.Moments`` from partition to partition, so each
+    reads only the rows whose hard label changed. Other rows' CM-steps read
+    all of them, a row block at a time (``gmm.class_stats``).
 
     Hard labels equal to the partition that built the current model are a
     fixed point: the next CM-step would rebuild that model bit for bit, so
@@ -208,10 +206,9 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
     one; the Aitken test then fires unless the trace is non-finite.
     """
     config, model = start.config, start.model
-    binary = is_binary(X_u)
     full = config.family not in gmm.DIAGONAL_FAMILIES
-    moments = gmm.Moments.empty(len(X_u), model.K, X_u.shape[1], full) if binary else None
-    joint = gmm.log_joint(model, X_u, binary)
+    moments = gmm.Moments.empty(len(X_u), model.K, X_u.shape[1], full) if X_u.dtype == bool else None
+    joint = gmm.log_joint(model, X_u)
     norm = gmm.row_logsumexp(joint)
     posteriors = np.exp(joint - norm[:, None])
     hard = hard_assign(posteriors)
@@ -229,7 +226,7 @@ def fit(start: Start, X_u: np.ndarray) -> FitResult:
         else:
             model = cm_step(start, X_u, hard, moments)
             labeled = gmm.labeled_log_likelihood(model, start.stats)
-            joint = gmm.log_joint(model, X_u, binary)
+            joint = gmm.log_joint(model, X_u)
             norm = gmm.row_logsumexp(joint)
             trace.append(labeled + gmm.assigned_log_likelihood(joint, hard))
             observed.append(labeled + float(norm.sum()))

@@ -122,42 +122,52 @@ CELL_AND_COMMA = int.from_bytes(b"1,", "little")
 MAX_LABEL_DIGITS = 18
 
 
-def _float_block(rows, d: int) -> np.ndarray:
-    """A float64 copy of ``rows`` with at least two dimensions; no rows give 0 x d."""
-    a = np.array(rows, dtype=np.float64, ndmin=2)
+def _feature_block(rows, d: int) -> np.ndarray:
+    """A copy of ``rows`` with at least two dimensions, ``bool`` if they are and else
+    float64; no rows give 0 x d."""
+    a = np.array(rows, ndmin=2)
+    if a.dtype != bool:
+        a = a.astype(np.float64, copy=False)
     if a.size == 0:
-        a = np.empty((0, d))
+        a = np.empty((0, d), dtype=a.dtype)
     return a
 
 
-def is_binary(X: np.ndarray) -> bool:
-    """X is float64 and every cell is +0.0 or 1.0 by bit pattern, so -0.0 is not binary.
+def is_binary(*blocks: np.ndarray) -> bool:
+    """Every cell of every block is 0/1: a ``bool`` block always is, a float64 block
+    when each cell is +0.0 or 1.0 by bit pattern (so -0.0 is not), any other dtype not.
 
-    The cells are checked ``CSV_BLOCK`` at a time, in blocks of whole rows,
-    up to the first block holding a cell that is neither.
+    The float64 cells are checked ``CSV_BLOCK`` at a time, in blocks of whole
+    rows, up to the first block holding a cell that is neither. ``Dataset``
+    asks this once, when it is built, and holds 0/1 features as ``bool``;
+    every later layer reads "0/1" off the dtype.
     """
-    if X.dtype != np.float64:
-        return False
-    bits = X.view(np.uint64)
-    step = max(1, CSV_BLOCK // max(1, X.shape[-1]))
-    return all(
-        np.all((block == 0) | (block == ONE_BITS))
-        for block in (bits[start:start + step] for start in range(0, len(bits), step))
-    )
+    for X in blocks:
+        if X.dtype == bool:
+            continue
+        if X.dtype != np.float64:
+            return False
+        bits = X.view(np.uint64)
+        step = max(1, CSV_BLOCK // max(1, X.shape[-1]))
+        for start in range(0, len(bits), step):
+            block = bits[start:start + step]
+            if not np.all((block == 0) | (block == ONE_BITS)):
+                return False
+    return True
 
 
 def _binary_lines(X: np.ndarray, labels) -> bytes:
-    """0/1 rows as ``c,c,...,c,label`` lines, each label the next of ``labels``."""
+    """``bool`` rows as ``c,c,...,c,label`` lines, each label the next of ``labels``."""
     n, d = X.shape
     text = np.full((n, 2 * d - 1), COMMA, dtype=np.uint8)
-    np.add(X, ZERO, out=text[:, ::2], casting="unsafe")
+    np.add(X.view(np.uint8), ZERO, out=text[:, ::2])
     # A label of None, an unlabeled row's, leaves its cell empty.
     tails = (b",\n" if label is None else b",%d\n" % label for label in labels)
     return b"".join(map(bytes.__add__, text.view(f"S{2 * d - 1}").ravel().tolist(), tails))
 
 
 def _binary_rows(body: np.ndarray, d: int):
-    """Features and label cells (NaN when empty) of a 0/1 body, or None.
+    """``bool`` features and label cells (NaN when empty) of a 0/1 body, or None.
 
     ``body`` is the bytes after the header line. It is a 0/1 body when every
     line is d cells of one byte ``0`` or ``1``, each followed by a comma, then
@@ -170,7 +180,7 @@ def _binary_rows(body: np.ndarray, d: int):
     peaked 2-3 MB higher in RSS.)
     """
     if body.size == 0:
-        return np.empty((0, d)), np.empty(0)
+        return np.empty((0, d), dtype=bool), np.empty(0)
     if body[-1] != NEWLINE:
         return None
     chunk = 2 * CSV_BLOCK
@@ -181,14 +191,14 @@ def _binary_rows(body: np.ndarray, d: int):
     digits = ends - starts - 2 * d
     if digits.min() < 0 or digits.max() > MAX_LABEL_DIGITS:
         return None
-    features = np.empty((ends.size, d))
+    features = np.empty((ends.size, d), dtype=bool)
     cells = np.lib.stride_tricks.sliding_window_view(body, 2 * d)
     step = max(1, CSV_BLOCK // d)
     for i in range(0, ends.size, step):
         pairs = cells[starts[i:i + step]].view("<u2")
         if not np.all((pairs | 1) == CELL_AND_COMMA):
             return None
-        np.bitwise_and(pairs, 1, out=features[i:i + step], casting="unsafe")
+        np.equal(pairs, CELL_AND_COMMA, out=features[i:i + step])
     label_cells = np.full(ends.size, np.nan)
     for width in range(1, int(digits.max()) + 1):
         rows = np.flatnonzero(digits == width)
@@ -260,6 +270,13 @@ class Dataset:
     class in 1..K having labeled members) is enforced where estimation
     actually needs it, not at construction, so degenerate containers such as
     all-unlabeled feature sets remain representable.
+
+    The two feature blocks share one dtype: ``bool`` when every cell is 0/1,
+    float64 otherwise. Blocks given as ``bool`` (an empty block of any dtype
+    goes with them) are held as they are; any other input is checked once,
+    by one ``is_binary`` call on both blocks, and held as ``bool`` when it
+    is 0/1 (a -0.0 cell keeps both blocks float64). The fits, baselines and
+    writers read "0/1" off that dtype and never scan the rows for it.
     """
 
     labeled_features: np.ndarray
@@ -270,12 +287,13 @@ class Dataset:
 
     def __post_init__(self) -> None:
         d = self.vocabulary.d
-        lf, uf = _float_block(self.labeled_features, d), _float_block(self.unlabeled_features, d)
+        lf, uf = (_feature_block(a, d) for a in (self.labeled_features, self.unlabeled_features))
         self._hold(lf, self.labels, uf)
 
     @classmethod
     def _of_blocks(cls, labeled_features, labels, unlabeled_features, vocabulary, K) -> "Dataset":
-        """A Dataset that holds two float64 feature blocks as they are, without copying them."""
+        """A Dataset that holds two feature blocks without copying them, unless
+        ``bool`` copies stand in for float64 0/1 blocks."""
         dataset = object.__new__(cls)
         object.__setattr__(dataset, "vocabulary", vocabulary)
         object.__setattr__(dataset, "K", K)
@@ -283,7 +301,8 @@ class Dataset:
         return dataset
 
     def _hold(self, lf: np.ndarray, labels, uf: np.ndarray) -> None:
-        """Check the blocks against the vocabulary and K, and store them read-only."""
+        """Check the blocks against the vocabulary and K, give them their one
+        dtype, and store them read-only."""
         d = self.vocabulary.d
         labels = np.array(labels, dtype=np.int64, copy=True).reshape(-1)
         if lf.shape[1] != d or uf.shape[1] != d:
@@ -297,6 +316,8 @@ class Dataset:
             raise ValueError("K must be a positive integer")
         if labels.size and (labels.min() < 1 or labels.max() > self.K):
             raise ValueError(f"labels must lie in 1..{self.K}")
+        binary = all(a.dtype == bool or not a.size for a in (lf, uf)) or is_binary(lf, uf)
+        lf, uf = (a.astype(bool if binary else np.float64, copy=False) for a in (lf, uf))
         for name, a in (("labeled_features", lf), ("labels", labels), ("unlabeled_features", uf)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -320,11 +341,10 @@ class Dataset:
         """Write header (API identities + 'label') and one row per sample.
 
         Labeled rows come first with their class index; unlabeled rows have
-        an empty label cell. A matrix whose every cell is +0.0 or 1.0 (by
-        bit pattern, so -0.0 is not) is written as 0/1 bytes, a whole
-        ``CSV_BLOCK`` of cells at a time, with no per-cell Python. Anything
-        else goes through ``write_csv`` as shortest round-trip float text,
-        from the ``tolist()`` of one ``CSV_BLOCK`` of cells at a time.
+        an empty label cell. ``bool`` blocks are written as 0/1 bytes, a
+        whole ``CSV_BLOCK`` of cells at a time, with no per-cell Python.
+        float64 blocks go through ``write_csv`` as shortest round-trip float
+        text, from the ``tolist()`` of one ``CSV_BLOCK`` of cells at a time.
         """
         header = [*self.vocabulary.entries, "label"]
         step = max(1, CSV_BLOCK // self.d)
@@ -333,7 +353,7 @@ class Dataset:
         unlabeled = (self.unlabeled_features, itertools.repeat(None))
         blocks = [(X[i:i + step], labels) for X, labels in (labeled, unlabeled)
                   for i in range(0, len(X), step)]
-        if not (is_binary(self.labeled_features) and is_binary(self.unlabeled_features)):
+        if self.labeled_features.dtype != bool:
             write_csv(path, header, (
                 row + [label] for X, labels in blocks for row, label in zip(X.tolist(), labels)
             ))
@@ -349,14 +369,16 @@ class Dataset:
 
         A file as ``save_csv`` writes a 0/1 matrix (a header line without
         quotes or carriage returns, then body lines as ``_binary_rows``
-        reads them) is parsed from its bytes into one float64 array. When
-        its labeled rows come first, as ``save_csv`` writes them, the two
-        feature blocks are read-only slices of that array. Any other file
-        goes through ``np.loadtxt``: cells may be CSV-quoted, so an API
-        identity may hold a comma; a body row is one finite number per
-        identity and an integer or empty (unlabeled) label cell; empty
-        lines are skipped. Either way labels lie in 1 to the number of
-        labeled rows, and a file that is not UTF-8 is a DataFormatError.
+        reads them) is parsed from its bytes into one ``bool`` array, with no
+        ``is_binary`` scan. When its labeled rows come first, as ``save_csv``
+        writes them, the two feature blocks are read-only slices of that
+        array. Any other file goes through ``np.loadtxt``: cells may be
+        CSV-quoted, so an API identity may hold a comma; a body row is one
+        finite number per identity and an integer or empty (unlabeled) label
+        cell; empty lines are skipped. Its float64 features are held as
+        ``bool`` when they are 0/1, as ``Dataset`` holds any input. Either
+        way labels lie in 1 to the number of labeled rows, and a file that
+        is not UTF-8 is a DataFormatError.
         """
         try:
             with open(path, "rb") as fh:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import baselines, cem
+from . import baselines, cem, gmm
 from .baselines import TIE_LABEL
 # ``stratified_folds`` stays bound here by name: perfbench/spans.py patches it.
 from .dataset import Dataset, stratified_folds, write_csv
@@ -255,13 +255,14 @@ def detection_rate(
 ) -> list[DrRow]:
     """Detection rate over subsampled fractions of an all-malicious set.
 
-    The classifier is trained once, with ``oos_X`` as its test pool, and
-    predicts each subsample; ties count as not detected. Fractions are
+    The classifier is trained once, with ``oos_X`` as its test pool in its
+    own dtype (``bool`` 0/1 rows are not copied to float64), and predicts
+    each subsample; ties count as not detected. Fractions are
     percentages; each is paired with its Monte Carlo replicate count.
     Subsampling is without replacement and fully determined by the seed. A
     fraction that yields zero samples is skipped with a warning.
     """
-    X = np.atleast_2d(np.asarray(oos_X, dtype=np.float64))
+    X = np.atleast_2d(np.asarray(oos_X))
     if X.shape[0] == 0:
         raise ValueError("test set must be non-empty")
     fractions = list(fractions)
@@ -364,11 +365,14 @@ def pca_project(
     Centering and principal directions come from the in-sample block only.
     Each direction is signed so its largest-magnitude coordinate is
     positive, making projections reproducible. Cohorts are ``benign-in``,
-    ``malicious-in`` and ``oos``.
+    ``malicious-in`` and ``oos``. Either block may be ``bool``: the
+    in-sample rows are read once, centered, into float64, and the
+    out-of-sample rows ``gmm.ROW_BLOCK // d`` at a time, so no float64
+    copy of them is made.
     """
-    X = np.atleast_2d(np.asarray(in_features, dtype=np.float64))
+    X = np.atleast_2d(np.asarray(in_features))
     labels = np.asarray(in_labels, dtype=np.int64).reshape(-1)
-    oos = np.atleast_2d(np.asarray(oos_features, dtype=np.float64))
+    oos = np.atleast_2d(np.asarray(oos_features))
     if oos.size == 0:
         oos = np.empty((0, X.shape[1]))
     if labels.shape[0] != X.shape[0]:
@@ -379,7 +383,7 @@ def pca_project(
         raise ValueError(
             f"n_components must be in 1..{min(X.shape)} for a {X.shape[0]}x{X.shape[1]} block"
         )
-    mean = X.mean(axis=0)
+    mean = X.mean(axis=0, dtype=np.float64)
     centered = X - mean
     cov = centered.T @ centered / (X.shape[0] - 1 if X.shape[0] > 1 else 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -393,13 +397,17 @@ def pca_project(
     cohorts = [
         "malicious-in" if lab == positive_label else "benign-in" for lab in labels
     ]
+    oos_projection = np.empty((len(oos), n_components))
+    step = max(1, gmm.ROW_BLOCK // X.shape[1])
+    for start in range(0, len(oos), step):
+        oos_projection[start:start + step] = (oos[start:start + step] - mean) @ components.T
     return PcaProjection(
         mean=mean,
         components=components,
         explained_variance=eigvals[order],
         in_projection=centered @ components.T,
         in_cohorts=cohorts,
-        oos_projection=(oos - mean) @ components.T,
+        oos_projection=oos_projection,
     )
 
 

@@ -16,11 +16,13 @@ shape: d variances for the spherical and diagonal families, a d x d matrix
 for EEE and VVV, factored once as W = L^-1, the inverse of its lower
 Cholesky factor (Sigma^-1 = W^T W).
 
-``log_joint`` scores the diagonal families on 0/1 rows with one product,
-(1/v - 2 mu/v) X^T + sum(mu^2/v), since x^2 = x for them. Every other
-case reads rows B = ROW_BLOCK // d at a time into buffers that do not
-grow with N. The diagonal families expand a block D = X - c about the
-column mean c, which keeps rows far from the origin from cancelling, with
+0/1 rows are ``bool`` rows: every kernel reads "0/1" off the dtype and
+none scans the cells. ``log_joint`` reads rows B = ROW_BLOCK // d at a
+time, a block of rows that are not float64 copied into one reused float64
+buffer, so no buffer grows with N. The diagonal families score a ``bool``
+block with one product, (1/v - 2 mu/v) X^T + sum(mu^2/v), since x^2 = x.
+They expand any other block D = X - c about the weighted mean c of the
+model's means, which keeps rows far from the origin from cancelling, with
 two products, (D * D)(1/v)^T - 2 D((mu - c)/v)^T + sum((mu - c)^2/v).
 EEE and VVV, when a component's W differs from the previous one's (once
 for EEE, K times for VVV), fill one C-ordered d x B buffer Z^T = W X^T - W c
@@ -31,10 +33,10 @@ w = W(mu - c).
 The closed-form estimators follow Celeux & Govaert (1995). They and
 ``labeled_log_likelihood`` read rows only through per-class counts, means
 and scatters (``class_stats``), which ``merge_class_stats`` combines
-across row blocks. On 0/1 rows these come from exact integer ``Moments``,
-class sums s and Grams G: the scatter is G - s s^T / n, or s - s^2 / n
-per dimension. Other rows are centered on their class mean a block at a
-time, so a fit's working memory is O(K d^2 + d B), not O(N d).
+across row blocks. On ``bool`` rows these come from exact integer
+``Moments``, class sums s and Grams G: the scatter is G - s s^T / n, or
+s - s^2 / n per dimension. Other rows are centered on their class mean a
+block at a time, so a fit's working memory is O(K d^2 + d B), not O(N d).
 ``estimate`` is the one path from those statistics to a mixture: the CEM
 start, every CM-step and LDA's pooled covariance.
 """
@@ -46,7 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import is_binary
 from .errors import DataFormatError, SingularCovarianceError
 
 FAMILIES = ("EII", "VII", "EEI", "VVI", "EEE", "VVV")
@@ -57,8 +58,7 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 REGULARIZATION = 1e-6
 
 # Rows are scored and summed ROW_BLOCK // d at a time (1 MiB of float64
-# cells), except the diagonal families' one product on 0/1 rows, so no
-# kernel's working memory grows with N.
+# cells), so no kernel's working memory grows with N.
 ROW_BLOCK = 1 << 17
 
 
@@ -232,56 +232,59 @@ def _gaussian_log(quad: np.ndarray, d: int, log_det) -> np.ndarray:
     return -0.5 * (quad + d * _LOG_2PI + log_det)
 
 
-def log_joint(model: MixtureModel, X: np.ndarray, binary: bool | None = None) -> np.ndarray:
+def log_joint(model: MixtureModel, X: np.ndarray) -> np.ndarray:
     """Matrix of log(pi_k) + log f_k(x_j), rows = samples, cols = components.
 
     The matrix is the transpose of a C-ordered K x N array, so reductions
     over a row's K entries (max, sum, log-sum-exp) sweep contiguous columns.
 
-    The diagonal families score 0/1 rows (``binary``, the caller's
-    ``is_binary(X)``, checked here when None) with one product,
-    (1/v - 2 mu/v) X^T + sum(mu^2/v), since x^2 = x. Every other case
-    takes the rows B = max(1, ROW_BLOCK // d) at a time. The diagonal
-    families expand each block D = X - c about the column mean c with two
-    products, (D * D)(1/v)^T - 2 D(delta/v)^T + sum(delta^2/v) for
-    delta = mu - c. EEE and VVV whiten a block about c, the mean of the first
-    component of each run sharing an inverse Cholesky factor W (one run for
-    EEE, K for VVV), into one C-ordered d x B buffer Z^T = W X^T - W c,
-    allocated once per call and reused for every block and run; with
-    w = W (mu - c), quad = |Z|^2 - 2 w^T Z^T + |w|^2 goes straight into the
-    block's slice of the output. W is lower-triangular, so with h = d // 2
-    two products fill Z^T without its zero upper-right block and without
-    copying either operand. The first component of a run has w = 0, so its
-    quad is |Z|^2 with no product.
+    Rows are taken B = max(1, ROW_BLOCK // d) at a time; rows that are not
+    float64 (``bool`` 0/1 rows among them) are copied a block at a time into
+    one reused B x d float64 buffer, so no call converts all of X. The
+    diagonal families score ``bool`` rows with one product per block,
+    (1/v - 2 mu/v) X^T + sum(mu^2/v), since x^2 = x. They expand any other
+    block D = X - c about c, the weighted mean of the model's means, with
+    two products, (D * D)(1/v)^T - 2 D(delta/v)^T + sum(delta^2/v) for
+    delta = mu - c. EEE and VVV whiten a block about c, the mean of the
+    first component of each run sharing an inverse Cholesky factor W (one
+    run for EEE, K for VVV), into one C-ordered d x B buffer
+    Z^T = W X^T - W c, allocated once per call and reused for every block
+    and run; with w = W (mu - c), quad = |Z|^2 - 2 w^T Z^T + |w|^2 goes
+    straight into the block's slice of the output. W is lower-triangular,
+    so with h = d // 2 two products fill Z^T without its zero upper-right
+    block and without copying either operand. The first component of a run
+    has w = 0, so its quad is |Z|^2 with no product.
     """
     X = np.atleast_2d(np.asarray(X))
-    inv = model.inverse_variances
-    binary = inv is not None and (is_binary(X) if binary is None else binary)
-    X = X.astype(np.float64, copy=False)
     n, d = X.shape
     if d != model.d:
         raise ValueError(f"expected dimension {model.d}, got {d}")
+    inv, binary = model.inverse_variances, X.dtype == bool
     logw, log_dets = model.log_weights[:, None], model.log_dets[:, None]
-    if binary:
-        # 0/1 rows: one product reads X once
-        scaled = model.means * inv
-        quad = (inv - 2.0 * scaled) @ X.T
-        quad += (model.means * scaled).sum(axis=1, keepdims=True)
-        return (logw + _gaussian_log(quad, d, log_dets)).T
     out = np.empty((model.K, n))
     step = max(1, ROW_BLOCK // d)
-    if inv is not None and n:
-        col_mean = X.mean(axis=0)
-        delta = model.means - col_mean
+    rows_buffer = None if X.dtype == np.float64 else np.empty((min(step, n), d))
+    if inv is not None:
+        # 0/1 rows expand about the origin, other rows about the model's center
+        center = 0.0 if binary else model.weights @ model.means
+        delta = model.means - center
         scaled = delta * inv
         offset = (delta * scaled).sum(axis=1, keepdims=True)
-    buffer = np.empty(d * min(step, n)) if inv is None else None
+        linear = inv - 2.0 * scaled if binary else -2.0 * scaled
+    else:
+        buffer = np.empty(d * min(step, n))
     h = d // 2
     for start in range(0, n, step):
         rows = X[start:start + step]
+        if rows_buffer is not None:
+            rows_buffer[: len(rows)] = rows
+            rows = rows_buffer[: len(rows)]
         if inv is not None:
-            D = rows - col_mean
-            quad = inv @ (D * D).T + (-2.0 * scaled) @ D.T + offset
+            if binary:
+                quad = linear @ rows.T + offset
+            else:
+                D = rows - center
+                quad = inv @ (D * D).T + linear @ D.T + offset
             out[:, start:start + step] = logw + _gaussian_log(quad, d, log_dets)
             continue
         Zt = buffer[: d * rows.shape[0]].reshape(d, rows.shape[0])
@@ -445,7 +448,7 @@ def estimate(stats, family: str) -> MixtureModel:
 
 @dataclass
 class Moments:
-    """Class moments of 0/1 rows under one partition, exact integers held in float64.
+    """Class moments of ``bool`` rows under one partition, exact integers held in float64.
 
     ``labels`` is the partition (1..K, 0 for a row in no class), ``sums``
     the K x d class sums H X and ``grams`` the K Grams X_k^T X_k (EEE and
@@ -465,12 +468,13 @@ class Moments:
         return cls(np.zeros(n, dtype=np.int64), np.zeros((K, d)), grams)
 
     def move(self, X: np.ndarray, labels: np.ndarray) -> "Moments":
-        """Take the moments to the partition ``labels`` of the 0/1 rows X, in place.
+        """Take the moments to the partition ``labels`` of the ``bool`` rows X, in place.
 
         Each row whose label changed is added to its new class and taken
         from its old one, ROW_BLOCK // d changed rows at a time. A block's
-        Gram entries are integers of at most ROW_BLOCK < 2^24, so float32
-        holds them exactly and computes them at twice float64's speed.
+        sums and Gram entries are integers of at most ROW_BLOCK < 2^24, so
+        float32 holds them exactly and computes them at twice float64's
+        speed; the block's rows are read into float32 once.
         """
         changed = np.flatnonzero(labels != self.labels)
         classes = np.arange(1, len(self.sums) + 1)[:, None]
@@ -479,11 +483,11 @@ class Moments:
             idx = changed[start:start + step]
             # a run of consecutive rows (every row, from ``empty``) is sliced, not gathered
             rows = X[idx[0]:idx[-1] + 1] if idx[-1] - idx[0] == len(idx) - 1 else X[idx]
+            rows = rows.astype(np.float32)
             joined, left = classes == labels[idx], classes == self.labels[idx]
-            self.sums += (joined.astype(np.float64) - left) @ rows
+            self.sums += (joined.astype(np.float32) - left) @ rows
             if self.grams is None:
                 continue
-            rows = rows.astype(np.float32)
             for members, sign in ((joined, 1.0), (left, -1.0)):
                 for k in np.flatnonzero(members.any(axis=1)):
                     part = rows[members[k]]
@@ -514,18 +518,18 @@ def class_stats(X: np.ndarray, y: np.ndarray, K: int, family: str):
     ``estimate_family_covariances`` takes. An empty class gets a zero mean
     and a zero scatter, which ``merge_class_stats`` needs no branch for.
 
-    X is read as float64. 0/1 rows (``is_binary``) take their statistics
-    from exact integer ``Moments``, summed over blocks of ROW_BLOCK // d
-    rows. Other rows' means are H^T X / n, H the one-hot label matrix, and
-    their scatters are summed over the same row blocks in two passes: R, a
-    copy of one block's rows of the class, is centered on the class mean in
-    place, and adds its column sums of squares (spherical and diagonal
-    families) or R^T R (EEE and VVV, symmetrized once).
+    ``bool`` rows, the 0/1 rows, take their statistics from exact integer
+    ``Moments``, summed over blocks of ROW_BLOCK // d rows. Other rows are
+    read as float64: their means are H^T X / n, H the one-hot label matrix,
+    and their scatters are summed over the same row blocks in two passes:
+    R, a copy of one block's rows of the class, is centered on the class
+    mean in place, and adds its column sums of squares (spherical and
+    diagonal families) or R^T R (EEE and VVV, symmetrized once).
     """
-    X = np.asarray(X, dtype=np.float64)
-    diagonal = family in DIAGONAL_FAMILIES
-    if is_binary(X):
+    X, diagonal = np.asarray(X), family in DIAGONAL_FAMILIES
+    if X.dtype == bool:
         return Moments.empty(len(X), K, X.shape[1], not diagonal).move(X, y).stats()
+    X = X.astype(np.float64, copy=False)
     counts = np.bincount(y, minlength=K + 1)[1:].astype(np.int64)
     H = (np.arange(1, K + 1)[:, None] == y).astype(np.float64)
     means = H @ X / np.maximum(counts, 1)[:, None]

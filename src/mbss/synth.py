@@ -102,9 +102,8 @@ def sample_mixture(spec: SynthSpec):
 
 
 def binarize(features: np.ndarray, threshold: float) -> np.ndarray:
-    """Elementwise indicator of strictly exceeding the threshold."""
-    X = np.asarray(features, dtype=np.float64)
-    return (X > threshold).astype(np.float64)
+    """Elementwise ``bool`` indicator of strictly exceeding the threshold."""
+    return np.asarray(features, dtype=np.float64) > threshold
 
 
 def two_class_spec(

@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
 
-from mbss import cem, gmm
+from mbss import cem, dataset, gmm
 from mbss.dataset import ApiVocabulary, Dataset
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(4155)
+
+
+@pytest.fixture
+def is_binary_calls(monkeypatch):
+    """The blocks of every ``dataset.is_binary`` call the test makes, one tuple per call."""
+    calls = []
+    real = dataset.is_binary
+    monkeypatch.setattr(dataset, "is_binary", lambda *blocks: calls.append(blocks) or real(*blocks))
+    return calls
 
 
 def make_dataset(X_labeled, labels, X_unlabeled, K=None):

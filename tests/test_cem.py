@@ -426,14 +426,35 @@ class TestFixedPartitionStop:
 
     @pytest.mark.parametrize("family", gmm.FAMILIES)
     def test_binary_fit_equals_the_reference_loop_bit_for_bit(self, family):
-        # fit moves one set of exact moments by the changed rows; the reference
-        # loop's CM-steps take each partition's moments afresh
+        # fit moves one set of exact moments by the changed bool rows; the
+        # reference loop's CM-steps take each partition's moments afresh
         ds = binary_blobs()
+        assert ds.labeled_features.dtype == ds.unlabeled_features.dtype == bool
         config = cem.CemConfig(family=family)
         want = reference_fit(start_for(ds, config), ds.unlabeled_features)
         assert want.converged and want.changed_labels[-1] == 0
         assert sum(moved > 0 for moved in want.changed_labels[1:]) >= 2
         self.assert_same_fit(fit_dataset(ds, config), want)
+        for cap, converged in ((want.iterations, True), (want.iterations - 1, False)):
+            capped = cem.CemConfig(family=family, max_iterations=cap)
+            want_capped = reference_fit(start_for(ds, capped), ds.unlabeled_features)
+            assert want_capped.converged == converged
+            self.assert_same_fit(fit_dataset(ds, capped), want_capped)
+
+    @pytest.mark.parametrize("family", gmm.FAMILIES)
+    def test_float_binary_fit_equals_the_reference_loop_bit_for_bit(self, family):
+        # the same 0/1 rows as float64, which no Dataset holds: centered
+        # statistics and the mean-shifted scores, capped or not
+        ds = binary_blobs()
+        labeled, unlabeled = ds.labeled_features.astype(float), ds.unlabeled_features.astype(float)
+        config = cem.CemConfig(family=family)
+        start = cem.initialize(labeled, ds.labels, ds.K, config)
+        want = reference_fit(start, unlabeled)
+        assert want.converged and want.changed_labels[-1] == 0
+        self.assert_same_fit(cem.fit(start, unlabeled), want)
+        capped = dataclasses.replace(config, max_iterations=2)
+        capped = cem.initialize(labeled, ds.labels, ds.K, capped)
+        self.assert_same_fit(cem.fit(capped, unlabeled), reference_fit(capped, unlabeled))
 
 
 class TestBinaryMoments:
@@ -450,17 +471,29 @@ class TestBinaryMoments:
         np.testing.assert_array_equal(a.hard_labels[perm], b.hard_labels)
         assert_same_model(b.model, a.model)
 
+    def test_no_fitting_module_binds_the_check(self):
+        # "0/1" is the rows' dtype there
+        assert not any(hasattr(module, "is_binary") for module in (cem, gmm, model_select))
+
     @pytest.mark.parametrize("family", gmm.FAMILIES)
-    def test_the_rows_are_checked_for_0_1_cells_once_per_fit(self, monkeypatch, family):
+    def test_the_rows_are_checked_for_0_1_cells_once_per_fit(self, is_binary_calls, family):
+        # once, when the Dataset is built from float rows; the fit reads the dtype
         ds = binary_blobs()
+        assert len(is_binary_calls) == 1 and ds.unlabeled_features.dtype == bool
         start = start_for(ds, cem.CemConfig(family=family))
-        checked = []
-        real = cem.is_binary
-        for module in (cem, gmm):
-            monkeypatch.setattr(module, "is_binary", lambda X: checked.append(X) or real(X))
         result = cem.fit(start, ds.unlabeled_features)
+        hard = result.hard_labels % 2 + 1
+        cem.cm_step(start, ds.unlabeled_features, hard)
+        cem.cm_step(start, ds.unlabeled_features.astype(float), hard)
         assert result.iterations >= 3
-        assert len(checked) == 1 and checked[0] is ds.unlabeled_features
+        assert len(is_binary_calls) == 1
+
+    def test_a_six_family_selection_checks_no_rows(self, is_binary_calls):
+        ds = binary_blobs()
+        assert len(is_binary_calls) == 1
+        best, scores = model_select.select_model(ds, gmm.FAMILIES, cem.CemConfig())
+        assert [s.family for s in scores] == list(gmm.FAMILIES)
+        assert len(is_binary_calls) == 1
 
     @pytest.mark.parametrize("family", gmm.FAMILIES)
     def test_a_cm_step_reads_only_the_rows_that_moved(self, monkeypatch, family):

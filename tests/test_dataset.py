@@ -612,11 +612,20 @@ class TestIsBinary:
         assert got is (cell is None or n == 0)
         assert got == self.one_pass(X)
 
-    @pytest.mark.parametrize("dtype", ["float32", "int64", "bool", "uint64"])
+    @pytest.mark.parametrize("dtype", ["float32", "int64", "uint64"])
     def test_other_dtypes_are_not_binary(self, dtype):
         X = np.ones((4, self.d), dtype=dtype)
         assert dataset.is_binary(X) is False
         assert dataset.is_binary(np.empty((0, self.d), dtype=dtype)) is False
+
+    def test_bool_blocks_are_binary(self):
+        # a bool cell is 0/1 by its dtype; the answer covers every block given
+        X = np.ones((4, self.d), dtype=bool)
+        assert dataset.is_binary(X) is True
+        assert dataset.is_binary(np.empty((0, self.d), dtype=bool)) is True
+        assert dataset.is_binary(X, np.zeros((2, self.d))) is True
+        assert dataset.is_binary(X, np.full((2, self.d), -0.0)) is False
+        assert dataset.is_binary(np.zeros((2, self.d)), X.astype(np.float32)) is False
 
     def test_columns_of_a_wider_array_are_checked(self):
         X = np.zeros((4 * self.B, 2 * self.d))
@@ -648,6 +657,70 @@ def test_is_binary_holds_no_more_than_a_block_of_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * dataset.CSV_BLOCK
+
+
+class TestBoolFeatures:
+    """0/1 features are held as ``bool``; "0/1" is decided once, when a Dataset is built."""
+
+    @pytest.mark.parametrize("rows", ["float64", "float32", "int64", "lists"])
+    def test_one_check_per_dataset_built_from_other_input(self, is_binary_calls, rows):
+        X = np.random.default_rng(7).random((9, 3)) < 0.5
+        def block(a):
+            return a.astype(int).tolist() if rows == "lists" else a.astype(rows)
+
+        ds = make_dataset(block(X[:4]), [1, 2, 2, 1], block(X[4:]))
+        assert len(is_binary_calls) == 1
+        assert ds.labeled_features.dtype == ds.unlabeled_features.dtype == bool
+        np.testing.assert_array_equal(np.vstack([ds.labeled_features, ds.unlabeled_features]), X)
+        vocab = ds.vocabulary
+        again = Dataset(ds.labeled_features, ds.labels, ds.unlabeled_features, vocab, 2)
+        Dataset(X[:4], [1, 2, 2, 1], [], vocab, 2)
+        assert len(is_binary_calls) == 1 and again.labeled_features.dtype == bool
+
+    @pytest.mark.parametrize("where", ["labeled", "unlabeled"])
+    def test_a_negative_zero_keeps_both_blocks_float64(self, is_binary_calls, where):
+        X = (np.random.default_rng(8).random((9, 3)) < 0.5).astype(float)
+        X[1 if where == "labeled" else 6, 2] = -0.0
+        ds = make_dataset(X[:4], [1, 2, 2, 1], X[4:])
+        assert len(is_binary_calls) == 1
+        assert ds.labeled_features.dtype == ds.unlabeled_features.dtype == np.float64
+        assert np.signbit(np.vstack([ds.labeled_features, ds.unlabeled_features])).sum() == 1
+        # a bool block beside a block that is not 0/1 is held as float64 too
+        ds = Dataset(X[:4] > 0, [1, 2, 2, 1], X[4:] + 2.0, ds.vocabulary, 2)
+        assert ds.labeled_features.dtype == ds.unlabeled_features.dtype == np.float64
+
+    def test_a_0_1_file_is_bool_on_both_paths(self, is_binary_calls, tmp_path):
+        X = np.random.default_rng(9).random((30, 4)) < 0.5
+        make_dataset(X[:10], np.arange(10) % 2 + 1, X[10:]).save_csv(tmp_path / "d.csv")
+        # carriage returns send the same cells through np.loadtxt
+        text = (tmp_path / "d.csv").read_bytes()
+        (tmp_path / "crlf.csv").write_bytes(text.replace(b"\n", b"\r\n"))
+        assert len(is_binary_calls) == 1
+        byte = Dataset.load_csv(tmp_path / "d.csv")
+        assert len(is_binary_calls) == 1
+        text = Dataset.load_csv(tmp_path / "crlf.csv")
+        assert len(is_binary_calls) == 2
+        assert _load_outcome(lambda path: byte, None) == _load_outcome(lambda path: text, None)
+        assert byte.labeled_features.dtype == byte.unlabeled_features.dtype == bool
+        np.testing.assert_array_equal(byte.unlabeled_features, X[10:])
+
+    def test_a_negative_zero_cell_keeps_a_file_float64(self, tmp_path):
+        (tmp_path / "d.csv").write_text("a.b,c.d,label\n0,1,1\n1,-0.0,2\n1,0,\n")
+        ds = Dataset.load_csv(tmp_path / "d.csv")
+        assert ds.labeled_features.dtype == ds.unlabeled_features.dtype == np.float64
+        ds.save_csv(tmp_path / "again.csv")
+        text = "a.b,c.d,label\n0.0,1.0,1\n1.0,-0.0,2\n1.0,0.0,\n"
+        assert (tmp_path / "again.csv").read_text() == text
+
+    def test_bool_blocks_are_written_without_a_check(self, is_binary_calls, tmp_path):
+        X = np.random.default_rng(10).random((12, 5)) < 0.5
+        ds = make_dataset(X[:4], [1, 2, 2, 1], X[4:])
+        assert len(is_binary_calls) == 1
+        ds.save_csv(tmp_path / "d.csv")
+        assert len(is_binary_calls) == 1
+        lines = (tmp_path / "d.csv").read_text().splitlines()
+        assert lines[1] == ",".join(map(str, X[0].astype(int))) + ",1"
+        assert lines[-1] == ",".join(map(str, X[-1].astype(int))) + ","
 
 
 class TestDatasetValidation:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -449,3 +450,54 @@ class TestWriters:
         table = evaluation.format_cv_table([report])
         assert "constant" in table
         assert "mean ACC" in table
+
+
+class TestBoolPool:
+    """0/1 rows held as ``bool`` reach the classifiers and the PCA export without a float64 copy."""
+
+    @staticmethod
+    def bool_rows(n, seed, d=160):
+        rng = np.random.default_rng(seed)
+        y = np.arange(n) % 2 + 1
+        return rng.random((n, d)) < rng.uniform(0.1, 0.5, size=(2, d))[y - 1], y
+
+    def test_the_baselines_and_pca_read_bool_rows_as_their_floats(self):
+        # 2,000 pool rows span three row blocks at d = 160
+        X, y = self.bool_rows(400, 51)
+        pool, _ = self.bool_rows(2_000, 52)
+        knn = baselines.KnnModel(X, y, k=3)
+        np.testing.assert_array_equal(
+            baselines.knn_predict_all(knn, pool), baselines.knn_predict_all(knn, pool.astype(float))
+        )
+        lda = baselines.lda_fit(X, y)
+        for a, b in zip(baselines.lda_predict_all(lda, pool),
+                        baselines.lda_predict_all(lda, pool.astype(float)), strict=True):
+            np.testing.assert_array_equal(a, b)
+        a = pca_project(X, y, pool, 4, 2)
+        b = pca_project(X.astype(float), y, pool.astype(float), 4, 2)
+        for name in ("mean", "components", "explained_variance", "in_projection", "oos_projection"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_a_sweep_and_a_projection_copy_no_bool_pool_to_float64(self):
+        X, y = self.bool_rows(400, 53)
+        pool, _ = self.bool_rows(20_000, 54)
+        pools = []
+
+        def spy(classifier):
+            def train(train_X, train_y, test_pool):
+                pools.append(test_pool)
+                return classifier(train_X, train_y, test_pool)
+            return train
+
+        tracemalloc.start()
+        try:
+            for classifier in (evaluation.lda(), evaluation.knn(3)):
+                detection_rate(spy(classifier), X, y, pool, (1.0, 100.0), (2, 1), seed=3)
+            pca_project(X, y, pool, 4, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(p is pool for p in pools)
+        # kNN gathers the rows it has not predicted, a bool copy of the pool;
+        # a float64 copy alone would be twice this bound
+        assert peak < pool.size * np.dtype(np.float64).itemsize / 2

@@ -276,14 +276,28 @@ class TestLogJointKernels:
             tracemalloc.stop()
         assert peak <= buffers
 
+    def test_vvv_scoring_of_bool_rows_adds_one_row_buffer(self):
+        # the float64 bound plus one B x d float64 buffer that the bool rows are read into
+        model = binary_model(np.random.default_rng(165), "VVV", K=2)
+        X = np.random.default_rng(166).random((5000, 160)) < 0.3
+        B = gmm.ROW_BLOCK // 160
+        buffers = (model.K * 5000 + (160 + 16) * B + 160 * B) * 8
+        tracemalloc.start()
+        try:
+            gmm.log_joint(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= buffers
+
 
 _LOG_2PI = np.log(2 * np.pi)
 
 
 def one_pass_log_joint(model, X):
-    """``gmm.log_joint`` on rows that are not 0/1, with all N rows in one block."""
+    """``gmm.log_joint`` on float64 rows, with all N rows in one block."""
     if model.inverse_variances is not None:
-        inv, center = model.inverse_variances, X.mean(axis=0) if len(X) else 0.0
+        inv, center = model.inverse_variances, model.weights @ model.means
         D, delta = X - center, model.means - center
         scaled = delta * inv
         offset = (delta * scaled).sum(axis=1, keepdims=True)
@@ -335,13 +349,15 @@ def moment_scatters(X, y, K):
 
 
 def assert_one_pass_bits(family, n, d):
-    """0/1 rows in one block give the moment scatters and the one-pass scores bit for bit."""
-    X = (np.random.default_rng(188).random((n, d)) < 0.3).astype(float)
+    """``bool`` rows in one block give the moment scatters and the one-pass scores bit for bit."""
+    X = np.random.default_rng(188).random((n, d)) < 0.3
     y = np.arange(n) % 2 + 1
     stats = gmm.class_stats(X, y, 2, family)
-    np.testing.assert_array_equal(stats[2], moment_scatters(X, y, 2))
+    np.testing.assert_array_equal(stats[2], moment_scatters(X.astype(float), y, 2))
     model = gmm.estimate(stats, family)
-    np.testing.assert_array_equal(gmm.log_joint(model, X), one_pass_log_joint(model, X))
+    np.testing.assert_array_equal(
+        gmm.log_joint(model, X), one_pass_log_joint(model, X.astype(float))
+    )
 
 
 class TestFullRowBlocks:
@@ -420,7 +436,7 @@ class TestExactMoments:
 
     @staticmethod
     def binary_rows(n, d, seed):
-        return (np.random.default_rng(seed).random((n, d)) < 0.3).astype(float)
+        return np.random.default_rng(seed).random((n, d)) < 0.3
 
     @pytest.mark.parametrize("family", gmm.FAMILIES)
     def test_statistics_match_an_exact_fraction_reference(self, family):
@@ -462,15 +478,16 @@ class TestExactMoments:
 
 
 class TestBinaryRowsInPlace:
-    """0/1 rows take their own path in ``log_joint`` and ``class_stats``; other rows do not."""
+    """``bool`` rows take their own path in ``log_joint`` and ``class_stats``; other rows do not."""
 
     @staticmethod
     def binary_rows(n=400, d=160, seed=170):
-        return (np.random.default_rng(seed).random((n, d)) < 0.3).astype(float)
+        return np.random.default_rng(seed).random((n, d)) < 0.3
 
     def test_binary_rows_are_not_copied(self):
-        # one product reads X in place; the output is K x N
+        # one product per block, read into one B x d float64 buffer; the output is K x N
         X = self.binary_rows(n=5000)
+        B = gmm.ROW_BLOCK // 160
         for family in gmm.DIAGONAL_FAMILIES:
             model = binary_model(np.random.default_rng(174), family)
             tracemalloc.start()
@@ -479,21 +496,41 @@ class TestBinaryRowsInPlace:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < X.nbytes / 8
+            assert peak <= (model.K * 5000 + (160 + 16) * B) * 8
 
     @pytest.mark.parametrize(
         "cell", [-0.0, 2.0, np.nan, "float32", "int64"],
         ids=["negative-zero", "two", "nan", "float32", "int64"],
     )
     def test_other_rows_take_the_mean_shift(self, cell):
-        X = self.binary_rows(n=50, d=6)
+        X = self.binary_rows(n=50, d=6).astype(float)
         if isinstance(cell, str):
             X = X.astype(cell)
         else:
             X[7, 2] = cell
         for family in gmm.DIAGONAL_FAMILIES:
             model = binary_model(np.random.default_rng(175), family, d=6)
-            np.testing.assert_array_equal(gmm.log_joint(model, X), gmm.log_joint(model, X, False))
+            np.testing.assert_array_equal(
+                gmm.log_joint(model, X), one_pass_log_joint(model, X.astype(np.float64))
+            )
+
+    @pytest.mark.parametrize("dtype", ["float32", "int64"])
+    def test_other_dtypes_take_the_float_path_in_both_kernels(self, monkeypatch, dtype):
+        # 0/1 rows that are not bool are read as float64 by class_stats and log_joint alike
+        X = self.binary_rows(n=50, d=6)
+        y = np.arange(50) % 3 + 1
+        moved = []
+        monkeypatch.setattr(gmm.Moments, "move", lambda *args: moved.append(args))
+        for family in gmm.FAMILIES:
+            got = gmm.class_stats(X.astype(dtype), y, 3, family)
+            want = gmm.class_stats(X.astype(np.float64), y, 3, family)
+            for a, b in zip(got, want, strict=True):
+                np.testing.assert_array_equal(a, b)
+            model = gmm.estimate(want, family)
+            np.testing.assert_array_equal(
+                gmm.log_joint(model, X.astype(dtype)), one_pass_log_joint(model, X.astype(float))
+            )
+        assert moved == []
 
     @pytest.mark.parametrize("family", gmm.DIAGONAL_FAMILIES)
     def test_kernels_agree_with_the_mean_shifted_block(self, family):
@@ -502,11 +539,11 @@ class TestBinaryRowsInPlace:
         X = self.binary_rows()
         y = rng.integers(1, model.K + 1, size=X.shape[0])
         np.testing.assert_allclose(
-            gmm.log_joint(model, X), gmm.log_joint(model, X, False), rtol=1e-9, atol=0.0
+            gmm.log_joint(model, X), gmm.log_joint(model, X.astype(float)), rtol=1e-9, atol=0.0
         )
-        # a -0.0 cell is not 0/1, so its statistics are centered, not moments
-        other = X.copy()
-        other.flat[np.flatnonzero(X == 0.0)[5]] = -0.0
+        # float64 0/1 rows, a -0.0 cell among them, are centered, not summed as moments
+        other = X.astype(float)
+        other.flat[np.flatnonzero(~X)[5]] = -0.0
         assert not is_binary(other)
         got = gmm.class_stats(X, y, model.K, family)
         want = gmm.class_stats(other, y, model.K, family)
@@ -515,7 +552,8 @@ class TestBinaryRowsInPlace:
         np.testing.assert_allclose(got[2], want[2], rtol=1e-9, atol=0.0)
 
     def test_vvi_fit_allocates_less_than_one_copy_of_the_rows(self):
-        # a mean-shifted block would hold two more copies of X for the whole fit
+        # a mean-shifted block would hold two more copies of X for the whole fit;
+        # the bound is an eighth of the rows' float64 copy
         X = self.binary_rows(n=20000, seed=172)
         labeled = self.binary_rows(n=200, seed=173)
         config = cem.CemConfig(family="VVI", max_iterations=3)
@@ -526,7 +564,7 @@ class TestBinaryRowsInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < X.nbytes / 8
+        assert peak < X.size * np.dtype(np.float64).itemsize / 8
 
     @pytest.mark.parametrize("family", gmm.FAMILIES)
     def test_a_fit_on_other_rows_holds_no_copy_of_them(self, family):
@@ -547,7 +585,8 @@ class TestBinaryRowsInPlace:
 
     @pytest.mark.parametrize("family", ["EEE", "VVV"])
     def test_full_fit_holds_no_copy_of_the_rows(self, family):
-        # whitening and scatters work on blocks of ROW_BLOCK cells, not N x d buffers
+        # whitening and scatters work on blocks of ROW_BLOCK cells, not N x d
+        # buffers; the bound is a quarter of the rows' float64 copy
         X = self.binary_rows(n=20000, seed=172)
         labeled = self.binary_rows(n=200, seed=173)
         config = cem.CemConfig(family=family, max_iterations=3)
@@ -558,7 +597,7 @@ class TestBinaryRowsInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < X.nbytes / 4
+        assert peak < X.size * np.dtype(np.float64).itemsize / 4
 
 
 class TestLogResponsibilities:
@@ -764,8 +803,9 @@ class TestLabeledStatistics:
 class TestFarFromTheOrigin:
     """The kernels keep their digits on rows near 1e4.
 
-    The diagonal kernels expand about the rows' mean; expanded about the
-    origin instead, these rows agree with the oracles to only about 1e-8.
+    The diagonal kernels expand about the weighted mean of the model's
+    means; expanded about the origin instead, these rows agree with the
+    oracles to only about 1e-8.
     The full kernel centers the whitened rows on the first mean that shares
     their factor, and ``class_stats`` centers each class's rows on its mean
     before taking their scatter. With two components 1e3 sd apart, EEE

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mbss import cem, model_select, synth
+from mbss import cem, gmm, model_select, synth
+from mbss.dataset import ApiVocabulary, Dataset
 from mbss.errors import MbssError
 
 
@@ -110,6 +112,25 @@ class TestSelectModel:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             model_select.select_model(spherical_dataset(), ["ABC"], cem.CemConfig())
+
+
+def test_a_six_family_fit_of_a_0_1_file_peaks_below_a_float64_copy_of_its_rows(tmp_path):
+    # the rows are held as bool from the file to the fit, which reads blocks of them
+    rng = np.random.default_rng(41)
+    n, d = 20_000, 160
+    y = np.arange(n) % 2 + 1
+    X = rng.random((n, d)) < rng.uniform(0.1, 0.5, size=(2, d))[y - 1]
+    vocab = ApiVocabulary(tuple(f"c{j}.m" for j in range(d)))
+    Dataset(X[:2_000], y[:2_000], X[2_000:], vocab, 2).save_csv(tmp_path / "d.csv")
+    tracemalloc.start()
+    try:
+        ds = Dataset.load_csv(tmp_path / "d.csv")
+        _, scores = model_select.select_model(ds, gmm.FAMILIES, cem.CemConfig(max_iterations=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.family for s in scores] == list(gmm.FAMILIES)
+    assert peak < n * d * np.dtype(np.float64).itemsize
 
 
 class TestReport:
